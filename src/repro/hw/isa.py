@@ -167,6 +167,9 @@ class MInstr:
     #: diagnostics: bytecode pc / abort id this uop derives from.
     src_pc: int | None = None
     abort_id: int | None = None
+    #: cached :func:`repro.hw.timing.uop_timing` of this uop, filled on
+    #: its first timed retirement; not part of value semantics.
+    timing_facts: object = field(default=None, repr=False, compare=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.op.name.lower()]

@@ -223,15 +223,35 @@ class Machine:
         self._conflict_retries: Counter = Counter()
 
     # -- public ------------------------------------------------------------
+    @property
+    def timing(self):
+        """The attached :class:`~repro.hw.timing.TimingModel` (or None)."""
+        return self._timing
+
+    @timing.setter
+    def timing(self, timing) -> None:
+        # Timed fused code bakes this machine's widths, window, predictor
+        # and L1 geometry: a model of another machine would be silently
+        # mis-simulated, so refuse it outright.
+        if (timing is not None and timing.config is not self.config
+                and timing.config != self.config):
+            raise VMError(
+                f"timing model configured for {timing.config.name!r} "
+                f"attached to a {self.config.name!r} machine"
+            )
+        self._timing = timing
+
     def prepare(self, compiled: CompiledMethod) -> None:
         """Eagerly build the dispatch caches this machine's tier will use.
 
-        Pre-decoding and (especially) template-jit host compilation are
-        one-time costs that otherwise land on the first activation —
-        which, under the harness's measurement protocol, is *inside* the
-        measured window.  The VM calls this at method-install time so
-        measured samples run pure steady state.  Purely a warm-up:
-        executing without it is observationally identical.
+        Pre-decoding and the template-jit dispatch table are one-time
+        costs that otherwise land on the first activation — which, under
+        the harness's measurement protocol, is *inside* the measured
+        window.  The VM calls this at method-install time.  Fused runs
+        themselves are host-compiled on their first execution (see
+        :mod:`repro.hw.templatejit`), so only code that actually runs pays
+        for ``compile()``.  Purely a warm-up: executing without it is
+        observationally identical.
         """
         if self.dispatch == "interpretive":
             return

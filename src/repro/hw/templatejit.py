@@ -3,23 +3,25 @@
 PR 4's pre-decoded handler arrays (:mod:`repro.hw.codegen`) pay one
 Python call, two counter stores, and a retirement-check call per retired
 uop.  This module is the third dispatch tier: it walks a compiled
-method's decoded uops, partitions every basic block into maximal runs of
-*fusable* uops, and emits real Python source for each run — one function
-per run, registers resolved to list indexes, immediates/field names/
-branch targets baked in as constants, and the per-uop bookkeeping
-collapsed into batched counter flushes at the run's exit points
-(superinstruction fusion).  The source is ``compile()``/``exec()``d once
-and cached on the :class:`~repro.hw.isa.CompiledMethod` alongside the
-pre-decode arrays, under the same ``disable_region``/recompile
-invalidation.
+method's decoded uops, partitions every basic block into runs of
+*fusable* uops (at most :data:`MAX_RUN` long), and emits real Python
+source for each run — one function per run, registers resolved to list
+indexes, immediates/field names/branch targets baked in as constants,
+and the per-uop bookkeeping collapsed into batched counter flushes at
+the run's exit points (superinstruction fusion).  Each run is
+``compile()``d on its *first execution*: the dispatch table starts out
+holding a stub per run that compiles the run, patches itself out of the
+table, and runs it.  The table is cached on the
+:class:`~repro.hw.isa.CompiledMethod` alongside the pre-decode arrays,
+under the same ``disable_region``/recompile invalidation.
 
 The contract is the same strict observational equivalence the
 pre-decoded tier obeys: byte-identical :class:`ExecStats`, identical
-timing-model inputs in identical order, identical heap/address
-allocation order, and identical exception/abort behaviour versus the
-interpretive loop (enforced by ``tests/test_differential.py`` and the
-generative battery in ``tests/test_templatejit.py``).  Three mechanisms
-make that hold:
+timing-model state (cycle counts, scoreboard, predictor, caches),
+identical heap/address allocation order, and identical
+exception/abort behaviour versus the interpretive loop (enforced by
+``tests/test_differential.py`` and the generative battery in
+``tests/test_templatejit.py``).  Three mechanisms make that hold:
 
 **Side exits re-land on the per-uop tier.**  Any situation the emitted
 fast path cannot (or should not) handle inline — a non-integer ALU
@@ -46,17 +48,26 @@ monitor-enter's single probing load — *is* fused: it is a pure read
 (read-set add + lock-owner probe) and sits on the hottest
 elided-monitor paths.
 
-**Stateful timing stays per-uop.**  Every fused run has two variants —
-an untimed one and a timed one that calls ``timing.uop``/
-``timing.branch`` in exactly the slow path's order (branch-predictor
-updates are stateful, so a trap/abort path never bails *after* the
-predictor was touched: it finishes the uop inline instead).  The
-machine selects the table matching its ``timing`` attribute per
-activation; each variant's source is emitted and ``compile()``d only
-on first use, so a machine that never runs timed (or never untimed)
-pays half the host-compile cost, and the
-:meth:`~repro.hw.machine.Machine.prepare` hook lets the VM hoist that
-cost to method-install time, outside any measured window.
+**The timing model is folded in.**  Every fused run has two variants.
+The untimed one touches no timing state.  The timed one inlines the
+:class:`~repro.hw.timing.TimingModel` scoreboard: each uop's static
+facts (:func:`~repro.hw.timing.uop_timing` — sources, execution class,
+latency, destination) and the machine's widths, window, mispredict
+penalty, predictor masks and L1 geometry are constants, and only the
+dynamic state lives at run time — in locals loaded from the model at
+function entry (fetch/retire cycle and count, the window, register and
+store ready times, predictor history and tables).  The combining
+predictor runs inline, a mispredict's bubble is applied in the same
+uop's tick, and an L1 access that hits the most-recently-used way (no
+LRU reorder needed) is resolved inline; every other access calls the
+cache model.  The locals are written back to the model before *every*
+exit — fall-through, branch returns, bails, ``_fast_abort``,
+``_fast_exception`` and ``raise`` — so whatever runs next (a handler, the
+abort machinery, the next run) sees exactly the per-uop model's state
+(the deoptimization discipline).  A trap path, which never ticks, leaves
+a mispredict pending for the next uop like the slow path; and a run
+entered while the model carries a pending mispredict or commit record
+bails to its first uop's handler, so fused code never has to apply them.
 """
 
 from __future__ import annotations
@@ -73,9 +84,11 @@ from .codegen import (
     machine_compare,
 )
 from .isa import CompiledMethod, MOp
+from .timing import LOAD, RMW, STORE, uop_timing
 
 __all__ = [
     "FUSABLE_MOPS",
+    "MAX_RUN",
     "JitProfile",
     "JittedMethod",
     "fused_runs",
@@ -100,6 +113,11 @@ FUSABLE_MOPS = frozenset({
 
 #: a run must cover at least this many uops to be worth a fused function.
 MIN_RUN = 2
+
+#: longer fusable spans are cut into runs of at most this many uops, so
+#: one host-compile unit (and the code object it leaves behind) stays
+#: small however long a straight-line block is.
+MAX_RUN = 48
 
 #: uops that grow the region's read/write line sets or store buffer —
 #: the only points where the retirement-time hardware condition can
@@ -135,16 +153,35 @@ class JitProfile:
     store_bound: int | None
     cache_shaped: bool
     fallback_begin: bool
+    # -- the timing model's scoreboard (timed variant only) ----------------
+    fetch_width: int
+    retire_width: int
+    window: int
+    mispredict_penalty: int
+    #: gshare index/history mask and bimodal/chooser index mask.
+    gshare_mask: int
+    bimodal_mask: int
+    l1_set_mask: int
+    l1_hit_cycles: int
 
 
 def jit_profile(machine) -> JitProfile:
     """The profile of ``machine`` (see :class:`JitProfile`)."""
+    config = machine.config
     return JitProfile(
         line_shift=machine._line_shift,
-        region_line_limit=machine.config.region_line_limit,
+        region_line_limit=config.region_line_limit,
         store_bound=machine._store_bound,
         cache_shaped=machine._cache_shaped,
         fallback_begin=machine._fallback_mode == "begin",
+        fetch_width=config.fetch_width,
+        retire_width=config.retire_width,
+        window=config.instruction_window,
+        mispredict_penalty=config.branch_mispredict_penalty,
+        gshare_mask=config.gshare_entries - 1,
+        bimodal_mask=config.bimodal_entries - 1,
+        l1_set_mask=config.l1_config.num_sets - 1,
+        l1_hit_cycles=config.l1_config.hit_cycles,
     )
 
 
@@ -153,15 +190,11 @@ class JittedMethod:
     """The template-JIT dispatch form of one :class:`CompiledMethod`.
 
     :meth:`table` returns a pc-indexed list of callables: the fused run
-    function at each run-start pc, the pre-decoded per-uop handler
-    everywhere else.  The machine's jit loop is identical in shape to
-    the pre-decoded loop — ``pc = table[pc](fr)`` — so entering and
-    leaving fused code costs nothing beyond the table load.
-
-    Each variant (untimed/timed) is emitted and host-``compile()``d
-    lazily on its first :meth:`table` call: CPython's ``compile`` of a
-    large generated module is by far the dominant jit cost, and most
-    machines only ever run one variant.
+    function (or, until its first execution, the stub that compiles it)
+    at each run-start pc, the pre-decoded per-uop handler everywhere
+    else.  The machine's jit loop is identical in shape to the
+    pre-decoded loop — ``pc = table[pc](fr)`` — so entering and leaving
+    fused code costs nothing beyond the table load.
     """
 
     #: machine constants the source was specialised for.
@@ -187,11 +220,13 @@ class JittedMethod:
 
 
 def fused_runs(compiled: CompiledMethod) -> list[tuple[int, int]]:
-    """Maximal fusable straight-line spans, one per ``(start, end)``.
+    """Fusable straight-line spans, one per ``(start, end)``.
 
     Runs never cross basic-block boundaries (every branch target is a
     block leader, so control can only *enter* a fused function at its
-    first uop) and never include an unfusable uop.
+    first uop) and never include an unfusable uop.  A maximal span
+    longer than :data:`MAX_RUN` is cut into consecutive runs; control
+    falls from one into the next through the dispatch loop.
     """
     instrs = compiled.instrs
     blocks, _ = _machine_blocks(instrs)
@@ -203,8 +238,9 @@ def fused_runs(compiled: CompiledMethod) -> list[tuple[int, int]]:
                 j = i
                 while j < end and instrs[j].op in FUSABLE_MOPS:
                     j += 1
-                if j - i >= MIN_RUN:
-                    runs.append((i, j))
+                for k in range(i, j, MAX_RUN):
+                    if min(j, k + MAX_RUN) - k >= MIN_RUN:
+                        runs.append((k, min(j, k + MAX_RUN)))
                 i = j
             else:
                 i += 1
@@ -221,7 +257,9 @@ class _Body:
     Tracks the statically-known counter increments of the uops completed
     so far; every exit point flushes them in one batch, so the per-uop
     ``uops_retired``/``loads``/``stores``/``branches`` stores of the
-    handler tier collapse into a handful of ``+= K`` statements.
+    handler tier collapse into a handful of ``+= K`` statements.  The
+    timed variant also tracks which timing-model state the uops emitted
+    so far have changed, so each exit writes back exactly that state.
     """
 
     def __init__(self, regioned: bool, timed: bool, profile: JitProfile,
@@ -234,6 +272,8 @@ class _Body:
         # completed-uop counter batch: uops, loads, stores, branches,
         # monitor ops
         self.u = self.l = self.s = self.b = self.m = 0
+        # timed: scoreboard ticked / predictor trained / L1 hit inline
+        self.ticked = self.predicted = self.cached = False
 
     # -- plumbing ---------------------------------------------------------
     def w(self, text: str, depth: int = 0) -> None:
@@ -256,9 +296,23 @@ class _Body:
             out.append(f"st.branches += {b}")
         if m:
             out.append(f"st.monitor_ops += {m}")
+        if self.timed:
+            if b:
+                out.append(f"P.predictions += {b}")
+            if self.ticked:
+                out.append("T._fetch_cycle, T._fetched_this_cycle, "
+                           "T._retire_cycle, T._retired_this_cycle = "
+                           "fc, fn, rc, rn")
+            if self.predicted:
+                out.append("P.history = ph")
+            if self.cached:
+                out.append("MEM.accesses += mh")
+                out.append("MEM.l1.hits += mh")
         return out
 
     def flush(self, depth: int, inc=(0, 0, 0, 0, 0)) -> None:
+        """Exit bookkeeping: the batched counters (plus ``inc`` for the
+        current uop) and, when timed, the timing-model write-back."""
         for stmt in self._flush_stmts(self.u + inc[0], self.l + inc[1],
                                       self.s + inc[2], self.b + inc[3],
                                       self.m + inc[4]):
@@ -273,9 +327,127 @@ class _Body:
         self.flush(depth)
         self.w(f"return H[{i}](fr)", depth)
 
-    def tick(self, i: int, mem: str, depth: int = 0) -> None:
-        if self.timed:
-            self.w(f"T.uop(I[{i}], {mem})", depth)
+    def addr(self, expr: str, reused: bool = False) -> str:
+        """The current uop's simulated address as an expression: the
+        local ``m`` when the template (``reused``) or the timed tick
+        needs it more than once."""
+        if reused or self.timed:
+            self.w(f"m = {expr}")
+            return "m"
+        return expr
+
+    def _l1(self, mem: str, hit: str | None, miss: str) -> None:
+        """One cache access: inline when it hits the L1's
+        most-recently-used way (nothing to reorder), else the model."""
+        p = self.profile
+        self.w(f"tx = {mem} >> {p.line_shift}")
+        self.w(f"ws = L1W[tx & {p.l1_set_mask}]")
+        self.w("if ws and ws[-1] == tx:")
+        self.w("mh += 1", 1)
+        if hit is not None:
+            self.w(hit, 1)
+        self.w("else:")
+        self.w(miss, 1)
+        self.cached = True
+
+    def tick(self, instr, mem: str, mispredict: bool = False) -> None:
+        """The timing model's ``uop(instr, mem)``, inlined with
+        ``instr``'s static facts baked in (``mispredict``: apply the
+        bubble of this branch's prediction ``mp``)."""
+        if not self.timed:
+            return
+        p = self.profile
+        srcs, kind, latency, dst = uop_timing(instr)
+        w = self.w
+        # Fetch: width-limited, gated by window occupancy.
+        w(f"if len(win) >= {p.window}:")
+        w("tx = wpop()", 1)
+        w("if tx > fc:", 1)
+        w("fc = tx", 2)
+        w("fn = 0", 2)
+        w(f"if fn >= {p.fetch_width}:")
+        w("fc += 1.0", 1)
+        w("fn = 0", 1)
+        w("tr = fc")
+        w("fn += 1")
+        # Issue: wait for register inputs.
+        for src in srcs:
+            w(f"tx = rr[{src}]")
+            w("if tx > tr:")
+            w("tr = tx", 1)
+        # Execute.
+        assert kind != RMW, "lock-word stores and atomics are never fused"
+        if kind == LOAD and mem != "None":
+            w(f"tx = sr.get({mem})")
+            w("if tx is not None and tx > tr:")
+            w("tr = tx", 1)
+            self._l1(mem, f"tc = tr + {p.l1_hit_cycles}", f"tc = tr + MA({mem})")
+        elif kind == STORE:
+            self._l1(mem, None, f"MA({mem})")
+            w(f"tc = tr + {latency}")
+            w(f"sr[{mem}] = tc")
+        else:
+            w(f"tc = tr + {latency}")
+        if dst is not None:
+            w(f"rr[{dst}] = tc")
+        # In-order retirement at retire_width per cycle.
+        w("if tc > rc:")
+        w("rc = tc", 1)
+        w("rn = 1", 1)
+        w("else:")
+        w("rn += 1", 1)
+        w(f"if rn >= {p.retire_width}:", 1)
+        w("rc += 1.0", 2)
+        w("rn = 0", 2)
+        w("wapp(rc)")
+        if mispredict:
+            # Branch misprediction bubble: fetch resumes after resolution.
+            w("if mp:")
+            w(f"tx = tc + {p.mispredict_penalty}", 1)
+            w("if tx > fc:", 1)
+            w("fc = tx", 2)
+            w("fn = 0", 1)
+        self.ticked = True
+
+    def predict(self, i: int) -> None:
+        """The combining predictor's ``predict_and_update`` for the
+        branch at uop ``i`` with outcome ``t``, inlined; leaves
+        ``mp`` (mispredicted) set and counts a mispredict."""
+        p = self.profile
+        gm, bm = p.gshare_mask, p.bimodal_mask
+        w = self.w
+        w(f"tx = cbase + {i}")
+        w(f"gi = (tx ^ ph) & {gm}")
+        w(f"bi = tx & {bm}")
+        w("gv = GT[gi]")
+        w("bv = BT[bi]")
+        w("gp = gv >= 2")
+        w("bp = bv >= 2")
+        w("if t:")
+        w("mp = not (gp if CT[bi] >= 2 else bp)", 1)
+        w("if gv < 3:", 1)
+        w("GT[gi] = gv + 1", 2)
+        w("if bv < 3:", 1)
+        w("BT[bi] = bv + 1", 2)
+        w(f"ph = ((ph << 1) | 1) & {gm}", 1)
+        w("else:")
+        w("mp = gp if CT[bi] >= 2 else bp", 1)
+        w("if gv > 0:", 1)
+        w("GT[gi] = gv - 1", 2)
+        w("if bv > 0:", 1)
+        w("BT[bi] = bv - 1", 2)
+        w(f"ph = (ph << 1) & {gm}", 1)
+        w("if gp != bp:")
+        w("cv = CT[bi]", 1)
+        w("if gp == t:", 1)
+        w("if cv < 3:", 2)
+        w("CT[bi] = cv + 1", 3)
+        w("elif cv > 0:", 1)
+        w("CT[bi] = cv - 1", 2)
+        w("if mp:")
+        w("st.mispredicts += 1", 1)
+        w("P.mispredictions += 1", 1)
+        self.predicted = True
 
     def hw_check(self, i: int, inc) -> None:
         """The retirement-time hardware condition, specialised and
@@ -378,11 +550,11 @@ class _Body:
             value = (instr.imm if op is MOp.CONST
                      else None if op is MOp.CONST_NULL else instr.cls)
             self.w(f"regs[{instr.dst}] = {value!r}")
-            self.tick(i, "None")
+            self.tick(instr, "None")
 
         elif op is MOp.MOV:
             self.w(f"regs[{instr.dst}] = regs[{instr.a}]")
-            self.tick(i, "None")
+            self.tick(instr, "None")
 
         elif op in (MOp.ADD, MOp.SUB, MOp.MUL, MOp.AND, MOp.OR, MOp.XOR,
                     MOp.SHL, MOp.SHR, MOp.DIV, MOp.MOD):
@@ -412,7 +584,7 @@ class _Body:
                 self.w(f"regs[{instr.dst}] = _gdiv(x, y)")
             else:
                 self.w(f"regs[{instr.dst}] = _gmod(x, y)")
-            self.tick(i, "None")
+            self.tick(instr, "None")
 
         elif op is MOp.CLASSOF:
             self.w(f"o = regs[{instr.a}]")
@@ -423,9 +595,10 @@ class _Body:
             self.w("else:")
             self.bail(i, 1)
             inc = (1, 1, 0, 0, 0)
+            mem = self.addr("o.base")
             if regioned:
-                self.w(f"rl.add(o.base >> {shift})")
-            self.tick(i, "o.base")
+                self.w(f"rl.add({mem} >> {shift})")
+            self.tick(instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADF or op is MOp.STOREF:
@@ -433,29 +606,24 @@ class _Body:
             self.w(f"n = o.field_index.get({instr.fieldname!r})")
             self.w("if n is None:")
             self.bail(i, 1)
-            mem = "o.base + 16 + n * 8"
+            mem = self.addr("o.base + 16 + n * 8", regioned)
             if op is MOp.LOADF:
                 inc = (1, 1, 0, 0, 0)
                 if regioned:
-                    self.w(f"m = {mem}")
                     self.w(f"rl.add(m >> {shift})")
                     self.w("b0 = sb.get((id(o), 'f', n))")
                     self.w(f"regs[{instr.dst}] = "
                            "o.slots[n] if b0 is None else b0[2]")
-                    self.tick(i, "m")
                 else:
                     self.w(f"regs[{instr.dst}] = o.slots[n]")
-                    self.tick(i, mem)
             else:
                 inc = (1, 0, 1, 0, 0)
                 if regioned:
-                    self.w(f"m = {mem}")
                     self.w(f"sb[(id(o), 'f', n)] = (o, n, regs[{instr.b}])")
                     self.w(f"wl.add(m >> {shift})")
-                    self.tick(i, "m")
                 else:
                     self.w(f"o.slots[n] = regs[{instr.b}]")
-                    self.tick(i, mem)
+            self.tick(instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADA or op is MOp.STOREA:
@@ -464,38 +632,34 @@ class _Body:
             self.w("vs = o.values")
             self.w("if type(x) is not int or x < 0 or x >= len(vs):")
             self.bail(i, 1)
-            mem = "o.base + 24 + x * 8"
+            mem = self.addr("o.base + 24 + x * 8", regioned)
             if op is MOp.LOADA:
                 inc = (1, 1, 0, 0, 0)
                 if regioned:
-                    self.w(f"m = {mem}")
                     self.w(f"rl.add(m >> {shift})")
                     self.w("b0 = sb.get((id(o), 'a', x))")
                     self.w(f"regs[{instr.dst}] = "
                            "vs[x] if b0 is None else b0[2]")
-                    self.tick(i, "m")
                 else:
                     self.w(f"regs[{instr.dst}] = vs[x]")
-                    self.tick(i, mem)
             else:
                 inc = (1, 0, 1, 0, 0)
                 if regioned:
-                    self.w(f"m = {mem}")
                     self.w(f"sb[(id(o), 'a', x)] = (o, x, regs[{instr.c}])")
                     self.w(f"wl.add(m >> {shift})")
-                    self.tick(i, "m")
                 else:
                     self.w(f"vs[x] = regs[{instr.c}]")
-                    self.tick(i, mem)
+            self.tick(instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADLEN:
             self._mem_ref(i, instr.a, "GuestArray")
             inc = (1, 1, 0, 0, 0)
+            mem = self.addr("o.base + 16")
             if regioned:
-                self.w(f"rl.add((o.base + 16) >> {shift})")
+                self.w(f"rl.add(({mem}) >> {shift})")
             self.w(f"regs[{instr.dst}] = o.length")
-            self.tick(i, "o.base + 16")
+            self.tick(instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADLOCK:
@@ -503,29 +667,30 @@ class _Body:
             # lock word, result 1 iff another thread holds the monitor.
             self._mem_ref(i, instr.a, "GuestObject")
             inc = (1, 1, 0, 0, 1)
+            mem = self.addr("o.base + 8")
             if regioned:
-                self.w(f"rl.add((o.base + 8) >> {shift})")
+                self.w(f"rl.add(({mem}) >> {shift})")
             self.w("lo = o.lock.owner")
             self.w(f"regs[{instr.dst}] = "
                    "0 if lo is None or lo == fr.tid else 1")
-            self.tick(i, "o.base + 8")
+            self.tick(instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADSPILL:
             inc = (1, 1, 0, 0, 0)
             self.w(f"regs[{instr.dst}] = spill[{instr.imm}]")
-            self.tick(i, f"sbase + {instr.imm * 8}")
+            self.tick(instr, self.addr(f"sbase + {instr.imm * 8}"))
 
         elif op is MOp.STORESPILL:
             inc = (1, 0, 1, 0, 0)
             self.w(f"spill[{instr.imm}] = regs[{instr.a}]")
-            self.tick(i, f"sbase + {instr.imm * 8}")
+            self.tick(instr, self.addr(f"sbase + {instr.imm * 8}"))
 
         elif op is MOp.LOADG:
             self.w(f"regs[{instr.dst}] = 0")
             if instr.imm is not None:
                 inc = (1, 1, 0, 0, 0)
-            self.tick(i, repr(instr.imm))
+            self.tick(instr, repr(instr.imm))
 
         elif op is MOp.NEWOBJ:
             self.w(f"o = mach.heap.new_object({instr.cls!r}, "
@@ -533,7 +698,7 @@ class _Body:
             self.w(f"regs[{instr.dst}] = o")
             if regioned:
                 self.w("region.allocs.append(o)")
-            self.tick(i, "None")
+            self.tick(instr, "None")
 
         elif op is MOp.NEWARR:
             self.w(f"x = regs[{instr.a}]")
@@ -543,42 +708,43 @@ class _Body:
             self.w(f"regs[{instr.dst}] = o")
             if regioned:
                 self.w("region.allocs.append(o)")
-            self.tick(i, "None")
+            self.tick(instr, "None")
 
         elif op is MOp.JMP:
+            self.tick(instr, "None")
             self.flush(0, inc)
-            self.tick(i, "None")
             self.w(f"return {instr.target}")
 
         elif op is MOp.BR or op is MOp.BR_ABORT:
             inc = (1, 0, 0, 1, 0)
             self._cond(i, instr.cond, instr.a, instr.b)
             if self.timed:
-                self.w(f"if not T.branch(cbase + {i}, t):")
-                self.w("st.mispredicts += 1", 1)
+                self.predict(i)
+                self.tick(instr, "None", mispredict=True)
             self.w("if t:")
             self.flush(1, inc)
-            self.tick(i, "None", 1)
             self.w(f"return {instr.target}", 1)
             self.flush(0, inc)
-            self.tick(i, "None")
             self.w(f"return {i + 1}")
 
         elif op is MOp.BR_TRAP:
             inc = (1, 0, 0, 1, 0)
             self._cond(i, instr.cond, instr.a, instr.b)
             if self.timed:
-                self.w(f"if not T.branch(cbase + {i}, t):")
-                self.w("st.mispredicts += 1", 1)
+                self.predict(i)
             self.w("if t:")
             self.flush(1, inc)
+            if self.timed:
+                # The trap never ticks: a mispredict stays pending for
+                # whichever uop retires next, exactly like the slow path.
+                self.w("T._pending_mispredict = mp", 1)
             if regioned:
                 # Hardware fault inside a region: abort without ticking
                 # the faulting uop, exactly like the slow path's handler.
                 self.w(f"return mach._fast_exception(fr, {i})", 1)
             else:
                 self.w(f"raise _te(I[{i}])", 1)
-            self.tick(i, "None")
+            self.tick(instr, "None", mispredict=True)
 
         else:  # pragma: no cover - guarded by FUSABLE_MOPS
             raise AssertionError(f"cannot fuse {op}")
@@ -596,6 +762,40 @@ class _Body:
         self.w(f"return {end}")
 
 
+def _timed_prologue(instrs: list, start: int, end: int,
+                    branchy: bool) -> list[str]:
+    """Function-entry statements of a timed run: the entry guard and the
+    timing model's dynamic state, loaded into locals."""
+    out = [
+        "T = fr.timing",
+        "if T._pending_mispredict or T._record_commit_next:",
+        f"    return H[{start}](fr)",
+        "fc = T._fetch_cycle",
+        "fn = T._fetched_this_cycle",
+        "rc = T._retire_cycle",
+        "rn = T._retired_this_cycle",
+        "win = T._window",
+        "wpop = win.popleft",
+        "wapp = win.append",
+        "rr = T._reg_ready",
+    ]
+    cached = False
+    for i in range(start, end):
+        instr = instrs[i]
+        kind = uop_timing(instr).kind
+        if kind == STORE or (kind == LOAD and not (
+                instr.op is MOp.LOADG and instr.imm is None)):
+            cached = True
+    if cached:
+        out += ["sr = T._store_ready", "MEM = T.memory", "MA = MEM.access",
+                "L1W = MEM.l1.sets", "mh = 0"]
+    if branchy:
+        out += ["cbase = fr.code_base", "P = T.predictor", "ph = P.history",
+                "GT = P.gshare.table", "BT = P.bimodal.table",
+                "CT = P.chooser.table"]
+    return out
+
+
 def _emit_fn(compiled: CompiledMethod, start: int, end: int,
              profile: JitProfile, timed: bool) -> list[str]:
     instrs = compiled.instrs
@@ -606,14 +806,13 @@ def _emit_fn(compiled: CompiledMethod, start: int, end: int,
 
     name = f"_f{start}_{'t' if timed else 'u'}"
     out = [f"def {name}(fr):"]
-    pre = ["mach = fr.machine", "st = fr.stats", "regs = fr.regs"]
+    pre = []
+    if timed:
+        pre += _timed_prologue(instrs, start, end, bool(ops & _BRANCHY))
+    pre += ["mach = fr.machine", "st = fr.stats", "regs = fr.regs"]
     if uses_spill:
         pre.append("spill = fr.spill")
-    if timed:
-        pre.append("T = fr.timing")
-        if ops & _BRANCHY:
-            pre.append("cbase = fr.code_base")
-        if uses_spill:
+        if timed:
             pre.append("sbase = fr.spill_base")
     pre.append("region = fr.region")
     out += ["    " + stmt for stmt in pre]
@@ -641,36 +840,17 @@ def _emit_fn(compiled: CompiledMethod, start: int, end: int,
     return out
 
 
-def _source_header(compiled: CompiledMethod, profile: JitProfile,
-                   runs: list) -> list[str]:
-    return [
-        f"# template-jit: {compiled.name}",
-        f"# profile: line_shift={profile.line_shift} "
-        f"line_limit={profile.region_line_limit} "
-        f"store_bound={profile.store_bound} "
-        f"cache_shaped={profile.cache_shaped} "
-        f"fallback_begin={profile.fallback_begin}",
-        f"# fused runs: {runs}",
-    ]
-
-
-def _variant_source(compiled: CompiledMethod, profile: JitProfile,
-                    runs: list, timed: bool) -> str:
-    """One timing variant's module source (what actually gets
-    host-compiled; half of :func:`jit_source`)."""
-    parts = _source_header(compiled, profile, runs)
-    for start, end in runs:
-        parts.append("")
-        parts.extend(_emit_fn(compiled, start, end, profile, timed))
-    return "\n".join(parts) + "\n"
-
-
 def jit_source(compiled: CompiledMethod, profile: JitProfile) -> str:
     """The full generated module source for ``compiled`` under
     ``profile``, both variants interleaved per run (deterministic;
-    pinned by the golden-source test)."""
+    pinned by the golden-source test).  At run time each function is
+    compiled on its own, on first execution."""
     runs = fused_runs(compiled)
-    parts = _source_header(compiled, profile, runs)
+    parts = [
+        f"# template-jit: {compiled.name}",
+        f"# profile: {profile}",
+        f"# fused runs: {runs}",
+    ]
     for start, end in runs:
         for timed in (False, True):
             parts.append("")
@@ -683,10 +863,9 @@ def jit_source(compiled: CompiledMethod, profile: JitProfile) -> str:
 # ---------------------------------------------------------------------------
 
 def _build_table(jm: JittedMethod, timed: bool) -> list:
-    """Emit, ``compile()``, and ``exec()`` one variant of the fused
-    source; returns its pc-indexed dispatch table."""
+    """One variant's pc-indexed dispatch table: the handlers, with a
+    compile-on-first-execution stub at each run start."""
     compiled = jm._compiled
-    source = _variant_source(compiled, jm.profile, jm.runs, timed)
     namespace = {
         "H": jm._handlers,
         "I": tuple(compiled.instrs),
@@ -699,20 +878,36 @@ def _build_table(jm: JittedMethod, timed: bool) -> list:
         "_gmod": guest_mod,
         "_te": _trap_error,
     }
-    variant = "t" if timed else "u"
-    exec(compile(source, f"<jit:{compiled.name}:{variant}>", "exec"),
-         namespace)
     table = list(jm._handlers)
-    for start, _end in jm.runs:
-        table[start] = namespace[f"_f{start}_{variant}"]
+    for start, end in jm.runs:
+        table[start] = _stub(jm, timed, namespace, table, start, end)
     return table
+
+
+def _stub(jm: JittedMethod, timed: bool, namespace: dict, table: list,
+          start: int, end: int):
+    """The table entry of a not-yet-compiled run: emits and compiles the
+    run, patches the table in place, and runs it."""
+
+    def compile_and_run(fr):
+        compiled = jm._compiled
+        variant = "t" if timed else "u"
+        source = "\n".join(
+            _emit_fn(compiled, start, end, jm.profile, timed)) + "\n"
+        exec(compile(source, f"<jit:{compiled.name}:{start}:{variant}>",
+                     "exec"), namespace)
+        fn = table[start] = namespace[f"_f{start}_{variant}"]
+        return fn(fr)
+
+    return compile_and_run
 
 
 def jit_compile(compiled: CompiledMethod, machine) -> JittedMethod:
     """Build the fused form of ``compiled`` for ``machine``'s profile
     and install it on the code object (the same cache slot
-    ``disable_region``/recompile drop).  Variant tables compile lazily
-    on first :meth:`JittedMethod.table` call."""
+    ``disable_region``/recompile drop).  Variant tables are built on
+    first :meth:`JittedMethod.table` call; runs compile on first
+    execution."""
     profile = jit_profile(machine)
     pre = get_predecoded(compiled, profile.line_shift)
     jm = JittedMethod(
@@ -728,6 +923,7 @@ def get_jitted(compiled: CompiledMethod, machine) -> JittedMethod:
     (dropped by ``disable_region``/``invalidate_predecode``) or built
     for a different machine profile."""
     jm = compiled._jitted
-    if jm is None or jm.profile != machine._jit_profile:
+    profile = machine._jit_profile
+    if jm is None or (jm.profile is not profile and jm.profile != profile):
         jm = jit_compile(compiled, machine)
     return jm

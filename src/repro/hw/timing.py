@@ -22,6 +22,7 @@ Atomic-region costs follow §6.3 / Figure 9:
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from .branchpred import CombiningPredictor
 from .cache import MemoryHierarchy
@@ -45,6 +46,47 @@ LOCK_STORE_LATENCY = 16
 
 #: front-end serialization charged at a VM call boundary.
 CALL_BOUNDARY_CYCLES = 4
+
+#: scoreboard execution classes (:attr:`UopTiming.kind`).
+ALU, LOAD, STORE, RMW = range(4)
+
+
+class UopTiming(NamedTuple):
+    """The static scoreboard facts of one uop."""
+
+    #: distinct source registers the uop waits on.
+    srcs: tuple[int, ...]
+    #: execution class: ``ALU``, ``LOAD`` (latency from the cache),
+    #: ``STORE`` (feeds store-to-load forwarding), or ``RMW`` (lock-word
+    #: stores and atomics: serialize on the address).
+    kind: int
+    #: execution latency; for a ``LOAD`` without an address, the ALU
+    #: latency it falls back to.
+    latency: int
+    dst: int | None
+
+
+def uop_timing(instr: MInstr) -> UopTiming:
+    """Derive the static scoreboard facts of ``instr``.
+
+    The one definition both consumers share: :meth:`TimingModel.uop`
+    caches it per instruction, and the template JIT bakes it into timed
+    fused code as constants.
+    """
+    srcs: list[int] = []
+    for src in (instr.a, instr.b, instr.c, *instr.args):
+        if src is not None and src >= 0 and src not in srcs:
+            srcs.append(src)
+    op = instr.op
+    if op in LOAD_MOPS:
+        kind, latency = LOAD, ALU_LATENCY.get(op, DEFAULT_LATENCY)
+    elif op is MOp.STORELOCK or op in ATOMIC_MOPS:
+        kind, latency = RMW, LOCK_STORE_LATENCY
+    elif op in STORE_MOPS:
+        kind, latency = STORE, 1
+    else:
+        kind, latency = ALU, ALU_LATENCY.get(op, DEFAULT_LATENCY)
+    return UopTiming(tuple(srcs), kind, latency, instr.dst)
 
 
 class TimingModel:
@@ -72,7 +114,6 @@ class TimingModel:
         self._pending_mispredict = False
         self._last_region_commit = 0.0
         self._record_commit_next = False
-        self.uops = 0
 
     # -- per-uop processing ------------------------------------------------
     def branch(self, pc: int, taken: bool) -> bool:
@@ -84,7 +125,10 @@ class TimingModel:
 
     def uop(self, instr: MInstr, mem_address: int | None) -> None:
         """Account one retired uop."""
-        self.uops += 1
+        facts = instr.timing_facts
+        if facts is None:
+            facts = instr.timing_facts = uop_timing(instr)
+        srcs, kind, latency, dst = facts
         config = self.config
 
         # Fetch: width-limited, gated by window occupancy.
@@ -101,50 +145,36 @@ class TimingModel:
 
         # Issue: wait for register inputs.
         ready = dispatch
-        for src in (instr.a, instr.b, instr.c):
-            if src is not None and src >= 0:
-                ready = max(ready, self._reg_ready[src])
-        for src in instr.args:
-            if src >= 0:
-                ready = max(ready, self._reg_ready[src])
+        reg_ready = self._reg_ready
+        for src in srcs:
+            if reg_ready[src] > ready:
+                ready = reg_ready[src]
 
         # Execute.
-        op = instr.op
-        if op in LOAD_MOPS and mem_address is not None:
+        if mem_address is None or kind == ALU:
+            pass
+        elif kind == LOAD:
             forwarded = self._store_ready.get(mem_address)
             if forwarded is not None and forwarded > ready:
                 ready = forwarded  # store-to-load dependency
             latency = self.memory.access(mem_address)
-        elif op in STORE_MOPS:
-            if mem_address is not None:
-                self.memory.access(mem_address)
-            latency = LOCK_STORE_LATENCY if op is MOp.STORELOCK else 1
-            if op is MOp.STORELOCK and mem_address is not None:
-                # RMW semantics: lock-word updates serialize on the line —
-                # the monitor-chain cost SLE removes (§3.3, §6.1).
-                prior = self._store_ready.get(mem_address)
-                if prior is not None and prior > ready:
-                    ready = prior
-            if mem_address is not None:
-                self._store_ready[mem_address] = ready + latency
-        elif op in ATOMIC_MOPS:
-            # Atomic RMW: one cache access, lock-class latency, and full
-            # serialization against prior RMWs/stores on the same address —
-            # contended FAA/CAS chains cost what a lock-word chain costs.
-            if mem_address is not None:
-                self.memory.access(mem_address)
-                prior = self._store_ready.get(mem_address)
-                if prior is not None and prior > ready:
-                    ready = prior
-            latency = LOCK_STORE_LATENCY
-            if mem_address is not None:
-                self._store_ready[mem_address] = ready + latency
+        elif kind == STORE:
+            self.memory.access(mem_address)
+            self._store_ready[mem_address] = ready + latency
         else:
-            latency = ALU_LATENCY.get(op, DEFAULT_LATENCY)
+            # RMW semantics: lock-word updates and atomics serialize on
+            # the address — the monitor-chain cost SLE removes (§3.3,
+            # §6.1); contended FAA/CAS chains cost what a lock-word chain
+            # costs.
+            self.memory.access(mem_address)
+            prior = self._store_ready.get(mem_address)
+            if prior is not None and prior > ready:
+                ready = prior
+            self._store_ready[mem_address] = ready + latency
         complete = ready + latency
 
-        if instr.dst is not None:
-            self._reg_ready[instr.dst] = complete
+        if dst is not None:
+            reg_ready[dst] = complete
 
         # In-order retirement at retire_width per cycle.
         retire = max(complete, self._retire_cycle)

@@ -17,14 +17,15 @@ reference comparisons, negative array lengths, division by zero, traps
 inside and outside regions).  Whatever happens — a value, a guest trap,
 a host ``VMError``/``TypeError`` from genuinely malformed code — every
 tier must agree byte-for-byte on the outcome, the
-``ExecStats.summary()``, and the heap fingerprint
-(:func:`run_uop_case` returns all three; the battery in
-``tests/test_templatejit.py`` compares them across tiers).
+``ExecStats.summary()``, the heap fingerprint and, for timed runs, the
+timing model's full state (:func:`run_uop_case` returns all four; the
+battery in ``tests/test_templatejit.py`` compares them across tiers).
 """
 
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 
 from ..hw.config import BASELINE_4WIDE, HardwareConfig
@@ -35,7 +36,7 @@ from ..hw.timing import TimingModel
 from ..lang.bytecode import ClassDef, Program
 from ..runtime.heap import Heap
 
-__all__ = ["UopCase", "run_uop_case", "uop_case"]
+__all__ = ["UopCase", "run_uop_case", "timing_snapshot", "uop_case"]
 
 #: the one guest class seeded heaps instantiate.
 _CLASS = "Node"
@@ -301,21 +302,47 @@ def uop_case(seed: int, region_bias: float = 0.5) -> UopCase:
                    arg_specs=arg_specs)
 
 
+def timing_snapshot(timing: TimingModel) -> tuple:
+    """Everything a timing model carries between uops: the cycle count,
+    the scoreboard (fetch/retire state, window, register/store ready
+    times, pending events), the predictor (history, counters, tables)
+    and the cache counters and contents."""
+    pred = timing.predictor
+    memory = timing.memory
+    return (
+        timing.cycles,
+        timing._fetch_cycle, timing._fetched_this_cycle,
+        timing._retire_cycle, timing._retired_this_cycle,
+        tuple(timing._window), tuple(timing._reg_ready),
+        tuple(sorted(timing._store_ready.items())),
+        timing._pending_mispredict, timing._record_commit_next,
+        timing._last_region_commit,
+        pred.history, pred.predictions, pred.mispredictions,
+        zlib.crc32(pred.gshare.table), zlib.crc32(pred.bimodal.table),
+        zlib.crc32(pred.chooser.table),
+        memory.accesses, memory.l1.hits, memory.l1.misses,
+        memory.l2.hits, memory.l2.misses,
+        tuple(map(tuple, memory.l1.sets)),
+    )
+
+
 def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
                  hw: HardwareConfig = BASELINE_4WIDE):
     """Run ``case`` on a fresh machine/heap under one dispatch tier.
 
-    Returns ``(outcome, stats_summary, heap_fingerprint)`` where
+    Returns ``(outcome, stats_summary, heap_fingerprint, timing)`` where
     ``outcome`` is ``("value", v)`` or ``("raise", type, str)`` —
     generated programs legitimately produce guest traps *and* host-level
     ``VMError``/``TypeError`` for malformed operands, and the tiers must
-    agree on those too.
+    agree on those too — and ``timing`` is the model's
+    :func:`timing_snapshot` after the run (None when untimed).
     """
     heap = Heap()
     stats = ExecStats()
+    model = TimingModel(hw) if timing else None
     machine = Machine(
-        case.program, heap, config=hw, stats=stats,
-        timing=TimingModel(hw) if timing else None, dispatch=dispatch,
+        case.program, heap, config=hw, stats=stats, timing=model,
+        dispatch=dispatch,
     )
     args = case.make_args(heap)
     try:
@@ -327,4 +354,5 @@ def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
         outcome = ("value", value)
     except Exception as exc:  # noqa: BLE001 - the comparison IS the test
         outcome = ("raise", type(exc).__name__, str(exc))
-    return outcome, stats.summary(), heap.fingerprint()
+    snapshot = timing_snapshot(model) if model is not None else None
+    return outcome, stats.summary(), heap.fingerprint(), snapshot

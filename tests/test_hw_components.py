@@ -175,6 +175,41 @@ class TestTimingModel:
         assert timing.cycles == 100 * INTERPRETER_CYCLES_PER_BYTECODE
 
 
+class TestUopTiming:
+    """The static scoreboard facts shared by the model and the JIT."""
+
+    def test_classes_and_latencies(self):
+        from repro.hw.timing import (ALU, LOAD, LOCK_STORE_LATENCY, RMW,
+                                     STORE, uop_timing)
+
+        assert uop_timing(MInstr(MOp.MUL, dst=1, a=2, b=3)) == (
+            (2, 3), ALU, 3, 1)
+        assert uop_timing(MInstr(MOp.LOADF, dst=4, a=5)).kind == LOAD
+        assert uop_timing(MInstr(MOp.STOREA, a=1, b=2, c=3)) == (
+            (1, 2, 3), STORE, 1, None)
+        for op in (MOp.STORELOCK, MOp.FAA, MOp.CAS, MOp.LL, MOp.SC):
+            facts = uop_timing(MInstr(op, dst=1, a=2))
+            assert (facts.kind, facts.latency) == (RMW, LOCK_STORE_LATENCY)
+
+    def test_sources_are_distinct_and_skip_spill_args(self):
+        from repro.hw.timing import uop_timing
+
+        assert uop_timing(MInstr(MOp.ADD, dst=1, a=2, b=2)).srcs == (2,)
+        call = MInstr(MOp.CALLVM, dst=0, method="m", args=(3, -1, 4, 3))
+        assert uop_timing(call).srcs == (3, 4)
+
+    def test_model_caches_facts_per_instruction(self):
+        timing = TimingModel(BASELINE_4WIDE)
+        instr = MInstr(MOp.ADD, dst=1, a=2, b=3)
+        assert instr.timing_facts is None
+        timing.uop(instr, None)
+        facts = instr.timing_facts
+        assert facts is not None
+        timing.uop(instr, None)
+        assert instr.timing_facts is facts
+        assert not hasattr(timing, "uops")
+
+
 class TestCodegenUnits:
     def test_parallel_copy_cycle_broken(self):
         from repro.hw.codegen import _sequentialize

@@ -4,7 +4,8 @@ cache-eviction and fallback regressions.
 The fused tier's contract is *observational inertness*: for any installed
 code, any heap, and any hardware shape, running under ``dispatch="jit"``
 must be byte-identical — outcome, ``ExecStats.summary()``, heap
-fingerprint — to the instrumented interpretive loop.  The battery here
+fingerprint and, for timed runs, the timing model's full state — to the
+instrumented interpretive loop.  The battery here
 attacks that contract with randomly generated straight-line uop programs
 (:mod:`repro.testutil.uopgen`) whose operands deliberately wander off the
 fused templates' happy paths, so every bail edge re-lands in the handler
@@ -28,19 +29,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan
-from repro.hw.config import BASELINE_4WIDE
+from repro.hw.config import BASELINE_4WIDE, OOO_2WIDE
 from repro.hw.isa import CompiledMethod, MInstr, MOp
 from repro.hw.machine import Machine
 from repro.hw.stats import ExecStats
 from repro.hw.templatejit import (
+    MAX_RUN,
     fused_runs,
     get_jitted,
     jit_profile,
     jit_source,
 )
+from repro.hw.timing import TimingModel
 from repro.obs.tracer import Tracer
+from repro.runtime.errors import VMError
 from repro.runtime.heap import Heap
-from repro.testutil.uopgen import run_uop_case, uop_case
+from repro.testutil.uopgen import run_uop_case, timing_snapshot, uop_case
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -81,7 +85,7 @@ def _assert_tiers_agree(seed: int, timing: bool = False,
 
 class TestGenerativeEquivalence:
     """Satellite battery: random straight-line uop programs, three tiers,
-    byte-identical outcome + stats + heap fingerprint."""
+    byte-identical outcome + stats + heap fingerprint (+ timing state)."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_fixed_seeds_untimed(self, seed):
@@ -95,6 +99,25 @@ class TestGenerativeEquivalence:
     def test_fixed_seeds_tight_htm(self, hw):
         for seed in range(20):
             _assert_tiers_agree(seed, timing=False, hw=hw)
+
+    @pytest.mark.parametrize("hw", JIT_HTM_MATRIX[1:], ids=lambda h: h.name)
+    def test_fixed_seeds_tight_htm_timed(self, hw):
+        """Tight HTM shapes abort inside fused code: the timing state
+        written back before ``_fast_abort`` must equal the per-uop
+        model's at that point, or the abort's pipeline flush diverges."""
+        for seed in range(20):
+            _assert_tiers_agree(seed, timing=True, hw=hw)
+
+    def test_timed_battery_checks_cycles(self):
+        """Timed runs carry the timing model's full state, so the
+        battery compares cycle counts — not just ``ExecStats``."""
+        cycles = set()
+        for seed in range(10):
+            snapshot = run_uop_case(uop_case(seed), "jit", timing=True)[3]
+            assert snapshot is not None
+            cycles.add(snapshot[0])
+        assert len(cycles) > 1 and max(cycles) > 0
+        assert run_uop_case(uop_case(0), "jit")[3] is None
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_random_seeds(self, seed):
@@ -110,7 +133,7 @@ class TestGenerativeEquivalence:
         (or all-clean) programs would quietly hollow out the battery."""
         kinds = set()
         for seed in range(200):
-            outcome, _, _ = run_uop_case(uop_case(seed), "jit")
+            outcome = run_uop_case(uop_case(seed), "jit")[0]
             kinds.add(outcome[0] if outcome[0] == "value" else outcome[1])
         assert "value" in kinds
         assert any(k.startswith("Guest") or k in
@@ -214,7 +237,7 @@ class TestGoldenSource:
 class TestCacheEviction:
     def test_disable_region_evicts_fused_code(self):
         case = uop_case(COMMITTING_REGION_SEED)
-        outcome, _, _ = run_uop_case(case, "jit")
+        outcome = run_uop_case(case, "jit")[0]
         assert outcome == ("value", 1)
         jitted_before = case.compiled._jitted
         assert jitted_before is not None
@@ -276,6 +299,147 @@ class TestCacheEviction:
         assert jm.table(False) is untimed  # cached, not rebuilt
         timed = jm.table(True)
         assert timed is not untimed
+
+    def test_runs_compile_on_first_execution(self):
+        """A table starts with a stub per run; executing the run
+        compiles it and patches the table in place."""
+        case = uop_case(COMMITTING_REGION_SEED)
+        heap = Heap()
+        mach = Machine(case.program, heap, config=BASELINE_4WIDE,
+                       stats=ExecStats(), dispatch="jit")
+        mach.prepare(case.compiled)
+        jm = case.compiled._jitted
+        table = jm.table(False)
+        start = jm.runs[0][0]
+        stub = table[start]
+        assert stub.__name__ == "compile_and_run"
+        mach.execute(case.compiled, case.make_args(heap))
+        assert table[start] is not stub
+        assert table[start].__name__ == f"_f{start}_u"
+        # Runs that never executed stay uncompiled.
+        assert jm.table(True)[start].__name__ == "compile_and_run"
+
+    def test_long_blocks_split_at_max_run(self):
+        """A straight-line block longer than MAX_RUN becomes several
+        runs, each at most MAX_RUN uops, and still runs exactly."""
+        compiled = _long_block()
+        runs = fused_runs(compiled)
+        assert len(runs) == 3
+        assert all(end - start <= MAX_RUN for start, end in runs)
+        assert runs[0][0] == 0 and runs[-1][1] == len(compiled.instrs) - 1
+        assert _run_timed(compiled, "jit") == _run_timed(compiled,
+                                                         "interpretive")
+
+
+# -- timed fused code: entry guard and config binding ------------------------
+
+def _long_block() -> CompiledMethod:
+    """One straight-line block of 2 * MAX_RUN + 7 uops: ALU chains with
+    multiply latency, then a return."""
+    body = [MInstr(MOp.CONST, dst=0, imm=1)]
+    for k in range(2 * MAX_RUN + 5):
+        body.append(MInstr(MOp.ADD if k % 3 else MOp.MUL,
+                           dst=k % 4 + 1, a=k % 4, b=0))
+    body.append(MInstr(MOp.RET, a=3))
+    compiled = CompiledMethod(name="long_block", num_params=0,
+                              instrs=body, num_regs=6)
+    compiled.param_locations = ()
+    return compiled
+
+
+def _run_timed(compiled: CompiledMethod, dispatch: str,
+               pending: str | None = None):
+    """Run ``compiled`` timed on a fresh machine whose model already
+    retired a few uops (and, if ``pending`` names a model flag, has
+    that event pending); returns value, stats and model snapshot."""
+    timing = TimingModel(BASELINE_4WIDE)
+    for _ in range(3):
+        timing.uop(MInstr(MOp.MUL, dst=0, a=0, b=0), None)
+    if pending is not None:
+        setattr(timing, pending, True)
+    stats = ExecStats()
+    mach = Machine(uop_case(0).program, Heap(), config=BASELINE_4WIDE,
+                   stats=stats, timing=timing, dispatch=dispatch)
+    value = mach.execute(compiled, [])
+    return value, stats.summary(), timing_snapshot(timing)
+
+
+class TestTimedFusion:
+    @pytest.mark.parametrize("flag", ["_pending_mispredict",
+                                      "_record_commit_next"])
+    def test_pending_timing_event_bails_at_entry(self, flag):
+        """A run entered while the model carries a pending mispredict
+        bubble or commit record replays its first uop on the handler
+        tier, which applies the event exactly like the slow path."""
+        compiled = _long_block()  # pc 0 starts a fused run
+        base = _run_timed(compiled, "interpretive", flag)
+        assert _run_timed(compiled, "jit", flag) == base
+        snapshot = base[2]
+        assert not snapshot[8] and not snapshot[9]  # both consumed
+
+    def test_branchy_loop_is_cycle_exact(self):
+        """A loop whose fused body ends in a data-dependent branch (and
+        whose back edge runs on its handler) trains the predictor from
+        both tiers in turn, mispredicts, and walks an array: every tier
+        must leave the model in the same state."""
+        B = MOp.BR
+        instrs = [
+            MInstr(MOp.CONST, dst=0, imm=0),
+            MInstr(MOp.CONST, dst=1, imm=300),
+            MInstr(MOp.CONST, dst=2, imm=1),
+            MInstr(MOp.CONST, dst=9, imm=7),
+            MInstr(MOp.CONST, dst=11, imm=2654435761),
+            MInstr(MOp.CONST, dst=12, imm=16),
+            MInstr(MOp.LOADLEN, dst=6, a=7),
+            # pc 7: loop head; the branch below follows a hash bit
+            MInstr(MOp.ADD, dst=0, a=0, b=2),
+            MInstr(MOp.MUL, dst=3, a=0, b=11),
+            MInstr(MOp.AND, dst=8, a=0, b=9),
+            MInstr(MOp.LOADA, dst=10, a=7, b=8),
+            MInstr(MOp.ADD, dst=10, a=10, b=2),
+            MInstr(MOp.STOREA, a=7, b=8, c=10),
+            MInstr(MOp.SHR, dst=4, a=3, b=12),
+            MInstr(MOp.AND, dst=4, a=4, b=2),
+            MInstr(B, cond="eq", a=4, b=2, target=17),
+            MInstr(MOp.ADD, dst=5, a=5, b=4),
+            # pc 17: loop latch
+            MInstr(B, cond="lt", a=0, b=1, target=7),
+            MInstr(MOp.RET, a=5),
+        ]
+        compiled = CompiledMethod(name="branchy_loop", num_params=1,
+                                  instrs=instrs, num_regs=14)
+        compiled.param_locations = (("r", 7),)
+        assert any(instrs[end - 1].op is B for _, end in fused_runs(compiled))
+        results = []
+        for dispatch in ("interpretive", "predecoded", "jit"):
+            heap = Heap()
+            array = heap.new_array(8)
+            timing = TimingModel(BASELINE_4WIDE)
+            stats = ExecStats()
+            mach = Machine(uop_case(0).program, heap, config=BASELINE_4WIDE,
+                           stats=stats, timing=timing, dispatch=dispatch)
+            value = mach.execute(compiled, [array])
+            results.append((value, stats.summary(), heap.fingerprint(),
+                            timing_snapshot(timing)))
+        assert results[1] == results[0] and results[2] == results[0]
+        assert results[0][3][13] > 0  # the predictor did mispredict
+
+    def test_mismatched_timing_config_fails_loudly(self):
+        program = uop_case(0).program
+        narrow = TimingModel(OOO_2WIDE)
+        with pytest.raises(VMError, match="2wide"):
+            Machine(program, Heap(), config=BASELINE_4WIDE,
+                    stats=ExecStats(), timing=narrow)
+        mach = Machine(program, Heap(), config=BASELINE_4WIDE,
+                       stats=ExecStats())
+        with pytest.raises(VMError):
+            mach.timing = narrow
+        assert mach.timing is None
+        # An equal config (not necessarily the same object) is accepted.
+        twin = BASELINE_4WIDE.scaled()
+        mach.timing = TimingModel(twin)
+        assert mach.timing.config == BASELINE_4WIDE
+        mach.timing = None
 
 
 # -- fallback gating ----------------------------------------------------------
