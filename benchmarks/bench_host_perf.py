@@ -175,8 +175,9 @@ def run_suite(repeats: int) -> dict:
     for bench, cell in cells:
         fast_wall, fast_uops, fast_digest = _time_cell(
             lambda: cell("predecoded"), repeats)
+        # "auto" with no fault injector is the template-jit tier
         jit_wall, jit_uops, jit_digest = _time_cell(
-            lambda: cell("jit"), repeats)
+            lambda: cell("auto"), repeats)
         slow_wall, _slow_uops, slow_digest = _time_cell(
             lambda: cell("interpretive"), repeats)
         if fast_digest != slow_digest:

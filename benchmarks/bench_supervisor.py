@@ -7,7 +7,7 @@ journal.  Its contract is that all of this costs **under 5%** wall clock
 on a healthy sweep — resilience must be cheap enough to leave on by
 default.  This benchmark times the same busy-cell sweep three ways:
 
-- ``bare``        — ``run_indexed`` on a plain process pool (the floor)
+- ``bare``        — a plain ``ProcessPoolExecutor`` map (the floor)
 - ``supervised``  — ``run_supervised``, no journal
 - ``journaled``   — ``run_supervised`` with the append-only fsync journal
 
@@ -33,11 +33,11 @@ import json
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.harness.parallel import run_indexed            # noqa: E402
 from repro.harness.supervisor import (                    # noqa: E402
     SupervisorConfig,
     run_supervised,
@@ -58,6 +58,12 @@ def _busy(spec) -> int:
     for k in range(spins):
         acc = (acc * 1103515245 + 12345) & 0x7FFFFFFF
     return acc
+
+
+def _bare_pool(items, workers: int) -> list:
+    """The floor: a plain process pool, results in submission order."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_busy, items))
 
 
 def _calibrate_spins(cell_ms: float) -> int:
@@ -91,7 +97,7 @@ def run_suite(cells: int, cell_ms: float, workers: int,
     config = SupervisorConfig(workers=workers)
 
     bare_wall, bare = _time(
-        lambda: run_indexed(items, _busy, workers=workers), repeats)
+        lambda: _bare_pool(items, workers), repeats)
     sup_wall, sup = _time(
         lambda: run_supervised(items, _busy, config=config), repeats)
     with tempfile.TemporaryDirectory() as scratch:

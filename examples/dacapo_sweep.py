@@ -13,14 +13,14 @@ Options:
   --disk-cache    persist/reuse per-cell results in .repro-cache, keyed
                   by a content hash of the source tree and the cell
                   config (equivalent to REPRO_DISK_CACHE=1)
-  --supervise     route the sweep through the fault-tolerant supervisor:
-                  crashed, hung, or flaky cells are retried with backoff
-                  and a quarantined cell degrades to an on-demand serial
-                  recompute instead of failing the sweep; prints the
-                  supervisor lifecycle table after the figures
-  --journal PATH  (with --supervise) append completed cells to a
-                  crash-consistent journal at PATH, so an interrupted
-                  sweep resumes where it left off on the next run
+  --journal PATH  append completed cells to a crash-consistent journal
+                  at PATH, so an interrupted sweep resumes where it left
+                  off on the next run
+
+Cells run through the fault-tolerant sweep supervisor: crashed, hung, or
+flaky cells are retried with backoff, and a quarantined cell degrades to
+an on-demand serial recompute instead of failing the sweep.  The
+supervisor lifecycle table is printed after the figures.
 """
 
 import os
@@ -31,7 +31,6 @@ from repro.harness import (
     figure7,
     figure8,
     prewarm_figures,
-    prewarm_figures_supervised,
     render,
     render_supervisor,
     table3,
@@ -48,33 +47,23 @@ def main():
     if "--disk-cache" in args:
         args.remove("--disk-cache")
         os.environ["REPRO_DISK_CACHE"] = "1"
-    supervise = "--supervise" in args
-    if supervise:
-        args.remove("--supervise")
     journal = None
     if "--journal" in args:
         at = args.index("--journal")
         journal = args[at + 1]
         del args[at:at + 2]
-        supervise = True
     benches = args or None
 
-    outcome = None
-    if supervise:
-        config = SupervisorConfig(workers=workers, journal_path=journal)
-        outcome = prewarm_figures_supervised(benches, config=config)
-        computed = outcome.completed + outcome.resumed
-    else:
-        computed = prewarm_figures(benches, workers=workers)
-    print(f"# {computed} cells computed "
+    config = SupervisorConfig(workers=workers, journal_path=journal)
+    outcome = prewarm_figures(benches, supervisor=config)
+    print(f"# {outcome.completed + outcome.resumed} cells computed "
           f"({'serial' if not workers or workers <= 1 else f'{workers} workers'})")
     for builder in (figure7, figure8, table3):
         data = builder(benches)
         print()
         print(render(data))
-    if outcome is not None:
-        print()
-        print(render_supervisor(outcome))
+    print()
+    print(render_supervisor(outcome))
 
 
 if __name__ == "__main__":

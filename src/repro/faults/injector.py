@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 from ..obs.tracer import NULL_TRACER
 from .plan import FaultEvent, FaultPlan
@@ -66,14 +65,8 @@ def _min_opt(current: int | None, new: int) -> int:
 class FaultInjector:
     """Stateful, deterministic fault source for one machine."""
 
-    def __init__(
-        self,
-        plan: FaultPlan | None = None,
-        conflict_callback: Callable | None = None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan | None = None) -> None:
         self.plan = plan if plan is not None else FaultPlan()
-        #: legacy hook: callable(RegionExecution) -> conflict uop offset.
-        self.conflict_callback = conflict_callback
         #: observability: the owning machine points these at its tracer and
         #: retired-uop counter, so armed faults and delivered interrupts
         #: appear on the same timeline as the regions they perturb.
@@ -89,17 +82,6 @@ class FaultInjector:
         self._interrupt_thresholds: list[int] = []
         self._next_interrupt_at: int | None = None
         self.reset()
-
-    @classmethod
-    def from_legacy(
-        cls,
-        conflict_injector: Callable | None,
-        interrupt_interval: int | None,
-    ) -> "FaultInjector":
-        """Back-compat shim for the old ``Machine`` keyword arguments."""
-        plan = (FaultPlan.periodic_interrupts(interrupt_interval)
-                if interrupt_interval is not None else FaultPlan())
-        return cls(plan, conflict_callback=conflict_injector)
 
     # -- lifecycle -----------------------------------------------------------
     def reset(self) -> None:
@@ -150,11 +132,6 @@ class FaultInjector:
                     sched.merge(kind, offset, self.plan.capacity_lines,
                                 self.plan.capacity_stores)
                     self.scheduled[kind] += 1
-        if self.conflict_callback is not None:
-            offset = self.conflict_callback(record)
-            if offset is not None:
-                sched.conflict_at = _min_opt(sched.conflict_at, offset)
-                self.scheduled["conflict"] += 1
         tracer = self.tracer
         if tracer.enabled:
             ts = self.clock()

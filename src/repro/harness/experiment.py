@@ -117,20 +117,19 @@ def memo_key(
     timing: bool = True,
     force_monomorphic: bool = False,
     adaptive: bool = False,
-    interrupt_interval: int | None = None,
     fault_plan: FaultPlan | None = None,
-    dispatch: str = "auto",
 ) -> tuple:
     """The canonical memoization key for one experiment cell.
 
     Shared by :func:`run_workload` and the parallel runner (which computes
     cells in worker processes and installs the results here), so the two
-    can never disagree about what identifies a cell.
+    can never disagree about what identifies a cell.  Only what the
+    modeled result depends on is in it: host-only knobs (the dispatch
+    tier) are not, so each cell is computed and cached once.
     """
     return (
         workload_name, compiler_name, hardware_name, timing,
-        force_monomorphic, adaptive, interrupt_interval, fault_plan,
-        dispatch,
+        force_monomorphic, adaptive, fault_plan,
     )
 
 
@@ -146,7 +145,6 @@ def run_workload(
     timing: bool = True,
     force_monomorphic: bool = False,
     adaptive: bool = False,
-    interrupt_interval: int | None = None,
     fault_plan: FaultPlan | None = None,
     use_cache: bool = True,
     tracer=None,
@@ -159,23 +157,21 @@ def run_workload(
     events across all samples; traced runs bypass the cache so a stateful
     tracer never leaks into (or out of) memoized results.
 
-    ``dispatch`` selects the machine's uop dispatch strategy (see
-    :class:`repro.hw.machine.Machine`); it participates in the memo key
-    even though every strategy is observationally identical, so
-    dispatch-equivalence tests always compare two real executions.
+    ``dispatch`` selects the machine's uop dispatch tier (see
+    :class:`repro.hw.machine.Machine`).  Every tier is observationally
+    identical, so it is not part of the memo key: a memoised cell is
+    returned whatever tier is asked for, and tests that compare tiers
+    pass ``use_cache=False``.
 
     ``disk_cache`` additionally consults/updates the on-disk result cache
     (:mod:`repro.harness.diskcache`, content-hash keyed so any source
     change invalidates it); None defers to ``REPRO_DISK_CACHE``.
     """
-    if fault_plan is not None and interrupt_interval is not None:
-        raise ValueError("fault_plan subsumes interrupt_interval; pick one")
     if tracer is not None:
         use_cache = False
     key = memo_key(
         workload.name, compiler_config.name, hw_config.name, timing,
-        force_monomorphic, adaptive, interrupt_interval, fault_plan,
-        dispatch,
+        force_monomorphic, adaptive, fault_plan,
     )
     if use_cache and key in _cache:
         return _cache[key]
@@ -209,7 +205,6 @@ def run_workload(
             options=VMOptions(
                 enable_timing=timing,
                 compile_threshold=3,
-                interrupt_interval=interrupt_interval,
                 dispatch=dispatch,
             ),
             fault_plan=fault_plan,

@@ -1,31 +1,30 @@
-"""Sharded parallel experiment runner with a deterministic merge order.
+"""Sharded experiment sweeps with a deterministic merge order.
 
 Figure sweeps and chaos matrices decompose into independent cells — one
 (workload, compiler, hardware, flags) experiment, or one fault seed — and
 every cell builds its own VM from scratch, so cells parallelize across a
-process pool with no shared state.  Two disciplines keep the parallel
-runs byte-identical to serial ones:
+process pool with no shared state.  The pool is the sweep supervisor's
+(:mod:`repro.harness.supervisor`, the only code that runs one).  Two
+disciplines keep the parallel runs byte-identical to serial ones:
 
 - **Deterministic partitioning.**  Work is sharded *by cell*, never by
   splitting a cell: seeds keep their identity (each worker derives its
   fault schedule from its own seed exactly as the serial loop does, the
   ``derive_seed`` discipline), so no PRNG stream ever depends on which
   worker ran it.
-- **Deterministic merge.**  Results are collected in *submission* order,
-  not completion order, and chaos checks are re-sorted into the serial
-  loop's (sample, seed-position) order — so reports, tables, and
-  EXPERIMENTS.md output are independent of scheduling noise.
+- **Deterministic merge.**  The supervisor returns results in
+  *submission* order, not completion order, and chaos checks are
+  re-sorted into the serial loop's (sample, seed-position) order — so
+  reports, tables, and EXPERIMENTS.md output are independent of
+  scheduling noise.
 
-``run_indexed`` degrades to a plain in-process loop for ``workers <= 1``
-(the default when ``REPRO_WORKERS`` is unset), which is also the
-reference behavior the differential suite compares against.
+With ``workers <= 1`` (the default when ``REPRO_WORKERS`` is unset) the
+supervisor runs cells in-process, which is also the reference behavior
+the differential suite compares against.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ..faults import FaultPlan
@@ -46,6 +45,7 @@ from ..workloads import get_workload
 from . import experiment
 from .chaos import ChaosReport, run_chaos
 from .figures import BENCH_ORDER
+from .supervisor import SupervisorConfig, SweepOutcome, run_supervised
 
 #: named configs a worker process can resolve from a picklable cell spec.
 COMPILER_CONFIGS = {
@@ -57,48 +57,6 @@ HARDWARE_CONFIGS = {
     for h in (BASELINE_4WIDE, CHKPT_20CYCLE, CHKPT_SINGLE_INFLIGHT,
               OOO_2WIDE, OOO_2WIDE_HALF)
 }
-
-
-def default_workers() -> int:
-    """The harness-wide worker count: ``REPRO_WORKERS`` clamped to >= 1,
-    else 1 (serial; parallelism is opt-in).
-
-    This is *the* one place worker counts come from — ``run_indexed``,
-    the sweep supervisor, and the sweep server all defer here, so one
-    environment variable steers every pool.  The value is clamped, not
-    trusted: ``REPRO_WORKERS=0`` or a negative count means serial, and a
-    malformed value (``"four"``, ``"4x"``) falls back to serial with a
-    warning instead of raising ``ValueError`` deep inside a sweep — a
-    bad environment variable must never kill hours of cells.
-    """
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warnings.warn(
-                f"malformed REPRO_WORKERS={env!r}; falling back to serial "
-                "(workers=1)", RuntimeWarning, stacklevel=2,
-            )
-            return 1
-    return 1
-
-
-def run_indexed(items, fn, workers: int | None = None) -> list:
-    """Map ``fn`` over ``items``; results always in ``items`` order.
-
-    With ``workers <= 1`` this is a plain loop.  Otherwise the calls run
-    on a process pool and the futures are drained in submission order —
-    the merge is deterministic no matter how the pool schedules them.
-    """
-    items = list(items)
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
 
 
 # -- figure-sweep cells -------------------------------------------------------
@@ -113,12 +71,11 @@ class Cell:
     timing: bool = True
     force_monomorphic: bool = False
     adaptive: bool = False
-    dispatch: str = "auto"
 
     def key(self) -> tuple:
         return experiment.memo_key(
             self.workload, self.compiler, self.hardware, self.timing,
-            self.force_monomorphic, self.adaptive, dispatch=self.dispatch,
+            self.force_monomorphic, self.adaptive,
         )
 
 
@@ -155,7 +112,6 @@ def compute_cell(cell: Cell):
         timing=cell.timing,
         force_monomorphic=cell.force_monomorphic,
         adaptive=cell.adaptive,
-        dispatch=cell.dispatch,
         use_cache=False,
     )
     return cell.key(), result
@@ -163,62 +119,31 @@ def compute_cell(cell: Cell):
 
 def prewarm_figures(
     benches: list[str] | None = None,
-    workers: int | None = None,
+    supervisor: SupervisorConfig | None = None,
     cells: list[Cell] | None = None,
-    supervisor=None,
-) -> int:
+) -> SweepOutcome:
     """Compute figure cells (in parallel) and seed the in-process memo.
 
     After this, the figure drivers (:func:`repro.harness.figures.figure7`
     etc.) find every registry cell already cached and only glue results
-    together.  Returns the number of cells installed.  Cells already in
+    together.  Returns the sweep's
+    :class:`repro.harness.supervisor.SweepOutcome`.  Cells already in
     the memo (or the enabled disk cache) are not recomputed.
 
     ``supervisor`` (a :class:`repro.harness.supervisor.SupervisorConfig`)
-    routes the sweep through the fault-tolerant supervisor instead of the
-    bare pool: worker crashes, hangs, and transient failures are retried
+    configures the fault-tolerant supervisor that runs the sweep:
+    worker crashes, hangs, and transient failures are retried
     and, with a journal configured, an interrupted prewarm resumes
     without recomputation.  Quarantined cells simply stay uncached — the
     figure drivers compute them serially on demand, so a partial prewarm
     degrades gracefully rather than failing the sweep.
     """
-    if supervisor is not None:
-        outcome = prewarm_figures_supervised(
-            benches, config=supervisor, cells=cells)
-        return outcome.completed + outcome.resumed
     pending = [
         cell for cell in (cells if cells is not None
                           else figure_cells(benches))
         if cell.key() not in experiment._cache
     ]
-    for key, result in run_indexed(pending, compute_cell, workers):
-        experiment.install_cached(key, result)
-    return len(pending)
-
-
-def prewarm_figures_supervised(
-    benches: list[str] | None = None,
-    config=None,
-    cells: list[Cell] | None = None,
-    tracer=None,
-):
-    """:func:`prewarm_figures` through the sweep supervisor.
-
-    Returns the full :class:`repro.harness.supervisor.SweepOutcome`
-    (lifecycle counters, failure manifest, metrics) after installing
-    every completed cell in the in-process memo.
-    """
-    from .supervisor import SupervisorConfig, run_supervised
-
-    pending = [
-        cell for cell in (cells if cells is not None
-                          else figure_cells(benches))
-        if cell.key() not in experiment._cache
-    ]
-    kwargs = {"config": config or SupervisorConfig()}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    outcome = run_supervised(pending, compute_cell, **kwargs)
+    outcome = run_supervised(pending, compute_cell, config=supervisor)
     for pair in outcome.results:
         if pair is not None:
             experiment.install_cached(*pair)
@@ -252,8 +177,7 @@ def run_chaos_parallel(
     hw_name: str = BASELINE_4WIDE.name,
     storm_reason: str | None = None,
     max_samples: int | None = None,
-    workers: int | None = None,
-    supervisor=None,
+    supervisor: SupervisorConfig | None = None,
 ) -> ChaosReport:
     """Seed-sharded :func:`repro.harness.chaos.run_chaos`.
 
@@ -263,11 +187,11 @@ def run_chaos_parallel(
     (sample index, seed position) order, making the merged report
     byte-identical to a serial ``run_chaos`` over the same seeds.
 
-    ``supervisor`` (a :class:`repro.harness.supervisor.SupervisorConfig`)
-    hardens the shard sweep: crashed/hung/flaky shards are retried with
-    backoff, a journal makes an interrupted matrix resumable, and a
-    shard that exhausts its budget lands in ``ChaosReport.host_failures``
-    (the merged report stays partial-but-explicit instead of dying).
+    Shards run through the sweep supervisor (``supervisor`` configures
+    it): crashed/hung/flaky shards are retried with backoff, a journal
+    makes an interrupted matrix resumable, and a shard that exhausts its
+    budget lands in ``ChaosReport.host_failures`` (the merged report
+    stays partial-but-explicit instead of dying).
     """
     seeds = list(seeds)
     specs = [
@@ -275,18 +199,11 @@ def run_chaos_parallel(
          max_samples)
         for seed in seeds
     ]
-    host_failures = []
-    if supervisor is not None:
-        from .supervisor import run_supervised
-
-        outcome = run_supervised(specs, _chaos_shard, config=supervisor)
-        shards = [shard for shard in outcome.results if shard is not None]
-        host_failures = list(outcome.failures)
-    else:
-        shards = run_indexed(specs, _chaos_shard, workers)
+    outcome = run_supervised(specs, _chaos_shard, config=supervisor)
+    shards = [shard for shard in outcome.results if shard is not None]
     seed_position = {seed: i for i, seed in enumerate(seeds)}
     merged = ChaosReport()
-    merged.host_failures = host_failures
+    merged.host_failures = list(outcome.failures)
     merged.checks = sorted(
         (check for shard in shards for check in shard.checks),
         key=lambda c: (c.sample_index, seed_position[c.seed]),

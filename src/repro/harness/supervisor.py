@@ -11,8 +11,8 @@ number of times.
 
 The ladder, top to bottom (DESIGN.md §11):
 
-1. **Run** each cell on a process pool (submission-order results, exactly
-   as :func:`repro.harness.parallel.run_indexed`).
+1. **Run** each cell on a process pool; results come back in
+   submission order, whatever order the pool completes them in.
 2. **Timeout** — a cell past its wall budget is abandoned; the pool that
    hosts the hung worker is killed and rebuilt.
 3. **Retry with backoff** — a failed cell (exception, timeout, lost
@@ -40,6 +40,13 @@ no matter which faults fire — kills, hangs, transient exceptions,
 corrupted cache entries — a supervised sweep that completes produces
 results byte-identical to a clean serial run.
 
+This is the only code in the harness that runs a process pool.
+:class:`Supervisor` is its long-lived form: it owns one pool, sized at
+``workers``, across :meth:`Supervisor.run` calls and rebuilds it only
+after a break or a timeout, so a caller that runs many small sweeps (the
+sweep server, one batch at a time) pays worker start-up once.
+:func:`run_supervised` is that form used once.
+
 Lifecycle is observable end to end: ``cell_retry`` / ``cell_timeout`` /
 ``pool_rebuild`` / ``quarantine`` / ``degrade_serial`` trace events
 (timestamped by the supervisor's own deterministic event sequence
@@ -54,6 +61,7 @@ import os
 import pickle
 import struct
 import time
+import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -66,11 +74,36 @@ from ..obs import NULL_TRACER, Metrics
 _sleep = time.sleep
 
 
+def default_workers() -> int:
+    """The harness-wide worker count: ``REPRO_WORKERS`` clamped to >= 1,
+    else 1 (serial; parallelism is opt-in).
+
+    This is *the* one place worker counts come from — the supervisor
+    and the sweep server both defer here, so one environment variable
+    steers every pool.  The value is clamped, not trusted:
+    ``REPRO_WORKERS=0`` or a negative count means serial, and a
+    malformed value (``"four"``, ``"4x"``) falls back to serial with a
+    warning instead of raising ``ValueError`` deep inside a sweep — a
+    bad environment variable must never kill hours of cells.
+    """
+    env = os.environ.get("REPRO_WORKERS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            warnings.warn(
+                f"malformed REPRO_WORKERS={env!r}; falling back to serial "
+                "(workers=1)", RuntimeWarning, stacklevel=2,
+            )
+            return 1
+    return 1
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Tuning knobs for one supervised sweep.
 
-    ``workers=None`` defers to :func:`repro.harness.parallel.default_workers`
+    ``workers=None`` defers to :func:`default_workers`
     (the ``REPRO_WORKERS`` discipline); ``cell_timeout_s=None`` disables
     the wall budget (cells of unknown duration); ``journal_path=None``
     disables checkpoint/resume.
@@ -101,7 +134,7 @@ class CellFailure:
 class SweepOutcome:
     """Everything one supervised sweep produced.
 
-    ``results`` is in submission order, exactly like ``run_indexed``;
+    ``results`` is in submission order;
     quarantined slots hold ``None`` (consult :attr:`failures` for truth —
     a legitimate ``None`` result is indistinguishable by design, and no
     harness cell returns one).
@@ -220,15 +253,74 @@ class Journal:
 
 # -- the supervisor ------------------------------------------------------------
 
-class _Supervisor:
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down even when a worker is hung: terminate first (the
+    only way to unblock a hung worker), then shut down."""
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.terminate()
+        except Exception:
+            pass
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:
+        pass
+
+
+class Supervisor:
+    """The long-lived supervisor: one pool across many sweeps.
+
+    With ``workers <= 1`` every sweep runs in-process.  Otherwise the
+    pool is created by the first sweep that has work, sized at
+    ``workers``, and every cell runs on it — a one-cell sweep included,
+    so the caller's process never computes while it drives a pool.  A
+    broken or timed-out pool is rebuilt inside the sweep that hit it;
+    :meth:`close` (or leaving a ``with`` block) tears it down.  One
+    thread at a time may call :meth:`run`.
+    """
+
+    def __init__(self, config: SupervisorConfig | None = None,
+                 tracer=NULL_TRACER, key_fn=repr) -> None:
+        self.config = config or SupervisorConfig()
+        self.tracer = tracer
+        self.key_fn = key_fn
+        self.workers = (default_workers() if self.config.workers is None
+                        else self.config.workers)
+        self.pool: ProcessPoolExecutor | None = None
+
+    def run(self, items, fn) -> SweepOutcome:
+        """Map ``fn`` over ``items`` under the ladder; see
+        :func:`run_supervised`."""
+        return _Sweep(self, list(items), fn).run()
+
+    def open(self) -> ProcessPoolExecutor:
+        """The live pool, built on first use."""
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self.pool
+
+    def close(self) -> None:
+        if self.pool is not None:
+            _kill_pool(self.pool)
+            self.pool = None
+
+    def __enter__(self) -> "Supervisor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class _Sweep:
     """State machine for one supervised sweep (see module docstring)."""
 
-    def __init__(self, items, fn, config, tracer, key_fn) -> None:
+    def __init__(self, owner: Supervisor, items: list, fn) -> None:
+        self.owner = owner
         self.items = items
         self.fn = fn
-        self.config = config
-        self.tracer = tracer
-        self.keys = [key_fn(item) for item in items]
+        self.config = owner.config
+        self.tracer = owner.tracer
+        self.keys = [owner.key_fn(item) for item in items]
         n = len(items)
         self.results: list = [None] * n
         self.done = [False] * n
@@ -236,8 +328,8 @@ class _Supervisor:
         self.failures: list[CellFailure] = []
         self.metrics = Metrics()
         self.journal = (
-            Journal(config.journal_path)
-            if config.journal_path is not None else None
+            Journal(self.config.journal_path)
+            if self.config.journal_path is not None else None
         )
         #: deterministic event sequence number: trace timestamps.
         self.seq = 0
@@ -325,28 +417,11 @@ class _Supervisor:
             self._complete(index, result)
 
     # -- pool execution ----------------------------------------------------
-    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        outstanding = sum(1 for d in self.done if not d)
-        return ProcessPoolExecutor(max_workers=min(workers, max(outstanding, 1)))
-
-    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down even when a worker is hung: terminate first
-        (the only way to unblock a hung worker), then shut down."""
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    def _rebuild(self, pool: ProcessPoolExecutor, workers: int,
-                 reason: str) -> ProcessPoolExecutor | None:
-        """Replace a broken pool; None means the rebuild budget is spent
-        and the sweep degrades to serial."""
-        self._kill_pool(pool)
+    def _rebuild(self, reason: str) -> ProcessPoolExecutor | None:
+        """Replace the owner's broken pool; None means the rebuild budget
+        is spent and the sweep degrades to serial."""
+        owner = self.owner
+        owner.close()
         self.pool_rebuilds += 1
         self.metrics.inc("supervisor.pool_rebuild")
         if self.tracer.enabled:
@@ -359,12 +434,14 @@ class _Supervisor:
                 self.tracer.degrade_serial(
                     self._tick(), rebuilds=self.pool_rebuilds)
             return None
-        return self._new_pool(workers)
+        return owner.open()
 
-    def _run_pool(self, pending, workers: int) -> None:
+    def _run_pool(self, pending) -> None:
         config = self.config
+        owner = self.owner
+        workers = owner.workers
         queue: deque[int] = deque(pending)
-        pool: ProcessPoolExecutor | None = self._new_pool(workers)
+        pool = owner.open()
         in_flight: dict = {}  # future -> (cell index, wall deadline | None)
 
         def abandon_in_flight() -> None:
@@ -448,15 +525,17 @@ class _Supervisor:
 
                 if broken_reason is not None:
                     abandon_in_flight()
-                    pool = self._rebuild(pool, workers, broken_reason)
+                    pool = self._rebuild(broken_reason)
                     if pool is None:
                         remaining = list(queue)
                         queue.clear()
                         self._run_serial(remaining)
                         return
-        finally:
-            if pool is not None:
-                self._kill_pool(pool)
+        except BaseException:
+            # work may still be in flight: never hand a busy pool to the
+            # owner's next sweep
+            owner.close()
+            raise
 
     # -- entry -------------------------------------------------------------
     def run(self) -> SweepOutcome:
@@ -470,14 +549,10 @@ class _Supervisor:
                     self.resumed += 1
             self.metrics.set("supervisor.cells_resumed", self.resumed)
         pending = [i for i in range(len(self.items)) if not self.done[i]]
-        workers = self.config.workers
-        if workers is None:
-            from .parallel import default_workers
-            workers = default_workers()
-        if workers <= 1 or len(pending) <= 1:
+        if self.owner.workers <= 1:
             self._run_serial(pending)
-        else:
-            self._run_pool(pending, workers)
+        elif pending:
+            self._run_pool(pending)
         return SweepOutcome(
             results=self.results,
             failures=self.failures,
@@ -495,14 +570,13 @@ def run_supervised(items, fn, config: SupervisorConfig | None = None,
                    tracer=NULL_TRACER, key_fn=repr) -> SweepOutcome:
     """Map ``fn`` over ``items`` under the fault-tolerance ladder.
 
-    Drop-in hardened ``run_indexed``: results come back in submission
-    order.  ``fn`` must be a pure function of its item (that is what
-    makes re-execution safe — the same discipline the machine's
-    abort-and-re-execute relies on) and picklable for the pool path.
-    ``key_fn`` names a cell for the journal and the failure manifest;
-    the default ``repr`` is stable for the harness's dataclass/tuple
-    cells.
+    The long-lived :class:`Supervisor` used once: its pool lives for
+    this one sweep.  Results come back in submission order.  ``fn`` must
+    be a pure function of its item (that is what makes re-execution safe
+    — the same discipline the machine's abort-and-re-execute relies on)
+    and picklable for the pool path.  ``key_fn`` names a cell for the
+    journal and the failure manifest; the default ``repr`` is stable for
+    the harness's dataclass/tuple cells.
     """
-    return _Supervisor(
-        list(items), fn, config or SupervisorConfig(), tracer, key_fn,
-    ).run()
+    with Supervisor(config, tracer, key_fn) as supervisor:
+        return supervisor.run(items, fn)

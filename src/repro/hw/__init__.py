@@ -17,7 +17,6 @@ from .config import (
     HTM_ROCK_STORE_BUFFER,
     HTM_SETJMP_DELIVERY,
     HardwareConfig,
-    JIT_MODES,
     OOO_2WIDE,
     OOO_2WIDE_HALF,
     htm_variant_configs,
@@ -65,7 +64,6 @@ __all__ = [
     "HW_ESCALATION_REASONS",
     "HardwareConfig",
     "INTERPRETER_CYCLES_PER_BYTECODE",
-    "JIT_MODES",
     "JitProfile",
     "JittedMethod",
     "MInstr",

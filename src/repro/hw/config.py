@@ -10,8 +10,6 @@ HTM_MODES = ("unbounded", "store_buffer", "cache_shaped")
 FALLBACK_LOCK_MODES = (None, "begin", "end")
 #: abort-delivery ISA variants (:attr:`HardwareConfig.abort_delivery`).
 ABORT_DELIVERY_MODES = ("handler", "setjmp")
-#: host template-jit gate (:attr:`HardwareConfig.jit_mode`).
-JIT_MODES = ("on", "off")
 
 
 @dataclass(frozen=True)
@@ -103,15 +101,6 @@ class HardwareConfig:
     #: (permanent non-speculative fallback); None disables escalation.
     region_fallback_threshold: int | None = 64
 
-    # -- host execution (simulator implementation, not modeled hardware) ----
-    #: template-jit gate for the *host* dispatch tier ("on"/"off").  With
-    #: "on", machines running under ``dispatch="auto"`` execute fused
-    #: straight-line uop runs compiled to Python source
-    #: (:mod:`repro.hw.templatejit`); "off" pins auto-dispatch to the
-    #: pre-decoded handler tier.  Purely a host-speed knob — every tier is
-    #: observationally identical, so modeled results never depend on it.
-    jit_mode: str = "on"
-
     def __post_init__(self) -> None:
         if self.htm_mode not in HTM_MODES:
             raise ValueError(f"unknown htm_mode {self.htm_mode!r}")
@@ -123,8 +112,6 @@ class HardwareConfig:
             raise ValueError(f"unknown abort_delivery {self.abort_delivery!r}")
         if self.spec_store_buffer_entries <= 0:
             raise ValueError("spec_store_buffer_entries must be positive")
-        if self.jit_mode not in JIT_MODES:
-            raise ValueError(f"unknown jit_mode {self.jit_mode!r}")
 
     @property
     def line_shift(self) -> int:

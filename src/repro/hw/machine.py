@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..faults.injector import FaultInjector, RegionFaultSchedule
 from ..obs.tracer import NULL_TRACER
@@ -50,6 +49,8 @@ from .stats import ExecStats, RegionExecution
 CODE_BASE = 0x40_0000
 #: simulated address region for spill frames.
 SPILL_BASE = 0x2000_0000
+#: host dispatch tiers (:attr:`Machine.dispatch`).
+DISPATCH_MODES = ("auto", "predecoded", "interpretive")
 
 
 @dataclass
@@ -98,12 +99,6 @@ class _RegionState:
     reservation: int | None = None
 
 
-#: canonical branch-condition semantics live in :mod:`repro.hw.codegen`
-#: (shared with the pre-decoded handlers); this alias keeps the slow path's
-#: historical spelling.
-_machine_compare = machine_compare
-
-
 class Machine:
     """Executes compiled methods against the shared guest heap."""
 
@@ -115,8 +110,6 @@ class Machine:
         stats: ExecStats | None = None,
         timing=None,
         dispatcher=None,
-        conflict_injector: Callable[[RegionExecution], int | None] | None = None,
-        interrupt_interval: int | None = None,
         fault_injector: FaultInjector | None = None,
         tracer=None,
         dispatch: str = "auto",
@@ -130,50 +123,26 @@ class Machine:
         #: region-lifecycle tracer; the null tracer costs one attribute
         #: check per emission site and records nothing.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Back-compat shims: the old ad-hoc hooks fold into one injector.
-        if fault_injector is not None and (
-            conflict_injector is not None or interrupt_interval is not None
-        ):
-            raise VMError(
-                "pass either fault_injector or the legacy "
-                "conflict_injector/interrupt_interval hooks, not both"
-            )
-        if fault_injector is None and (
-            conflict_injector is not None or interrupt_interval is not None
-        ):
-            fault_injector = FaultInjector.from_legacy(
-                conflict_injector, interrupt_interval
-            )
         self.fault_injector = fault_injector
         if fault_injector is not None:
             # The injector emits fault_armed/interrupt events on this
             # machine's tracer, timestamped by its retired-uop counter.
             fault_injector.tracer = self.tracer
             fault_injector.clock = lambda: self.uops_executed
-        self.conflict_injector = conflict_injector
-        self.interrupt_interval = interrupt_interval
-        #: uop dispatch strategy: "auto" (the fastest observationally safe
-        #: tier — template-jit when ``config.jit_mode == "on"``, else
-        #: pre-decoded), "jit" (fused-run dispatch; explicit), "predecoded"
-        #: (per-uop handler closures; explicit), or "interpretive" (always
-        #: the slow loop).  "fast" is a wire-protocol alias for
-        #: "predecoded".  Every fast tier is only taken with no tracer and
-        #: no scheduler attached, so traced runs and multi-threaded runs
-        #: see the instrumented loop unchanged; jit additionally requires
-        #: no fault injector (per-uop fault probes must stay live) and
-        #: falls back to pre-decoded dispatch when one is attached.
-        if dispatch == "fast":
-            dispatch = "predecoded"
-        if dispatch not in ("auto", "jit", "predecoded", "interpretive"):
-            raise VMError(f"unknown dispatch mode {dispatch!r}")
+        #: uop dispatch tier: "auto" (fused template-jit runs, or the
+        #: pre-decoded handlers when a fault injector is attached — its
+        #: per-uop probes must stay live), "predecoded" (per-uop handler
+        #: closures), or "interpretive" (always the slow loop).  Both fast
+        #: tiers are only taken with no tracer and no scheduler attached,
+        #: so traced and multi-threaded runs see the instrumented loop
+        #: unchanged.  Every tier is observationally identical.
+        if dispatch not in DISPATCH_MODES:
+            raise VMError(f"unknown dispatch mode {dispatch!r}; "
+                          f"expected one of {DISPATCH_MODES}")
         self.dispatch = dispatch
         #: whether this machine runs fused template-jit code when the
         #: fast path is reachable at all (see :mod:`repro.hw.templatejit`).
-        self._jit_tier = (
-            (dispatch == "jit"
-             or (dispatch == "auto" and config.jit_mode == "on"))
-            and self.fault_injector is None
-        )
+        self._jit_tier = dispatch == "auto" and self.fault_injector is None
         #: deterministic guest scheduler (attached by TieredVM.run_threads);
         #: None keeps the machine single-threaded and bit-identical to the
         #: pre-scheduler behaviour.
@@ -270,8 +239,6 @@ class Machine:
         if (self.dispatch != "interpretive"
                 and self.sched is None
                 and not self.tracer.enabled):
-            if self._jit_tier:
-                return self._execute_jit(compiled, args)
             return self._execute_fast(compiled, args)
         code_base = self._code_base(compiled)
         spill_base = self._next_spill_base
@@ -511,7 +478,7 @@ class Machine:
                     if region is not None:
                         region.allocs.append(regs[instr.dst])
                 elif op is MOp.BR:
-                    taken = _machine_compare(instr.cond, regs[instr.a],
+                    taken = machine_compare(instr.cond, regs[instr.a],
                                              regs[instr.b] if instr.b is not None else None)
                     branch_taken = taken
                     stats.branches += 1
@@ -535,7 +502,7 @@ class Machine:
                     pc = instr.target
                     continue
                 elif op is MOp.BR_TRAP:
-                    failed = _machine_compare(
+                    failed = machine_compare(
                         instr.cond, regs[instr.a],
                         regs[instr.b] if instr.b is not None else None,
                     )
@@ -547,7 +514,7 @@ class Machine:
                     if failed:
                         raise _trap_error(instr)
                 elif op is MOp.BR_ABORT:
-                    fired = _machine_compare(
+                    fired = machine_compare(
                         instr.cond, regs[instr.a],
                         regs[instr.b] if instr.b is not None else None,
                     )
@@ -691,15 +658,26 @@ class Machine:
                     )
                     region = None
 
-    # -- pre-decoded fast path ----------------------------------------------
+    # -- fast dispatch tiers ------------------------------------------------
     def _execute_fast(self, compiled: CompiledMethod, args: list[Value]) -> Value:
-        """Run the pre-decoded dispatch form of ``compiled``.
+        """Run a fast dispatch form of ``compiled``: one loop over a
+        pc-indexed table of handlers.
 
-        Observationally identical to the interpretive loop (enforced by
-        the differential suite); only reached with the null tracer and no
-        scheduler, so nothing instrumented is skipped.
+        The template-jit table holds a *fused-run function* at each
+        run-start pc and the per-uop handler everywhere else, so
+        straight-line spans retire without re-entering the loop; fused
+        code bails to the handler for anything it cannot replay exactly.
+        The pre-decoded table holds a handler at every pc.  Either way
+        the loop resumes at whatever pc the handler (or the abort
+        machinery) hands back.  Observationally identical to the
+        interpretive loop (enforced by the differential suite); only
+        reached with the null tracer and no scheduler, so nothing
+        instrumented is skipped.
         """
-        pre = get_predecoded(compiled, self._line_shift)
+        if self._jit_tier:
+            table = get_jitted(compiled, self).table(self.timing is not None)
+        else:
+            table = get_predecoded(compiled, self._line_shift).handlers
         code_base = self._code_base(compiled)
         spill_base = self._next_spill_base
         self._next_spill_base += 0x10000
@@ -726,50 +704,6 @@ class Machine:
         fr.timing = self.timing
         fr.ret = None
 
-        handlers = pre.handlers
-        pc = 0
-        while pc >= 0:
-            pc = handlers[pc](fr)
-        return fr.ret
-
-    def _execute_jit(self, compiled: CompiledMethod, args: list[Value]) -> Value:
-        """Run the template-jit dispatch form of ``compiled``.
-
-        Same loop shape as :meth:`_execute_fast`, but the pc-indexed
-        table holds a *fused-run function* at each run-start pc and the
-        per-uop handler everywhere else, so straight-line spans retire
-        without re-entering the loop.  Fused code bails to the handler
-        tier for anything it cannot replay exactly; the loop resumes at
-        whatever pc the handler (or the abort machinery) hands back.
-        """
-        jm = get_jitted(compiled, self)
-        code_base = self._code_base(compiled)
-        spill_base = self._next_spill_base
-        self._next_spill_base += 0x10000
-
-        regs: list[Value] = [0] * compiled.num_regs
-        spill: list[Value] = [0] * max(compiled.num_spill_slots, 1)
-        for value, loc in zip(args, compiled.param_locations):
-            kind, index = loc
-            if kind == "r":
-                regs[index] = value
-            else:
-                spill[index] = value
-
-        fr = ExecFrame()
-        fr.machine = self
-        fr.compiled = compiled
-        fr.regs = regs
-        fr.spill = spill
-        fr.spill_base = spill_base
-        fr.code_base = code_base
-        fr.region = None
-        fr.tid = MAIN_THREAD
-        fr.stats = self.stats
-        fr.timing = self.timing
-        fr.ret = None
-
-        table = jm.table(self.timing is not None)
         pc = 0
         while pc >= 0:
             pc = table[pc](fr)

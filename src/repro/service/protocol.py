@@ -66,11 +66,9 @@ SERVICE_HARDWARE = dict(HARDWARE_CONFIGS)
 for _hw in htm_variant_configs():
     SERVICE_HARDWARE.setdefault(_hw.name, _hw)
 
-_DISPATCH_MODES = ("auto", "interpretive", "fast", "predecoded", "jit")
-
 _CELL_FIELDS = frozenset((
     "workload", "compiler", "hardware", "seed", "timing",
-    "force_monomorphic", "adaptive", "dispatch", "trace",
+    "force_monomorphic", "adaptive", "trace",
 ))
 
 
@@ -124,7 +122,6 @@ class ServiceCell:
     timing: bool = True
     force_monomorphic: bool = False
     adaptive: bool = False
-    dispatch: str = "auto"
     trace: bool = False
 
     def plan(self) -> FaultPlan | None:
@@ -137,7 +134,6 @@ class ServiceCell:
         return experiment.memo_key(
             self.workload, self.compiler, self.hardware, self.timing,
             self.force_monomorphic, self.adaptive, fault_plan=self.plan(),
-            dispatch=self.dispatch,
         ) + (("traced",) if self.trace else ())
 
     def spec(self) -> dict:
@@ -152,8 +148,6 @@ class ServiceCell:
             out["force_monomorphic"] = True
         if self.adaptive:
             out["adaptive"] = True
-        if self.dispatch != "auto":
-            out["dispatch"] = self.dispatch
         if self.trace:
             out["trace"] = True
         return out
@@ -199,11 +193,6 @@ def validate_cell(spec, index: int = 0) -> ServiceCell:
     seed = spec.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ProtocolError("bad_request", f"{where}: seed must be an int")
-    dispatch = spec.get("dispatch", "auto")
-    if dispatch not in _DISPATCH_MODES:
-        raise ProtocolError(
-            "bad_request",
-            f"{where}: dispatch must be one of {_DISPATCH_MODES}")
     for flag in ("timing", "force_monomorphic", "adaptive", "trace"):
         if not isinstance(spec.get(flag, False), bool):
             raise ProtocolError("bad_request", f"{where}: {flag} must be a bool")
@@ -212,7 +201,7 @@ def validate_cell(spec, index: int = 0) -> ServiceCell:
         timing=spec.get("timing", True),
         force_monomorphic=spec.get("force_monomorphic", False),
         adaptive=spec.get("adaptive", False),
-        dispatch=dispatch, trace=spec.get("trace", False),
+        trace=spec.get("trace", False),
     )
 
 
@@ -229,7 +218,6 @@ def compute_service_cell(cell: ServiceCell):
         force_monomorphic=cell.force_monomorphic,
         adaptive=cell.adaptive,
         fault_plan=cell.plan(),
-        dispatch=cell.dispatch,
         use_cache=False,
     )
     return cell.key(), result
@@ -249,7 +237,6 @@ def compute_service_cell_traced(cell: ServiceCell):
         force_monomorphic=cell.force_monomorphic,
         adaptive=cell.adaptive,
         fault_plan=cell.plan(),
-        dispatch=cell.dispatch,
         use_cache=False,
         tracer=tracer,
     )

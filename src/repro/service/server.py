@@ -5,7 +5,7 @@ experiment-cell requests from many concurrent clients (newline-delimited
 JSON over TCP, :mod:`repro.service.protocol`), schedules them across a
 persistent supervised worker pool, and streams results back as cells
 complete.  Four disciplines make "simulation as a service" more than a
-socket in front of ``run_indexed``:
+socket in front of a process pool:
 
 - **In-flight dedup.**  Cells are identified by the canonical memo key;
   N tenants asking for the same (workload, config, seed) share one
@@ -35,13 +35,14 @@ socket in front of ``run_indexed``:
   either cache layer.  ``tests/test_service.py`` enforces this under
   concurrent duplicate submissions and mid-stream disconnects.
 
-The worker pool is persistent (one ``ProcessPoolExecutor`` for the
-server's lifetime, sized by :func:`repro.harness.default_workers`); a
-broken pool is discarded and the affected batch re-routed through the
-fault-tolerant supervisor (:func:`repro.harness.run_supervised`), which
-rebuilds, retries, and quarantines exactly as batch sweeps do — the
-service inherits the whole resilience ladder instead of reimplementing
-it.
+The server holds one long-lived sweep supervisor
+(:class:`repro.harness.Supervisor`) for its lifetime, sized by
+:func:`repro.harness.default_workers`, and runs every batch through it:
+the pool stays warm across batches, every cell of a pooled server runs
+in a worker (never in the server's own process), and a broken pool is
+rebuilt, a raising cell retried, and an exhausted one quarantined
+exactly as in batch sweeps — the service inherits the whole resilience
+ladder instead of reimplementing it.
 """
 
 from __future__ import annotations
@@ -49,13 +50,11 @@ from __future__ import annotations
 import asyncio
 import itertools
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..harness import diskcache
-from ..harness.parallel import default_workers
-from ..harness.supervisor import SupervisorConfig, run_supervised
+from ..harness.supervisor import Supervisor, SupervisorConfig, default_workers
 from ..obs import NULL_TRACER, Metrics, to_chrome_trace
 from .protocol import (
     FRAME_LIMIT,
@@ -135,7 +134,6 @@ class SweepServer:
         queue_limit: int = 256,
         hot_cache: diskcache.HotCache | None = None,
         disk_cache: bool | None = None,
-        supervisor: SupervisorConfig | None = None,
         tracer=NULL_TRACER,
     ) -> None:
         self.host = host
@@ -145,7 +143,8 @@ class SweepServer:
         self.queue_limit = max(1, queue_limit)
         self.hot = hot_cache if hot_cache is not None else diskcache.HotCache()
         self.disk = diskcache.enabled(disk_cache)
-        self.supervisor = supervisor or SupervisorConfig(workers=self.workers)
+        #: the server's one process pool, alive as long as the server.
+        self.supervisor = Supervisor(SupervisorConfig(workers=self.workers))
         self.tracer = tracer
         self.metrics = Metrics()
 
@@ -160,7 +159,6 @@ class SweepServer:
         #: the scheduler's thread (batches block it, never the loop).
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="sweep-batch")
-        self._pool: ProcessPoolExecutor | None = None
         #: round-robin rotation for fan-out fairness.
         self._rr = 0
         #: deterministic event sequence for service trace timestamps.
@@ -198,8 +196,11 @@ class SweepServer:
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._discard_pool()
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        # close on the batch thread, after any batch still running: a
+        # pool killed underneath a running sweep would be rebuilt by it
+        await asyncio.get_running_loop().run_in_executor(
+            self._executor, self.supervisor.close)
+        self._executor.shutdown(wait=False)
 
     async def __aenter__(self) -> "SweepServer":
         await self.start()
@@ -511,81 +512,23 @@ class SweepServer:
                 self._broadcast_progress()
 
     # -- batch execution (runs in the executor thread) ---------------------
-    def _get_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self._pool = None
-
     def _compute_batch(self, cells: list[ServiceCell]) -> list[tuple]:
         """One batch → one outcome per cell:
         ``("ok", (result, events|None))`` or ``("failed", message)``."""
-        outcomes: list[tuple] = [None] * len(cells)  # type: ignore[list-item]
-        plain = [(i, c) for i, c in enumerate(cells) if not c.trace]
-        traced = [(i, c) for i, c in enumerate(cells) if c.trace]
-        if plain:
-            for (index, _cell), outcome in zip(
-                    plain, self._compute_plain([c for _i, c in plain])):
-                outcomes[index] = outcome
-        # traced cells run in-thread: the tracer rides back with the
-        # result either way, and trace requests are rare debug traffic.
-        for index, cell in traced:
-            try:
-                _key, result, events, truncated = (
-                    compute_service_cell_traced(cell))
-                outcomes[index] = ("ok", (result, (events, truncated)))
-            except Exception as exc:  # noqa: BLE001 - typed error to tenant
-                outcomes[index] = ("failed", repr(exc))
-        return outcomes
+        sweep = self.supervisor.run(cells, _compute_job)
+        self.metrics.inc("service.pool_rebuilds", sweep.pool_rebuilds)
+        failed = {failure.index: failure for failure in sweep.failures}
+        return [
+            ("failed", f"{failed[index].kind}: {failed[index].error}")
+            if index in failed else ("ok", outcome)
+            for index, outcome in enumerate(sweep.results)
+        ]
 
-    def _compute_plain(self, cells: list[ServiceCell]) -> list[tuple]:
-        """Fast path: the persistent pool, submission-order drain (the
-        ``run_indexed`` discipline).  A broken pool falls back to the
-        fault-tolerant supervisor for this batch — retries, rebuilds,
-        and quarantine included — then a fresh pool serves the next one."""
-        if self.workers <= 1:
-            outcomes = []
-            for cell in cells:
-                try:
-                    _key, result = compute_service_cell(cell)
-                    outcomes.append(("ok", (result, None)))
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append(("failed", repr(exc)))
-            return outcomes
-        try:
-            futures = [self._get_pool().submit(compute_service_cell, cell)
-                       for cell in cells]
-            outcomes = []
-            for future in futures:
-                try:
-                    _key, result = future.result()
-                    outcomes.append(("ok", (result, None)))
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append(("failed", repr(exc)))
-            return outcomes
-        except BrokenProcessPool:
-            self._discard_pool()
-            self.metrics.inc("service.pool_rebuilds")
-            sweep = run_supervised(cells, compute_service_cell,
-                                   config=self.supervisor)
-            failed = {failure.index: failure for failure in sweep.failures}
-            outcomes = []
-            for index, pair in enumerate(sweep.results):
-                if index in failed:
-                    failure = failed[index]
-                    outcomes.append(
-                        ("failed", f"{failure.kind}: {failure.error}"))
-                elif pair is None:
-                    outcomes.append(("failed", "lost cell"))
-                else:
-                    outcomes.append(("ok", (pair[1], None)))
-            return outcomes
+
+def _compute_job(cell: ServiceCell) -> tuple:
+    """Worker entry: ``(result, (events, truncated) | None)`` for one cell
+    (the tracer rides back with the result for ``trace=True`` cells)."""
+    if cell.trace:
+        _key, result, events, truncated = compute_service_cell_traced(cell)
+        return result, (events, truncated)
+    return compute_service_cell(cell)[1], None

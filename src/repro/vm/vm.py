@@ -38,12 +38,9 @@ class VMOptions:
     compile_threshold: int = 10
     enable_timing: bool = True
     auto_compile: bool = True
-    #: synthetic interrupt period in uops (None = no interrupts).
-    interrupt_interval: int | None = None
-    #: machine dispatch strategy: "auto" (the fastest observationally
-    #: safe tier — template-jit when the hardware config's ``jit_mode``
-    #: is "on", else pre-decoded), "jit", "predecoded", or
-    #: "interpretive" (always the instrumented slow loop).  See
+    #: machine dispatch tier: "auto" (template-jit, or pre-decoded when
+    #: a fault injector is attached), "predecoded", or "interpretive"
+    #: (always the instrumented slow loop).  A host-speed knob only; see
     #: :class:`repro.hw.machine.Machine`.
     dispatch: str = "auto"
 
@@ -57,7 +54,6 @@ class TieredVM:
         compiler_config: CompilerConfig = NO_ATOMIC,
         hw_config: HardwareConfig = BASELINE_4WIDE,
         options: VMOptions | None = None,
-        conflict_injector=None,
         fault_plan: FaultPlan | None = None,
         fault_injector: FaultInjector | None = None,
         validate: bool = True,
@@ -86,38 +82,17 @@ class TieredVM:
         if fault_injector is None and fault_plan is not None:
             fault_injector = FaultInjector(fault_plan)
         self.fault_injector = fault_injector
-        if fault_injector is not None:
-            if (conflict_injector is not None
-                    or self.options.interrupt_interval is not None):
-                raise VMError(
-                    "legacy conflict_injector/interrupt_interval hooks "
-                    "cannot be combined with a fault plan/injector"
-                )
-            self.machine = Machine(
-                program,
-                self.heap,
-                config=hw_config,
-                stats=self.stats,
-                timing=self.timing,
-                dispatcher=self,
-                fault_injector=fault_injector,
-                tracer=self.tracer,
-                dispatch=self.options.dispatch,
-            )
-        else:
-            self.machine = Machine(
-                program,
-                self.heap,
-                config=hw_config,
-                stats=self.stats,
-                timing=self.timing,
-                dispatcher=self,
-                conflict_injector=conflict_injector,
-                interrupt_interval=self.options.interrupt_interval,
-                tracer=self.tracer,
-                dispatch=self.options.dispatch,
-            )
-            self.fault_injector = self.machine.fault_injector
+        self.machine = Machine(
+            program,
+            self.heap,
+            config=hw_config,
+            stats=self.stats,
+            timing=self.timing,
+            dispatcher=self,
+            fault_injector=fault_injector,
+            tracer=self.tracer,
+            dispatch=self.options.dispatch,
+        )
         self.compiled: dict[str, CompilationRecord] = {}
         #: per-method branch pcs barred from assert conversion (§7 adaptive).
         self.blocked_asserts: dict[str, set[int]] = {}

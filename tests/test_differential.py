@@ -150,10 +150,11 @@ class TestTracingChangesNothing:
         assert "tier_compile" in kinds
 
 
-#: the host fast tiers under differential test: the pre-decoded arrays
-#: (the PR 4 contract) and the template-jit fused functions riding the
-#: same invalidation discipline.
-FAST_DISPATCHES = ["predecoded", "jit"]
+#: the host fast tiers under differential test, by the dispatch mode that
+#: selects each: the pre-decoded arrays and the template-jit fused
+#: functions ("auto" with no fault injector attached) riding the same
+#: invalidation discipline.
+FAST_DISPATCHES = ["predecoded", pytest.param("auto", id="jit")]
 
 
 class TestDispatchEquivalence:
@@ -255,7 +256,7 @@ class TestHTMVariantEquivalence:
         byte-identical to the interpretive loop on that same shape."""
         for seed in SEEDS[:15]:
             jit = _run_tiered(_generate(seed), timing=False,
-                              dispatch="jit", hw=hw)
+                              dispatch="auto", hw=hw)
             slow = _run_tiered(_generate(seed), timing=False,
                                dispatch="interpretive", hw=hw)
             assert (jit[0], jit[1]) == (slow[0], slow[1]), (
@@ -384,28 +385,34 @@ class TestAtomicUopEquivalence:
 
 
 class TestParallelSweepEquivalence:
-    """The sharded parallel runner merges deterministically: parallel and
-    serial sweeps over the same seeds/cells are byte-identical."""
+    """Sweeps through the supervisor's pool merge deterministically:
+    parallel and serial sweeps over the same seeds/cells are
+    byte-identical."""
 
     BENCHES = ["fop", "hsqldb"]
 
     def test_figure_tables_identical_parallel_vs_serial(self):
         from repro.harness import (
-            clear_cache, figure7, figure8, prewarm_figures, render,
+            SupervisorConfig, clear_cache, figure7, figure8,
+            prewarm_figures, render,
         )
 
         clear_cache()
         serial = (render(figure7(self.BENCHES)),
                   render(figure8(self.BENCHES)))
         clear_cache()
-        prewarm_figures(self.BENCHES, workers=2)
+        outcome = prewarm_figures(self.BENCHES,
+                                  supervisor=SupervisorConfig(workers=2))
+        assert outcome.ok and outcome.completed > 0
         parallel = (render(figure7(self.BENCHES)),
                     render(figure8(self.BENCHES)))
         clear_cache()
         assert parallel == serial
 
     def test_chaos_matrix_identical_parallel_vs_serial(self):
-        from repro.harness import run_chaos, run_chaos_parallel
+        from repro.harness import (
+            SupervisorConfig, run_chaos, run_chaos_parallel,
+        )
         from repro.harness.parallel import COMPILER_CONFIGS
 
         seeds = (0, 1, 2, 3)
@@ -414,12 +421,42 @@ class TestParallelSweepEquivalence:
             seeds=seeds, max_samples=1,
         )
         parallel = run_chaos_parallel(
-            "fop", seeds=seeds, max_samples=1, workers=2,
+            "fop", seeds=seeds, max_samples=1,
+            supervisor=SupervisorConfig(workers=2),
         )
+        assert parallel.host_failures == []
         assert parallel.describe() == serial.describe()
         assert [c.stats.summary() for c in parallel.checks] == [
             c.stats.summary() for c in serial.checks
         ]
+
+
+class TestCellIdentity:
+    """Host-only knobs do not identify a cell: one cell, one execution,
+    one cache entry, whatever dispatch tier asks for it."""
+
+    def test_memo_key_is_the_modeled_configuration(self):
+        import inspect
+
+        from repro.harness.experiment import memo_key
+
+        assert list(inspect.signature(memo_key).parameters) == [
+            "workload_name", "compiler_name", "hardware_name", "timing",
+            "force_monomorphic", "adaptive", "fault_plan",
+        ]
+
+    def test_other_dispatch_tier_returns_the_memoised_cell(self):
+        from repro.harness import clear_cache
+
+        workload = get_workload("hsqldb")
+        clear_cache()
+        try:
+            first = run_workload(workload, ATOMIC_AGGRESSIVE, timing=False)
+            again = run_workload(workload, ATOMIC_AGGRESSIVE, timing=False,
+                                 dispatch="interpretive")
+        finally:
+            clear_cache()
+        assert again is first
 
 
 class TestWorkloadFiguresUnchanged:

@@ -218,48 +218,7 @@ class TestInjectedFaultKinds:
 
 
 class TestLegacyShims:
-    def test_interrupt_interval_option_still_works(self):
-        program = region_loop_program()
-        vm = TieredVM(
-            program, compiler_config=ATOMIC,
-            options=VMOptions(enable_timing=False, compile_threshold=3,
-                              interrupt_interval=997),
-        )
-        vm.warm_up("work", [[100, 0]] * 3)
-        vm.compile_hot(min_invocations=1)
-        vm.start_measurement()
-        result = vm.run("work", [300, 0])
-        stats = vm.end_measurement()
-        assert result == reference_result(program, (300, 0))
-        assert stats.abort_reasons.get("interrupt", 0) >= 1
-        # The shim built a real injector under the hood.
-        assert vm.machine.fault_injector is not None
-        assert vm.machine.fault_injector.plan.interrupt_interval == 997
-
-    def test_conflict_injector_callback_still_works(self):
-        program = region_loop_program()
-        calls = {"n": 0}
-
-        def injector(record):
-            calls["n"] += 1
-            return 3 if calls["n"] == 5 else None
-
-        result, stats, _ = run_with_faults(
-            program, measure=(100, 0), conflict_injector=injector,
-        )
-        assert result == reference_result(program, (100, 0))
-        assert stats.abort_reasons.get("conflict", 0) >= 1
-        assert calls["n"] > 5
-
-    def test_legacy_hooks_and_plan_are_exclusive(self):
-        program = region_loop_program()
-        with pytest.raises(VMError, match="cannot be combined"):
-            TieredVM(
-                program, compiler_config=ATOMIC,
-                options=VMOptions(enable_timing=False,
-                                  interrupt_interval=100),
-                fault_plan=FaultPlan.seeded(0),
-            )
+    """What remains of the old hook shims: one fault source per VM."""
 
     def test_plan_and_injector_are_exclusive(self):
         program = region_loop_program()

@@ -4,6 +4,7 @@ including atomic-region commit/abort behavior, under every compiler config.
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.hw import BASELINE_4WIDE, MOp, TimingModel, generate_code
 from repro.lang import ProgramBuilder
 from repro.runtime import GuestError, Heap, Interpreter, ProfileStore
@@ -183,16 +184,11 @@ class TestRegionHardwareBehavior:
 
     def test_conflict_injection_aborts(self):
         program = self.region_loop_program()
-        calls = {"n": 0}
-
-        def injector(record):
-            calls["n"] += 1
-            return 3 if calls["n"] == 5 else None  # 5th region conflicts
-
         results, stats, vm = run_vm(
             program, ATOMIC, warm_args=[(100, 0)] * 3,
             measure_args=[(100, 0)], entry="work",
-            conflict_injector=injector,
+            # the 5th region entry conflicts at offset 3
+            fault_plan=FaultPlan.single("conflict", region_index=4, offset=3),
         )
         assert expected_results(program, [(100, 0)], "work") == [("ok", results[0])]
         assert stats.abort_reasons.get("conflict", 0) >= 1
@@ -201,8 +197,8 @@ class TestRegionHardwareBehavior:
         program = self.region_loop_program()
         vm = TieredVM(
             program, compiler_config=ATOMIC,
-            options=VMOptions(enable_timing=False, compile_threshold=3,
-                              interrupt_interval=997),
+            options=VMOptions(enable_timing=False, compile_threshold=3),
+            fault_plan=FaultPlan.periodic_interrupts(997),
         )
         vm.warm_up("work", [[100, 0]] * 3)
         vm.compile_hot(min_invocations=1)

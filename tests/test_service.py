@@ -17,10 +17,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from repro.harness import diskcache
+from repro.harness.hostchaos import claim_attempt
 from repro.obs import Tracer
 from repro.obs.export import validate_chrome_trace
 from repro.service import (
@@ -38,6 +41,7 @@ from repro.service import (
 )
 from repro.service.__main__ import parse_cell
 from repro.service.protocol import decode, encode
+from repro.service.server import _compute_job
 
 # the seed matrix under test: fast workloads, two compiler configs, a
 # seeded (fault-plan-carrying) cell, and a second workload.
@@ -126,7 +130,8 @@ class TestProtocolUnits:
          "bad_request"),
         ({"workload": "hsqldb", "compiler": "atomic", "seed": True},
          "bad_request"),
-        ({"workload": "hsqldb", "compiler": "atomic", "dispatch": "warp"},
+        # the dispatch tier is a host knob, not a cell field
+        ({"workload": "hsqldb", "compiler": "atomic", "dispatch": "auto"},
          "bad_request"),
         ({"workload": "hsqldb", "compiler": "atomic", "trace": 1},
          "bad_request"),
@@ -453,6 +458,81 @@ class TestComputeFailed:
                 assert server.metrics.counter(
                     "service.compute_failures") == 1
         run(scenario())
+
+
+# -- the worker pool -----------------------------------------------------------
+
+def _recording_job(cell):
+    """The server's worker entry, logging the pid that ran each cell."""
+    with open(os.environ["SERVICE_TEST_PID_LOG"], "a") as log:
+        log.write(f"{os.getpid()}\n")
+    return _compute_job(cell)
+
+
+def _kill_once_job(cell):
+    """Kills its worker on each cell's first attempt, then computes."""
+    attempt = claim_attempt(os.environ["SERVICE_TEST_STATE"], repr(cell))
+    if attempt == 0 and multiprocessing.parent_process() is not None:
+        os._exit(113)
+    return _recording_job(cell)
+
+
+class TestWorkerPool:
+    """A pooled server runs every batch on one long-lived supervisor's
+    warm pool, and rebuilds it only when it breaks."""
+
+    def test_batches_share_one_warm_pool(self, reference, tmp_path,
+                                         monkeypatch):
+        log = tmp_path / "pids"
+        monkeypatch.setenv("SERVICE_TEST_PID_LOG", str(log))
+        monkeypatch.setattr("repro.service.server._compute_job",
+                            _recording_job)
+
+        async def scenario():
+            async with SweepServer(workers=2, disk_cache=False) as server:
+                async with connect(server) as client:
+                    # a one-cell batch is a worker's job too
+                    first = await client.sweep([MATRIX[0]])
+                    pool = server.supervisor.pool
+                    workers = set(pool._processes)
+                    second = await client.sweep(list(MATRIX[1:3]))
+                    assert server.supervisor.pool is pool
+                    assert set(pool._processes) == workers
+                    return first + second, workers
+        events, workers = run(scenario())
+        pids = [int(line) for line in log.read_text().split()]
+        assert len(pids) == 3 and set(pids) <= workers
+        assert len(workers) == 2 and os.getpid() not in workers
+        for cell, event in zip(MATRIX, events):
+            assert canonical_json(event["payload"]) == reference[cell]
+
+    def test_killed_worker_mid_batch_rebuilds_the_pool(
+            self, reference, tmp_path, monkeypatch):
+        log = tmp_path / "pids"
+        state = tmp_path / "attempts"
+        monkeypatch.setenv("SERVICE_TEST_PID_LOG", str(log))
+        monkeypatch.setenv("SERVICE_TEST_STATE", str(state))
+        monkeypatch.setattr("repro.service.server._compute_job",
+                            _kill_once_job)
+        for cell in MATRIX[2:]:
+            claim_attempt(state, repr(cell))  # only batch one's cells die
+
+        async def scenario():
+            async with SweepServer(workers=2, disk_cache=False) as server:
+                async with connect(server) as client:
+                    first = await client.sweep(list(MATRIX[:2]))
+                    assert server.metrics.counter(
+                        "service.pool_rebuilds") >= 1
+                    rebuilt = server.supervisor.pool
+                    workers = set(rebuilt._processes)
+                    second = await client.sweep(list(MATRIX[2:]))
+                    assert server.supervisor.pool is rebuilt
+                    return first + second, workers
+        events, workers = run(scenario())
+        assert set(int(line) for line in log.read_text().split()) <= workers
+        for cell, event in zip(MATRIX, events):
+            assert canonical_json(event["payload"]) == reference[cell]
+            assert event["source"] == "cold"
 
 
 # -- trace streaming + service observability -----------------------------------

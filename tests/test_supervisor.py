@@ -4,7 +4,7 @@ Covers each rung in isolation — clean pass-through, transient-exception
 retry, quarantine after the budget, hung-cell timeout + pool rebuild,
 worker-kill (``BrokenProcessPool``) recovery, degradation to serial —
 plus the crash-consistent journal (torn tails, corrupt records, resume)
-and the supervised entry points in :mod:`repro.harness.parallel`.
+and the long-lived form's pool reuse.
 
 Cell functions live at module level (the pool path pickles them) and
 coordinate cross-process attempt counts through
@@ -19,10 +19,14 @@ import pickle
 
 import pytest
 
-from repro.harness import run_indexed, run_supervised
+from repro.harness import run_supervised
 from repro.harness.hostchaos import claim_attempt
-from repro.harness.parallel import default_workers
-from repro.harness.supervisor import Journal, SupervisorConfig
+from repro.harness.supervisor import (
+    Journal,
+    Supervisor,
+    SupervisorConfig,
+    default_workers,
+)
 from repro.obs import Tracer
 
 
@@ -35,6 +39,10 @@ def _config(**overrides) -> SupervisorConfig:
 
 def _square(x):
     return x * x
+
+
+def _pid(_item):
+    return os.getpid()
 
 
 def _flaky(spec):
@@ -78,7 +86,7 @@ class TestCleanSweep:
     def test_serial_matches_run_indexed(self):
         items = list(range(8))
         outcome = run_supervised(items, _square, config=_config(workers=1))
-        assert outcome.results == run_indexed(items, _square, workers=1)
+        assert outcome.results == [_square(x) for x in items]
         assert outcome.ok and outcome.completed == 8
         assert outcome.retries == outcome.timeouts == 0
         assert outcome.pool_rebuilds == 0 and not outcome.degraded_serial
@@ -279,44 +287,30 @@ class TestDefaultWorkersHardening:
         assert outcome.ok and outcome.results == [1, 4, 9]
 
 
-class TestSupervisedHarnessEntryPoints:
-    """The supervised prewarm/chaos wrappers stay byte-identical to the
-    bare serial drivers (the determinism headline, on real cells)."""
+class TestLongLivedSupervisor:
+    """One pool across many sweeps: started once, reused, rebuilt only
+    when it breaks."""
 
-    def test_prewarm_figures_supervised_matches_serial(self):
-        from repro.harness import (
-            clear_cache, figure7, figure8, prewarm_figures_supervised,
-            render,
-        )
+    def test_consecutive_sweeps_share_the_worker_pool(self):
+        with Supervisor(_config(workers=2)) as supervisor:
+            # a one-cell sweep runs on the pool too
+            first = supervisor.run([0], _pid)
+            pool = supervisor.pool
+            second = supervisor.run(range(4), _pid)
+            assert supervisor.pool is pool
+            workers = set(pool._processes)
+        assert supervisor.pool is None  # closed on exit
+        assert set(first.results) | set(second.results) <= workers
+        assert len(workers) == 2 and os.getpid() not in workers
 
-        benches = ["fop"]
-        clear_cache()
-        serial = (render(figure7(benches)), render(figure8(benches)))
-        clear_cache()
-        outcome = prewarm_figures_supervised(
-            benches, config=_config(workers=2))
-        assert outcome.ok and outcome.quarantined == 0
-        supervised = (render(figure7(benches)), render(figure8(benches)))
-        clear_cache()
-        assert supervised == serial
-
-    def test_run_chaos_parallel_supervised_matches_serial(self):
-        from repro.harness import run_chaos, run_chaos_parallel
-        from repro.harness.parallel import COMPILER_CONFIGS
-        from repro.vm.compiler import ATOMIC_AGGRESSIVE
-        from repro.workloads import get_workload
-
-        seeds = (0, 1, 2)
-        serial = run_chaos(
-            get_workload("fop"), COMPILER_CONFIGS[ATOMIC_AGGRESSIVE.name],
-            seeds=seeds, max_samples=1,
-        )
-        supervised = run_chaos_parallel(
-            "fop", seeds=seeds, max_samples=1,
-            supervisor=_config(workers=2),
-        )
-        assert supervised.host_failures == []
-        assert supervised.describe() == serial.describe()
-        assert [c.stats.summary() for c in supervised.checks] == [
-            c.stats.summary() for c in serial.checks
-        ]
+    def test_rebuilt_pool_serves_the_next_sweep(self, tmp_path):
+        items = [(v, str(tmp_path)) for v in range(4)]
+        with Supervisor(_config(workers=2, max_attempts=8)) as supervisor:
+            first = supervisor.run(items, _kill_once)
+            rebuilt = supervisor.pool
+            # every cell has used its killing first attempt by now
+            second = supervisor.run(items, _kill_once)
+            assert supervisor.pool is rebuilt
+        assert first.ok and first.pool_rebuilds >= 1
+        assert second.ok and second.pool_rebuilds == 0
+        assert first.results == second.results == [v + 100 for v in range(4)]

@@ -2,10 +2,10 @@
 cache-eviction and fallback regressions.
 
 The fused tier's contract is *observational inertness*: for any installed
-code, any heap, and any hardware shape, running under ``dispatch="jit"``
-must be byte-identical — outcome, ``ExecStats.summary()``, heap
-fingerprint and, for timed runs, the timing model's full state — to the
-instrumented interpretive loop.  The battery here
+code, any heap, and any hardware shape, running on it (``dispatch="auto"``
+with no fault injector) must be byte-identical — outcome,
+``ExecStats.summary()``, heap fingerprint and, for timed runs, the timing
+model's full state — to the instrumented interpretive loop.  The battery here
 attacks that contract with randomly generated straight-line uop programs
 (:mod:`repro.testutil.uopgen`) whose operands deliberately wander off the
 fused templates' happy paths, so every bail edge re-lands in the handler
@@ -75,7 +75,7 @@ def _assert_tiers_agree(seed: int, timing: bool = False,
                         hw=BASELINE_4WIDE) -> None:
     case = uop_case(seed)
     base = run_uop_case(case, "interpretive", timing=timing, hw=hw)
-    for tier in ("predecoded", "jit"):
+    for tier in ("predecoded", "auto"):
         got = run_uop_case(case, tier, timing=timing, hw=hw)
         assert got == base, (
             f"seed {seed} ({hw.name}, timed={timing}): {tier} diverged\n"
@@ -113,11 +113,11 @@ class TestGenerativeEquivalence:
         battery compares cycle counts — not just ``ExecStats``."""
         cycles = set()
         for seed in range(10):
-            snapshot = run_uop_case(uop_case(seed), "jit", timing=True)[3]
+            snapshot = run_uop_case(uop_case(seed), "auto", timing=True)[3]
             assert snapshot is not None
             cycles.add(snapshot[0])
         assert len(cycles) > 1 and max(cycles) > 0
-        assert run_uop_case(uop_case(0), "jit")[3] is None
+        assert run_uop_case(uop_case(0), "auto")[3] is None
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_random_seeds(self, seed):
@@ -133,7 +133,7 @@ class TestGenerativeEquivalence:
         (or all-clean) programs would quietly hollow out the battery."""
         kinds = set()
         for seed in range(200):
-            outcome = run_uop_case(uop_case(seed), "jit")[0]
+            outcome = run_uop_case(uop_case(seed), "auto")[0]
             kinds.add(outcome[0] if outcome[0] == "value" else outcome[1])
         assert "value" in kinds
         assert any(k.startswith("Guest") or k in
@@ -237,7 +237,7 @@ class TestGoldenSource:
 class TestCacheEviction:
     def test_disable_region_evicts_fused_code(self):
         case = uop_case(COMMITTING_REGION_SEED)
-        outcome = run_uop_case(case, "jit")[0]
+        outcome = run_uop_case(case, "auto")[0]
         assert outcome == ("value", 1)
         jitted_before = case.compiled._jitted
         assert jitted_before is not None
@@ -250,7 +250,7 @@ class TestCacheEviction:
         # The rebuilt fused code takes the permanent fallback path —
         # and still agrees with the interpretive loop on the patched code.
         for timing in (False, True):
-            patched = run_uop_case(case, "jit", timing=timing)
+            patched = run_uop_case(case, "auto", timing=timing)
             assert patched[0] == ("value", DISABLED_SENTINEL)
             assert patched == run_uop_case(case, "interpretive",
                                            timing=timing)
@@ -259,7 +259,7 @@ class TestCacheEviction:
     def test_invalidate_predecode_drops_both_caches(self):
         case = uop_case(COMMITTING_REGION_SEED)
         run_uop_case(case, "predecoded")
-        run_uop_case(case, "jit")
+        run_uop_case(case, "auto")
         assert case.compiled._predecoded is not None
         assert case.compiled._jitted is not None
         case.compiled.invalidate_predecode()
@@ -273,7 +273,7 @@ class TestCacheEviction:
         case = uop_case(COMMITTING_REGION_SEED)
         compiled, program = case.compiled, case.program
         mach_a = Machine(program, Heap(), config=BASELINE_4WIDE,
-                         stats=ExecStats(), dispatch="jit")
+                         stats=ExecStats(), dispatch="auto")
         jm_a = get_jitted(compiled, mach_a)
         assert get_jitted(compiled, mach_a) is jm_a
         hw_b = BASELINE_4WIDE.scaled(name="evict-b",
@@ -281,7 +281,7 @@ class TestCacheEviction:
                                      spec_store_buffer_entries=2,
                                      fallback_lock_mode="begin")
         mach_b = Machine(program, Heap(), config=hw_b,
-                         stats=ExecStats(), dispatch="jit")
+                         stats=ExecStats(), dispatch="auto")
         jm_b = get_jitted(compiled, mach_b)
         assert jm_b is not jm_a
         assert jm_b.profile != jm_a.profile
@@ -291,7 +291,7 @@ class TestCacheEviction:
         compiled; the other stays unbuilt until first use."""
         case = uop_case(COMMITTING_REGION_SEED)
         mach = Machine(case.program, Heap(), config=BASELINE_4WIDE,
-                       stats=ExecStats(), dispatch="jit")
+                       stats=ExecStats(), dispatch="auto")
         jm = get_jitted(case.compiled, mach)
         assert jm._tables == [None, None]
         untimed = jm.table(False)
@@ -306,7 +306,7 @@ class TestCacheEviction:
         case = uop_case(COMMITTING_REGION_SEED)
         heap = Heap()
         mach = Machine(case.program, heap, config=BASELINE_4WIDE,
-                       stats=ExecStats(), dispatch="jit")
+                       stats=ExecStats(), dispatch="auto")
         mach.prepare(case.compiled)
         jm = case.compiled._jitted
         table = jm.table(False)
@@ -327,7 +327,7 @@ class TestCacheEviction:
         assert len(runs) == 3
         assert all(end - start <= MAX_RUN for start, end in runs)
         assert runs[0][0] == 0 and runs[-1][1] == len(compiled.instrs) - 1
-        assert _run_timed(compiled, "jit") == _run_timed(compiled,
+        assert _run_timed(compiled, "auto") == _run_timed(compiled,
                                                          "interpretive")
 
 
@@ -373,7 +373,7 @@ class TestTimedFusion:
         tier, which applies the event exactly like the slow path."""
         compiled = _long_block()  # pc 0 starts a fused run
         base = _run_timed(compiled, "interpretive", flag)
-        assert _run_timed(compiled, "jit", flag) == base
+        assert _run_timed(compiled, "auto", flag) == base
         snapshot = base[2]
         assert not snapshot[8] and not snapshot[9]  # both consumed
 
@@ -411,7 +411,7 @@ class TestTimedFusion:
         compiled.param_locations = (("r", 7),)
         assert any(instrs[end - 1].op is B for _, end in fused_runs(compiled))
         results = []
-        for dispatch in ("interpretive", "predecoded", "jit"):
+        for dispatch in ("interpretive", "predecoded", "auto"):
             heap = Heap()
             array = heap.new_array(8)
             timing = TimingModel(BASELINE_4WIDE)
@@ -450,21 +450,20 @@ class TestJitGating:
         return Machine(case.program, Heap(), config=BASELINE_4WIDE,
                        stats=ExecStats(), **kw)
 
-    def test_jit_mode_knob_gates_auto_dispatch(self):
-        on = self._machine(dispatch="auto")
-        assert on._jit_tier  # BASELINE_4WIDE has jit_mode="on"
-        off_hw = BASELINE_4WIDE.scaled(name="jit-off", jit_mode="off")
-        off = Machine(uop_case(0).program, Heap(), config=off_hw,
-                      stats=ExecStats(), dispatch="auto")
-        assert not off._jit_tier
-        forced = Machine(uop_case(0).program, Heap(), config=off_hw,
-                         stats=ExecStats(), dispatch="jit")
-        assert forced._jit_tier  # explicit dispatch overrides the knob
+    def test_auto_dispatch_takes_the_fused_tier(self):
+        assert self._machine(dispatch="auto")._jit_tier
+        assert not self._machine(dispatch="predecoded")._jit_tier
+        assert not self._machine(dispatch="interpretive")._jit_tier
+
+    @pytest.mark.parametrize("mode", ["jit", "fast"])
+    def test_retired_dispatch_spellings_are_rejected(self, mode):
+        with pytest.raises(VMError, match="unknown dispatch mode"):
+            self._machine(dispatch=mode)
 
     def test_fault_injector_disables_fused_tier(self):
-        """Per-uop fault probes must stay live: a machine carrying a
-        fault injector silently drops from jit to pre-decoded."""
-        mach = self._machine(dispatch="jit",
+        """Per-uop fault probes must stay live: an auto-dispatch machine
+        carrying a fault injector takes the pre-decoded tier."""
+        mach = self._machine(dispatch="auto",
                              fault_injector=FaultInjector(FaultPlan()))
         assert not mach._jit_tier
 
@@ -474,7 +473,7 @@ class TestJitGating:
         had a fast tier at all."""
         seed = COMMITTING_REGION_SEED
         results = []
-        for dispatch in ("jit", "interpretive"):
+        for dispatch in ("auto", "interpretive"):
             case = uop_case(seed)
             heap = Heap()
             stats = ExecStats()
@@ -489,7 +488,7 @@ class TestJitGating:
 
     def test_prepare_builds_active_tier_cache(self):
         case = uop_case(COMMITTING_REGION_SEED)
-        mach = self._machine(dispatch="jit", timing=None)
+        mach = self._machine(dispatch="auto", timing=None)
         mach.prepare(case.compiled)
         jm = case.compiled._jitted
         assert jm is not None
