@@ -60,6 +60,7 @@ import hashlib
 import os
 import pickle
 import struct
+import threading
 import time
 import warnings
 from collections import deque
@@ -253,6 +254,28 @@ class Journal:
 
 # -- the supervisor ------------------------------------------------------------
 
+#: how often a pool worker checks that the process that built its pool
+#: is still its parent.
+PARENT_POLL_S = 1.0
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: a worker exits once its parent is gone.
+
+    A SIGKILLed parent cannot tear its pool down, and its idle workers
+    would otherwise live on, re-parented, forever.  A daemon thread
+    polls the parent pid and ``os._exit``s the worker when it changes.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down even when a worker is hung: terminate first (the
     only way to unblock a hung worker), then shut down."""
@@ -296,7 +319,9 @@ class Supervisor:
     def open(self) -> ProcessPoolExecutor:
         """The live pool, built on first use."""
         if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+            self.pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_exit_with_parent,
+                initargs=(os.getpid(),))
         return self.pool
 
     def close(self) -> None:

@@ -19,6 +19,10 @@ Pipeline:
 ``aregion_begin`` carries the recovery target as an instruction index, so
 the hardware can redirect control on aborts without any compiler-generated
 compensation code.
+
+This module only produces code; executing a uop is the business of the
+reference loop in :mod:`repro.hw.machine` and of the templates in
+:mod:`repro.hw.templatejit` (handlers and fused runs).
 """
 
 from __future__ import annotations
@@ -28,16 +32,6 @@ from dataclasses import dataclass
 
 from ..ir.cfg import Block, Graph
 from ..ir.ops import Kind, Node
-from ..runtime.errors import (
-    BoundsError,
-    GuestArithmeticError,
-    GuestError,
-    MonitorStateError,
-    NullPointerError,
-    VMError,
-)
-from ..runtime.heap import GuestArray, GuestObject
-from ..runtime.interpreter import compare, guest_div, guest_mod, wrap_int
 from .isa import CompiledMethod, MInstr, MOp
 
 #: physical registers available to the allocator (rest are scratch).
@@ -765,1005 +759,3 @@ def _rewrite(instrs, assignment, spills, param_vregs):
 def generate_code(graph: Graph, uses_regions: bool = False) -> CompiledMethod:
     """Convenience wrapper."""
     return CodeGenerator(graph, uses_regions=uses_regions).generate()
-
-
-# ---------------------------------------------------------------------------
-# Pre-decoded dispatch
-# ---------------------------------------------------------------------------
-#
-# The machine's interpretive loop pays a long if/elif dispatch chain plus
-# per-step attribute traffic for every retired uop.  ``predecode`` converts
-# a :class:`CompiledMethod` once into a pc-indexed array of *bound handler
-# closures* — one per uop, with register numbers, immediates, branch
-# targets, field names, and the cache-line shift resolved at decode time —
-# grouped into basic-block spans (the BasicBlocker shape: decode once per
-# block, not once per dynamic step).  Each handler performs exactly the
-# work of one slow-path loop iteration (counters, the op itself,
-# timing/loads accounting, and the retirement-time hardware-condition
-# check) and returns the next pc, so the fast execution loop is nothing
-# but ``pc = handlers[pc](frame)``.
-#
-# The contract is strict observational equivalence: byte-identical
-# ``ExecStats``, identical timing-model inputs in identical order,
-# identical heap/address allocation order, and identical exception/abort
-# behavior versus the interpretive loop (enforced seed-by-seed in
-# ``tests/test_differential.py``).  Handlers therefore never consult the
-# tracer — the machine falls back to the interpretive loop whenever
-# tracing is enabled or a scheduler is attached — and read
-# ``disabled_regions`` dynamically so a forward-progress patch takes
-# effect mid-run exactly like the slow path; the cached form is dropped
-# via :meth:`CompiledMethod.disable_region` alongside the patch.
-
-
-class ExecFrame:
-    """Mutable per-activation state shared by the bound handlers."""
-
-    __slots__ = (
-        "machine", "compiled", "regs", "spill", "spill_base", "code_base",
-        "region", "tid", "stats", "timing", "ret",
-    )
-
-
-@dataclass
-class PredecodedMethod:
-    """The pre-decoded dispatch form of one :class:`CompiledMethod`."""
-
-    #: cache-line shift baked into the read/write-set line math.
-    line_shift: int
-    #: pc-indexed bound handler closures.
-    handlers: list
-    #: basic-block spans ``(start, end)`` over the handler array.
-    blocks: list
-
-    def block_handlers(self, index: int) -> list:
-        """The handler slice of one basic block (block-granular view)."""
-        start, end = self.blocks[index]
-        return self.handlers[start:end]
-
-
-def machine_compare(cond: str, a, b) -> bool:
-    """Machine branch-condition semantics (shared with the slow path).
-
-    ``uge`` is the unsigned bounds-check comparison (negative indexes wrap
-    to huge values); a missing second operand compares integers against
-    zero / references against null.
-    """
-    if cond == "uge":
-        ua = a & 0xFFFFFFFFFFFFFFFF
-        ub = b & 0xFFFFFFFFFFFFFFFF
-        return ua >= ub
-    if b is None and cond in ("eq", "ne", "gt", "lt", "ge", "le"):
-        if isinstance(a, int):
-            b = 0
-    return compare(cond, a, b)
-
-
-def get_predecoded(compiled: CompiledMethod, line_shift: int) -> PredecodedMethod:
-    """Return the cached pre-decoded form, rebuilding it when stale.
-
-    The cache lives on the code object (so a recompile naturally starts
-    from nothing) and is keyed by the line shift: the same code run under
-    a hardware config with a different L1 line size must re-resolve its
-    read/write-set line math.
-    """
-    pre = compiled._predecoded
-    if pre is None or pre.line_shift != line_shift:
-        pre = predecode(compiled, line_shift)
-    return pre
-
-
-def predecode(compiled: CompiledMethod, line_shift: int) -> PredecodedMethod:
-    """Pre-decode ``compiled`` into per-block arrays of handler closures."""
-    instrs = compiled.instrs
-    handlers = [
-        _make_handler(compiled, instrs[pc], pc, line_shift)
-        for pc in range(len(instrs))
-    ]
-    blocks, _ = _machine_blocks(instrs)
-    spans = [(start, end) for start, end, _succs in blocks]
-    pre = PredecodedMethod(line_shift=line_shift, handlers=handlers,
-                           blocks=spans)
-    compiled._predecoded = pre
-    return pre
-
-
-def _make_handler(compiled: CompiledMethod, instr: MInstr, pc: int,
-                  line_shift: int):
-    """Build the bound closure executing one uop of ``compiled``.
-
-    Every handler mirrors one iteration of the machine's interpretive
-    loop: retire counters first, then the op, then timing/load
-    accounting, then (inside a region) the retirement-time hardware
-    condition check.  Control-flow handlers replicate the slow path's
-    ``continue`` points exactly — a taken branch ticks and then checks
-    the hardware condition at its *target* pc, a jump ticks and skips the
-    check, and every abort path skips the tick of the aborting uop.
-    """
-    op = instr.op
-    nxt = pc + 1
-    mypc = pc
-    dst, a, b, c = instr.dst, instr.a, instr.b, instr.c
-    imm, target, cond = instr.imm, instr.target, instr.cond
-    shift = line_shift
-
-    # -- straight-line ALU ------------------------------------------------
-    if op in _FAST_ALU:
-        alu = _FAST_ALU[op]
-
-        def h_alu(fr, _alu=alu):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            regs = fr.regs
-            try:
-                regs[dst] = _alu(regs[a], regs[b])
-            except GuestError:
-                if region is None:
-                    raise
-                return mach._fast_exception(fr, mypc)
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, None)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_alu
-
-    if op is MOp.CONST or op is MOp.CONST_NULL or op is MOp.CONST_CLASS:
-        value = (imm if op is MOp.CONST
-                 else None if op is MOp.CONST_NULL else instr.cls)
-
-        def h_const(fr):
-            fr.machine.uops_executed += 1
-            fr.stats.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            fr.regs[dst] = value
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, None)
-            if region is not None:
-                reason = fr.machine._hw_condition(region)
-                if reason is not None:
-                    return fr.machine._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_const
-
-    if op is MOp.MOV:
-
-        def h_mov(fr):
-            fr.machine.uops_executed += 1
-            fr.stats.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            regs = fr.regs
-            regs[dst] = regs[a]
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, None)
-            if region is not None:
-                reason = fr.machine._hw_condition(region)
-                if reason is not None:
-                    return fr.machine._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_mov
-
-    # -- memory -----------------------------------------------------------
-    if op is MOp.CLASSOF:
-
-        def h_classof(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            ref = fr.regs[a]
-            if ref is None:
-                if region is None:
-                    raise NullPointerError("classof null")
-                return mach._fast_exception(fr, mypc)
-            fr.regs[dst] = (
-                ref.class_name if isinstance(ref, GuestObject) else "[array]"
-            )
-            mem = ref.base
-            if region is not None:
-                region.read_lines.add(mem >> shift)
-            st.loads += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, mem)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_classof
-
-    if op is MOp.LOADF or op is MOp.STOREF:
-        fieldname = instr.fieldname
-        is_load = op is MOp.LOADF
-
-        def h_field(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            regs = fr.regs
-            obj = regs[a]
-            if obj is None or not isinstance(obj, GuestObject):
-                if region is None:
-                    if obj is None:
-                        raise NullPointerError("null dereference")
-                    raise VMError(
-                        f"expected GuestObject, got {type(obj).__name__}"
-                    )
-                if obj is None:
-                    return mach._fast_exception(fr, mypc)
-                raise VMError(
-                    f"expected GuestObject, got {type(obj).__name__}"
-                )
-            slot = obj.field_index[fieldname]
-            mem = obj.base + 16 + slot * 8
-            if is_load:
-                if region is not None:
-                    region.read_lines.add(mem >> shift)
-                    buffered = region.store_buffer.get((id(obj), "f", slot))
-                    if buffered is not None:
-                        regs[dst] = buffered[2]
-                    else:
-                        regs[dst] = obj.slots[slot]
-                else:
-                    regs[dst] = obj.slots[slot]
-                st.loads += 1
-            else:
-                value = regs[b]
-                if region is None:
-                    obj.slots[slot] = value
-                else:
-                    region.store_buffer[(id(obj), "f", slot)] = (
-                        obj, slot, value)
-                    region.write_lines.add(mem >> shift)
-                st.stores += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, mem)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_field
-
-    if op is MOp.LOADA or op is MOp.STOREA:
-        is_load = op is MOp.LOADA
-
-        def h_array(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            regs = fr.regs
-            arr = regs[a]
-            if arr is None or not isinstance(arr, GuestArray):
-                if arr is None:
-                    if region is None:
-                        raise NullPointerError("null dereference")
-                    return mach._fast_exception(fr, mypc)
-                raise VMError(
-                    f"expected GuestArray, got {type(arr).__name__}"
-                )
-            index = regs[b]
-            if not 0 <= index < len(arr.values):
-                if region is None:
-                    raise BoundsError(index, len(arr.values))
-                return mach._fast_exception(fr, mypc)
-            mem = arr.element_address(index)
-            if is_load:
-                if region is not None:
-                    region.read_lines.add(mem >> shift)
-                    buffered = region.store_buffer.get((id(arr), "a", index))
-                    if buffered is not None:
-                        regs[dst] = buffered[2]
-                    else:
-                        regs[dst] = arr.values[index]
-                else:
-                    regs[dst] = arr.values[index]
-                st.loads += 1
-            else:
-                value = regs[c]
-                if region is None:
-                    arr.values[index] = value
-                else:
-                    region.store_buffer[(id(arr), "a", index)] = (
-                        arr, index, value)
-                    region.write_lines.add(mem >> shift)
-                st.stores += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, mem)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_array
-
-    if op is MOp.LOADLEN:
-
-        def h_loadlen(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            arr = fr.regs[a]
-            if arr is None or not isinstance(arr, GuestArray):
-                if arr is None:
-                    if region is None:
-                        raise NullPointerError("null dereference")
-                    return mach._fast_exception(fr, mypc)
-                raise VMError(
-                    f"expected GuestArray, got {type(arr).__name__}"
-                )
-            mem = arr.length_address()
-            if region is not None:
-                region.read_lines.add(mem >> shift)
-            fr.regs[dst] = arr.length
-            st.loads += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, mem)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_loadlen
-
-    if op is MOp.LOADLOCK:
-
-        def h_loadlock(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            obj = fr.regs[a]
-            if obj is None or not isinstance(obj, GuestObject):
-                if obj is None:
-                    if region is None:
-                        raise NullPointerError("null dereference")
-                    return mach._fast_exception(fr, mypc)
-                raise VMError(
-                    f"expected GuestObject, got {type(obj).__name__}"
-                )
-            mem = obj.lock_address()
-            if region is not None:
-                region.read_lines.add(mem >> shift)
-            fr.regs[dst] = 1 if obj.lock.held_by_other(fr.tid) else 0
-            st.monitor_ops += 1
-            st.loads += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, mem)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_loadlock
-
-    if op is MOp.STORELOCK:
-        enter = imm == 1
-
-        def h_storelock(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            obj = fr.regs[a]
-            if obj is None or not isinstance(obj, GuestObject):
-                if obj is None:
-                    if region is None:
-                        raise NullPointerError("null dereference")
-                    return mach._fast_exception(fr, mypc)
-                raise VMError(
-                    f"expected GuestObject, got {type(obj).__name__}"
-                )
-            lock = obj.lock
-            mem = obj.lock_address()
-            tid = fr.tid
-            try:
-                if region is not None:
-                    pre = (lock.owner, lock.depth, lock.reserver)
-                    region.write_lines.add(mem >> shift)
-                    if enter:
-                        outcome = lock.enter(tid)
-                        if outcome == "blocked":
-                            # A speculative region must not wait: genuine
-                            # contention aborts as a real conflict.
-                            region.real_conflict = True
-                            timing = fr.timing
-                            if timing is not None:
-                                timing.uop(instr, mem)
-                            pc2 = mach._do_abort(
-                                fr.compiled, region, "conflict",
-                                fr.code_base + mypc, None, fr.regs, fr.spill,
-                            )
-                            fr.region = None
-                            return pc2
-                    else:
-                        lock.exit(tid)
-                    region.lock_log.append(
-                        (lock, pre,
-                         (lock.owner, lock.depth, lock.reserver))
-                    )
-                elif enter:
-                    outcome = lock.enter(tid)
-                    if outcome == "blocked":
-                        # The fast path never runs with a scheduler
-                        # attached, so contention is a guest monitor error.
-                        raise MonitorStateError(
-                            f"monitor owned by thread {lock.owner} "
-                            f"contended by thread {tid} with no "
-                            "scheduler attached"
-                        )
-                else:
-                    lock.exit(tid)
-            except GuestError:
-                if fr.region is None:
-                    raise
-                return mach._fast_exception(fr, mypc)
-            st.stores += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, mem)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_storelock
-
-    if op in (MOp.FAA, MOp.CAS, MOp.LL, MOp.SC):
-        fieldname = instr.fieldname
-
-        def h_atomic(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            regs = fr.regs
-            obj = regs[a]
-            if obj is None or not isinstance(obj, GuestObject):
-                if obj is None:
-                    if region is None:
-                        raise NullPointerError("null dereference")
-                    return mach._fast_exception(fr, mypc)
-                raise VMError(
-                    f"expected GuestObject, got {type(obj).__name__}"
-                )
-            heap = mach.heap
-            slot = obj.field_index[fieldname]
-            mem = obj.base + 16 + slot * 8
-            if region is not None:
-                region.read_lines.add(mem >> shift)
-                buffered = region.store_buffer.get((id(obj), "f", slot))
-                current = (buffered[2] if buffered is not None
-                           else obj.slots[slot])
-            else:
-                current = obj.slots[slot]
-            store = False
-            new_value = None
-            if op is MOp.FAA:
-                new_value = wrap_int(current + regs[b])
-                store = True
-                regs[dst] = current
-                st.faa_ops += 1
-            elif op is MOp.CAS:
-                ok = compare("eq", current, regs[b])
-                regs[dst] = 1 if ok else 0
-                st.cas_ops += 1
-                if ok:
-                    store = True
-                    new_value = regs[c]
-                else:
-                    st.cas_failures += 1
-            elif op is MOp.LL:
-                regs[dst] = current
-                heap.set_reservation(fr.tid, mem)
-                st.ll_ops += 1
-            else:  # SC
-                ok = heap.check_reservation(fr.tid, mem)
-                heap.clear_reservation(fr.tid)
-                regs[dst] = 1 if ok else 0
-                st.sc_ops += 1
-                if ok:
-                    store = True
-                    new_value = regs[b]
-                else:
-                    st.sc_failures += 1
-            if store:
-                if region is not None:
-                    region.store_buffer[(id(obj), "f", slot)] = (
-                        obj, slot, new_value)
-                    region.write_lines.add(mem >> shift)
-                else:
-                    obj.slots[slot] = new_value
-                    if heap.reservations:
-                        heap.kill_reservations(fr.tid, mem, shift)
-                st.stores += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, mem)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_atomic
-
-    if op is MOp.LOADSPILL or op is MOp.STORESPILL:
-        is_load = op is MOp.LOADSPILL
-        offset = imm * 8
-
-        def h_spill(fr):
-            fr.machine.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            if is_load:
-                fr.regs[dst] = fr.spill[imm]
-                st.loads += 1
-            else:
-                fr.spill[imm] = fr.regs[a]
-                st.stores += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, fr.spill_base + offset)
-            if region is not None:
-                reason = fr.machine._hw_condition(region)
-                if reason is not None:
-                    return fr.machine._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_spill
-
-    if op is MOp.LOADG:
-
-        def h_loadg(fr):
-            fr.machine.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            fr.regs[dst] = 0  # yield flag never set in samples
-            if imm is not None:
-                st.loads += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, imm)
-            if region is not None:
-                reason = fr.machine._hw_condition(region)
-                if reason is not None:
-                    return fr.machine._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_loadg
-
-    # -- allocation --------------------------------------------------------
-    if op is MOp.NEWOBJ or op is MOp.NEWARR:
-        cls = instr.cls
-        is_obj = op is MOp.NEWOBJ
-
-        def h_new(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            fr.stats.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            try:
-                if is_obj:
-                    layout = mach.program.field_layout(cls)
-                    ref = mach.heap.new_object(cls, layout)
-                else:
-                    ref = mach.heap.new_array(fr.regs[a])
-            except GuestError:
-                if region is None:
-                    raise
-                return mach._fast_exception(fr, mypc)
-            fr.regs[dst] = ref
-            if region is not None:
-                region.allocs.append(ref)
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, None)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_new
-
-    # -- control -----------------------------------------------------------
-    if op is MOp.BR:
-
-        def h_br(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            regs = fr.regs
-            taken = machine_compare(
-                cond, regs[a], regs[b] if b is not None else None)
-            st.branches += 1
-            timing = fr.timing
-            if timing is not None:
-                if not timing.branch(fr.code_base + mypc, taken):
-                    st.mispredicts += 1
-            if taken:
-                if timing is not None:
-                    timing.uop(instr, None)
-                if region is not None:
-                    reason = mach._hw_condition(region)
-                    if reason is not None:
-                        return mach._fast_abort(fr, reason, target)
-                return target
-            if timing is not None:
-                timing.uop(instr, None)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_br
-
-    if op is MOp.JMP:
-
-        def h_jmp(fr):
-            fr.machine.uops_executed += 1
-            fr.stats.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, None)
-            # The slow path's jump `continue` skips the retirement check.
-            return target
-
-        return h_jmp
-
-    if op is MOp.BR_TRAP:
-
-        def h_brtrap(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            regs = fr.regs
-            failed = machine_compare(
-                cond, regs[a], regs[b] if b is not None else None)
-            st.branches += 1
-            timing = fr.timing
-            if timing is not None:
-                if not timing.branch(fr.code_base + mypc, failed):
-                    st.mispredicts += 1
-            if failed:
-                if region is None:
-                    raise _trap_error(instr)
-                # Hardware fault inside a region: abort without ticking
-                # the faulting uop, exactly like the slow path's handler.
-                return mach._fast_exception(fr, mypc)
-            if timing is not None:
-                timing.uop(instr, None)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_brtrap
-
-    if op is MOp.BR_ABORT:
-
-        def h_brabort(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-            regs = fr.regs
-            fired = machine_compare(
-                cond, regs[a], regs[b] if b is not None else None)
-            st.branches += 1
-            timing = fr.timing
-            if timing is not None:
-                if not timing.branch(fr.code_base + mypc, fired):
-                    st.mispredicts += 1
-            if fired:
-                if timing is not None:
-                    timing.uop(instr, None)
-                return target  # the abort stub; no retirement check
-            if timing is not None:
-                timing.uop(instr, None)
-            if region is not None:
-                reason = mach._hw_condition(region)
-                if reason is not None:
-                    return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_brabort
-
-    # -- atomic regions ----------------------------------------------------
-    if op is MOp.AREGION_BEGIN:
-        rid = imm
-
-        def h_begin(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            st = fr.stats
-            st.uops_retired += 1
-            if fr.region is not None:
-                raise VMError("nested aregion_begin")
-            if mach._pending_cc:
-                code = mach._pending_cc.pop(fr.tid, None)
-                if code is not None:
-                    # setjmp-style delivery: branch to the software path.
-                    mach.condition_code_register = code
-                    st.setjmp_deliveries += 1
-                    timing = fr.timing
-                    if timing is not None:
-                        timing.uop(instr, None)
-                    return target
-            mach.condition_code_register = 0
-            if mach._fallback_holds:
-                mach._release_fallback_lock(fr.tid)
-            if rid in fr.compiled.disabled_regions:
-                # Patched to permanent non-speculative fallback.
-                st.regions_suppressed += 1
-                timing = fr.timing
-                if timing is not None:
-                    timing.uop(instr, None)
-                return target
-            region = mach._begin_region(
-                fr.compiled, instr, fr.regs, fr.spill, mypc, fr.tid)
-            fr.region = region
-            timing = fr.timing
-            if timing is not None:
-                timing.region_begin()
-                timing.uop(instr, None)
-            reason = mach._hw_condition(region)
-            if reason is not None:
-                return mach._fast_abort(fr, reason, nxt)
-            return nxt
-
-        return h_begin
-
-    if op is MOp.AREGION_END:
-
-        def h_end(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            fr.stats.uops_retired += 1
-            region = fr.region
-            if region is None:
-                raise VMError("aregion_end outside a region")
-            region.uops += 1
-            region.record.uops += 1
-            if mach._real_conflict(region):
-                region.real_conflict = True
-                timing = fr.timing
-                if timing is not None:
-                    timing.uop(instr, None)
-                pc2 = mach._do_abort(
-                    fr.compiled, region, "conflict", fr.code_base + mypc,
-                    None, fr.regs, fr.spill,
-                )
-                fr.region = None
-                return pc2
-            if (mach._fallback_mode == "end"
-                    and mach.fallback_lock.held_by_other(fr.tid)):
-                # Sandboxed commit-instant validation of the fallback lock.
-                region.real_conflict = True
-                timing = fr.timing
-                if timing is not None:
-                    timing.uop(instr, None)
-                pc2 = mach._do_abort(
-                    fr.compiled, region, "conflict", fr.code_base + mypc,
-                    None, fr.regs, fr.spill,
-                )
-                fr.region = None
-                return pc2
-            mach._commit(region)
-            timing = fr.timing
-            if timing is not None:
-                timing.region_end()
-                timing.uop(instr, None)
-            fr.region = None
-            return nxt
-
-        return h_end
-
-    if op is MOp.AREGION_ABORT:
-        reason_const = instr.cls or "assert"
-        abort_id = instr.abort_id
-
-        def h_abort(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            fr.stats.uops_retired += 1
-            region = fr.region
-            if region is None:
-                raise VMError("aregion_abort outside a region")
-            region.uops += 1
-            region.record.uops += 1
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, None)
-            pc2 = mach._do_abort(
-                fr.compiled, region, reason_const, fr.code_base + mypc,
-                abort_id, fr.regs, fr.spill,
-            )
-            fr.region = None
-            return pc2
-
-        return h_abort
-
-    # -- calls and return --------------------------------------------------
-    if op is MOp.CALLVM or op is MOp.VCALLVM:
-        method_name = instr.method
-        call_args = instr.args
-        is_static = op is MOp.CALLVM
-
-        def h_call(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            fr.stats.uops_retired += 1
-            if fr.region is not None:
-                fr.region.uops += 1
-                fr.region.record.uops += 1
-                raise VMError("call inside an atomic region")
-            if mach.dispatcher is None:
-                raise VMError("machine has no call dispatcher")
-            regs = fr.regs
-            spill = fr.spill
-            values = [
-                regs[r] if r >= 0 else spill[-r - 1] for r in call_args
-            ]
-            if is_static:
-                callee = mach.program.resolve_static(method_name)
-            else:
-                receiver = values[0]
-                if receiver is None:
-                    raise NullPointerError("virtual call on null")
-                callee = mach.program.resolve_virtual(
-                    receiver.class_name, method_name
-                )
-            timing = fr.timing
-            if timing is not None:
-                timing.call_boundary()
-            regs[dst] = mach.dispatcher.invoke(callee, values)
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, None)
-            return nxt
-
-        return h_call
-
-    if op is MOp.RET:
-
-        def h_ret(fr):
-            mach = fr.machine
-            mach.uops_executed += 1
-            fr.stats.uops_retired += 1
-            region = fr.region
-            if region is not None:
-                region.uops += 1
-                region.record.uops += 1
-                raise VMError("return inside an atomic region")
-            if mach._fallback_holds:
-                mach._release_fallback_lock(fr.tid)
-            timing = fr.timing
-            if timing is not None:
-                timing.uop(instr, None)
-            fr.ret = fr.regs[a] if a is not None else None
-            return -1
-
-        return h_ret
-
-    raise VMError(f"cannot pre-decode machine op {op}")  # pragma: no cover
-
-
-#: ALU binary ops with their (exception-faithful) evaluation functions.
-_FAST_ALU = {
-    MOp.ADD: lambda x, y: wrap_int(x + y),
-    MOp.SUB: lambda x, y: wrap_int(x - y),
-    MOp.MUL: lambda x, y: wrap_int(x * y),
-    MOp.DIV: guest_div,
-    MOp.MOD: guest_mod,
-    MOp.AND: lambda x, y: wrap_int(x & y),
-    MOp.OR: lambda x, y: wrap_int(x | y),
-    MOp.XOR: lambda x, y: wrap_int(x ^ y),
-    MOp.SHL: lambda x, y: wrap_int(x << (y & 63)),
-    MOp.SHR: lambda x, y: wrap_int(x >> (y & 63)),
-}
-
-
-def _trap_error(instr: MInstr) -> GuestError:
-    """Materialize the guest error for a failed BR_TRAP safety check."""
-    kind = instr.fieldname or "trap"
-    if kind == "null":
-        return NullPointerError("null check failed")
-    if kind == "bounds":
-        return BoundsError(-1, -1)
-    if kind == "div0":
-        return GuestArithmeticError("division by zero")
-    return GuestError(kind)

@@ -35,6 +35,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..runtime.errors import (
+    BoundsError,
+    GuestArithmeticError,
+    GuestError,
+    NullPointerError,
+)
+from ..runtime.interpreter import compare
+
 
 class MOp(enum.Enum):
     # ALU (1-cycle latency; MUL/DIV longer).
@@ -212,14 +220,12 @@ class CompiledMethod:
     #: recompilation carries it over to the new code object (the VM copies
     #: the surviving region ids across), so a region that exhausted its
     #: abort budget never speculates again.  Patch through
-    #: :meth:`disable_region` so the pre-decoded dispatch cache is
-    #: invalidated alongside the patch.
+    #: :meth:`disable_region` so the dispatch cache is invalidated
+    #: alongside the patch.
     disabled_regions: set = field(default_factory=set)
-    #: cached pre-decoded dispatch form (:mod:`repro.hw.codegen`'s
-    #: ``predecode``); not part of value semantics.
-    _predecoded: object = field(default=None, repr=False, compare=False)
-    #: cached template-jit dispatch form (:mod:`repro.hw.templatejit`'s
-    #: ``jit_compile``); dropped together with ``_predecoded``.
+    #: cached dispatch form — handlers and fused runs
+    #: (:func:`repro.hw.templatejit.jit_compile`); not part of value
+    #: semantics.
     _jitted: object = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -229,8 +235,8 @@ class CompiledMethod:
         """Patch ``region_id`` to its permanent non-speculative fallback.
 
         Mutating :attr:`disabled_regions` changes what the installed code
-        *does* at the region's ``aregion_begin``, so any pre-decoded
-        dispatch form built from the old code is stale; this is the one
+        *does* at the region's ``aregion_begin``, so any dispatch form
+        built from the old code is stale; this is the one
         sanctioned patch point and it drops that cache atomically with
         the patch.
         """
@@ -238,8 +244,36 @@ class CompiledMethod:
         self.invalidate_predecode()
 
     def invalidate_predecode(self) -> None:
-        """Drop every cached installed-code form (pre-decoded arrays and
-        template-jit fused functions); both rebuild lazily from the
-        patched code on the next fast-path activation."""
-        self._predecoded = None
+        """Drop the cached dispatch form (handlers and fused functions);
+        it rebuilds lazily from the patched code on the next fast-path
+        activation."""
         self._jitted = None
+
+
+def machine_compare(cond: str, a, b) -> bool:
+    """Machine branch-condition semantics.
+
+    ``uge`` is the unsigned bounds-check comparison (negative indexes wrap
+    to huge values); a missing second operand compares integers against
+    zero / references against null.
+    """
+    if cond == "uge":
+        ua = a & 0xFFFFFFFFFFFFFFFF
+        ub = b & 0xFFFFFFFFFFFFFFFF
+        return ua >= ub
+    if b is None and cond in ("eq", "ne", "gt", "lt", "ge", "le"):
+        if isinstance(a, int):
+            b = 0
+    return compare(cond, a, b)
+
+
+def trap_error(instr: MInstr) -> GuestError:
+    """Materialize the guest error for a failed BR_TRAP safety check."""
+    kind = instr.fieldname or "trap"
+    if kind == "null":
+        return NullPointerError("null check failed")
+    if kind == "bounds":
+        return BoundsError(-1, -1)
+    if kind == "div0":
+        return GuestArithmeticError("division by zero")
+    return GuestError(kind)

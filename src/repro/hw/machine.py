@@ -32,7 +32,6 @@ from ..runtime.errors import (
 from ..runtime.heap import GuestArray, GuestObject, Heap, Value
 from ..runtime.interpreter import compare, guest_div, guest_mod, wrap_int
 from ..runtime.locks import FALLBACK_LOCK_ADDRESS, MAIN_THREAD, LockWord
-from .codegen import ExecFrame, _trap_error, get_predecoded, machine_compare
 from .templatejit import get_jitted, jit_profile
 from .config import BASELINE_4WIDE, HardwareConfig
 from .isa import (
@@ -42,6 +41,8 @@ from .isa import (
     CompiledMethod,
     MInstr,
     MOp,
+    machine_compare,
+    trap_error,
 )
 from .stats import ExecStats, RegionExecution
 
@@ -51,6 +52,38 @@ CODE_BASE = 0x40_0000
 SPILL_BASE = 0x2000_0000
 #: host dispatch tiers (:attr:`Machine.dispatch`).
 DISPATCH_MODES = ("auto", "predecoded", "interpretive")
+
+
+class ExecFrame:
+    """Mutable per-activation state, shared by the reference loop and
+    the handlers and fused runs of the fast tiers."""
+
+    __slots__ = (
+        "machine", "compiled", "regs", "spill", "spill_base", "code_base",
+        "region", "tid", "stats", "timing", "ret",
+    )
+
+
+class _Stepped(Exception):
+    """A single step of the reference loop retired its uop; the
+    argument is the next pc."""
+
+
+class _OneStep:
+    """The instruction array as a single step of the reference loop
+    sees it: the uop it was entered at, then a stop."""
+
+    __slots__ = ("instrs", "armed")
+
+    def __init__(self, instrs: list) -> None:
+        self.instrs = instrs
+        self.armed = True
+
+    def __getitem__(self, pc: int) -> MInstr:
+        if self.armed:
+            self.armed = False
+            return self.instrs[pc]
+        raise _Stepped(pc)
 
 
 @dataclass
@@ -129,13 +162,14 @@ class Machine:
             # machine's tracer, timestamped by its retired-uop counter.
             fault_injector.tracer = self.tracer
             fault_injector.clock = lambda: self.uops_executed
-        #: uop dispatch tier: "auto" (fused template-jit runs, or the
-        #: pre-decoded handlers when a fault injector is attached — its
-        #: per-uop probes must stay live), "predecoded" (per-uop handler
-        #: closures), or "interpretive" (always the slow loop).  Both fast
-        #: tiers are only taken with no tracer and no scheduler attached,
-        #: so traced and multi-threaded runs see the instrumented loop
-        #: unchanged.  Every tier is observationally identical.
+        #: uop dispatch tier: "auto" (fused template-jit runs over the
+        #: handler table, or the handlers alone when a fault injector is
+        #: attached — its per-uop probes must stay live), "predecoded"
+        #: (the handler at every pc), or "interpretive" (always the
+        #: reference loop).  Both fast tiers are only taken with no tracer
+        #: and no scheduler attached, so traced and multi-threaded runs
+        #: see the instrumented loop unchanged.  Every tier is
+        #: observationally identical.
         if dispatch not in DISPATCH_MODES:
             raise VMError(f"unknown dispatch mode {dispatch!r}; "
                           f"expected one of {DISPATCH_MODES}")
@@ -213,37 +247,59 @@ class Machine:
     def prepare(self, compiled: CompiledMethod) -> None:
         """Eagerly build the dispatch caches this machine's tier will use.
 
-        Pre-decoding and the template-jit dispatch table are one-time
-        costs that otherwise land on the first activation — which, under
-        the harness's measurement protocol, is *inside* the measured
-        window.  The VM calls this at method-install time.  Fused runs
-        themselves are host-compiled on their first execution (see
-        :mod:`repro.hw.templatejit`), so only code that actually runs pays
-        for ``compile()``.  Purely a warm-up: executing without it is
-        observationally identical.
+        The handler table and the template-jit dispatch table are
+        one-time costs that otherwise land on the first activation —
+        which, under the harness's measurement protocol, is *inside* the
+        measured window.  The VM calls this at method-install time.
+        Fused runs themselves are host-compiled on their first execution
+        (see :mod:`repro.hw.templatejit`), so only code that actually
+        runs pays for ``compile()``.  Purely a warm-up: executing without
+        it is observationally identical.
         """
         if self.dispatch == "interpretive":
             return
+        jm = get_jitted(compiled, self)
         if self._jit_tier:
-            jm = get_jitted(compiled, self)
             jm.table(self.timing is not None)
-        else:
-            get_predecoded(compiled, self._line_shift)
 
     def execute(self, compiled: CompiledMethod, args: list[Value]) -> Value:
+        """Run one activation of ``compiled``.
+
+        The fast tiers are one loop over a pc-indexed table: a handler at
+        every pc, or (``auto``) a fused-run function at each run start so
+        straight-line spans retire without re-entering the loop.  Either
+        way the loop resumes at whatever pc the callee (or the abort
+        machinery) hands back.  They are only reached with the null
+        tracer and no scheduler, so nothing instrumented is skipped;
+        everything else runs the reference loop (:meth:`_run`).
+        """
+        fr = self._frame(compiled, args)
+        if (self.dispatch != "interpretive"
+                and self.sched is None
+                and not self.tracer.enabled):
+            jm = get_jitted(compiled, self)
+            table = (jm.table(fr.timing is not None) if self._jit_tier
+                     else jm.handlers)
+            pc = 0
+            while pc >= 0:
+                pc = table[pc](fr)
+            return fr.ret
+        return self._run(fr, 0, compiled.instrs)
+
+    def _frame(self, compiled: CompiledMethod, args: list[Value]) -> ExecFrame:
+        """A fresh activation frame: registers and spill slots seeded
+        with ``args``, code and spill bases assigned."""
         if len(args) != compiled.num_params:
             raise VMError(
                 f"{compiled.name}: expected {compiled.num_params} args, "
                 f"got {len(args)}"
             )
-        if (self.dispatch != "interpretive"
-                and self.sched is None
-                and not self.tracer.enabled):
-            return self._execute_fast(compiled, args)
-        code_base = self._code_base(compiled)
-        spill_base = self._next_spill_base
+        fr = ExecFrame()
+        fr.machine = self
+        fr.compiled = compiled
+        fr.code_base = self._code_base(compiled)
+        fr.spill_base = self._next_spill_base
         self._next_spill_base += 0x10000
-
         regs: list[Value] = [0] * compiled.num_regs
         spill: list[Value] = [0] * max(compiled.num_spill_slots, 1)
         for value, loc in zip(args, compiled.param_locations):
@@ -252,19 +308,45 @@ class Machine:
                 regs[index] = value
             else:
                 spill[index] = value
-
-        instrs = compiled.instrs
-        pc = 0
-        region: _RegionState | None = None
-        stats = self.stats
-        timing = self.timing
+        fr.regs = regs
+        fr.spill = spill
+        fr.region = None
         sched = self.sched
         # This activation runs on exactly one guest thread's host thread, so
         # the tid is constant for the whole frame.
-        tid = (sched.current.tid
-               if sched is not None and sched.current is not None
-               else MAIN_THREAD)
+        fr.tid = (sched.current.tid
+                  if sched is not None and sched.current is not None
+                  else MAIN_THREAD)
+        fr.stats = self.stats
+        fr.timing = self.timing
+        fr.ret = None
+        return fr
 
+    def _step(self, fr: ExecFrame, pc: int) -> int:
+        """Retire the one uop at ``pc`` on the reference loop: the slow
+        path of every handler, entered before the handler has applied any
+        effect.  Returns the next pc (-1 after a return)."""
+        try:
+            fr.ret = self._run(fr, pc, _OneStep(fr.compiled.instrs))
+        except _Stepped as stop:
+            return stop.args[0]
+        return -1
+
+    def _run(self, fr: ExecFrame, pc: int, instrs) -> Value:
+        """The interpretive reference loop, from ``pc`` until a return
+        (or, over a :class:`_OneStep`, for one uop).  The in-flight
+        region lives in a local; every change to it is mirrored into
+        ``fr.region``, so a single step hands it back to the handlers."""
+        compiled = fr.compiled
+        regs = fr.regs
+        spill = fr.spill
+        code_base = fr.code_base
+        spill_base = fr.spill_base
+        region: _RegionState | None = fr.region
+        stats = fr.stats
+        timing = fr.timing
+        sched = self.sched
+        tid = fr.tid
         while True:
             if sched is not None:
                 sched.on_step()
@@ -377,7 +459,7 @@ class Machine:
                                     compiled, region, "conflict",
                                     code_base + pc, None, regs, spill,
                                 )
-                                region = None
+                                region = fr.region = None
                                 continue
                         else:
                             lock.exit(tid)
@@ -495,7 +577,7 @@ class Machine:
                                     compiled, region, reason,
                                     code_base + pc, None, regs, spill,
                                 )
-                                region = None
+                                region = fr.region = None
                         continue
                 elif op is MOp.JMP:
                     self._tick(instr, mem_address, timing)
@@ -512,7 +594,7 @@ class Machine:
                         if not timing.branch(code_base + pc, failed):
                             stats.mispredicts += 1
                     if failed:
-                        raise _trap_error(instr)
+                        raise trap_error(instr)
                 elif op is MOp.BR_ABORT:
                     fired = machine_compare(
                         instr.cond, regs[instr.a],
@@ -558,8 +640,8 @@ class Machine:
                         self._tick(instr, mem_address, timing)
                         pc = instr.target
                         continue
-                    region = self._begin_region(compiled, instr, regs, spill,
-                                                pc, tid)
+                    region = fr.region = self._begin_region(
+                        compiled, instr, regs, spill, pc, tid)
                     if timing is not None:
                         timing.region_begin()
                 elif op is MOp.AREGION_END:
@@ -575,7 +657,7 @@ class Machine:
                             compiled, region, "conflict", code_base + pc,
                             None, regs, spill,
                         )
-                        region = None
+                        region = fr.region = None
                         continue
                     if (self._fallback_mode == "end"
                             and self.fallback_lock.held_by_other(tid)):
@@ -589,12 +671,12 @@ class Machine:
                             compiled, region, "conflict", code_base + pc,
                             None, regs, spill,
                         )
-                        region = None
+                        region = fr.region = None
                         continue
                     self._commit(region)
                     if timing is not None:
                         timing.region_end()
-                    region = None
+                    region = fr.region = None
                 elif op is MOp.AREGION_ABORT:
                     if region is None:
                         raise VMError("aregion_abort outside a region")
@@ -604,7 +686,7 @@ class Machine:
                         compiled, region, reason, code_base + pc,
                         instr.abort_id, regs, spill,
                     )
-                    region = None
+                    region = fr.region = None
                     continue
                 elif op is MOp.CALLVM or op is MOp.VCALLVM:
                     if region is not None:
@@ -644,7 +726,7 @@ class Machine:
                     compiled, region, "exception", code_base + pc, None,
                     regs, spill,
                 )
-                region = None
+                region = fr.region = None
                 continue
 
             self._tick(instr, mem_address, timing)
@@ -656,59 +738,9 @@ class Machine:
                         compiled, region, reason, code_base + pc, None,
                         regs, spill,
                     )
-                    region = None
+                    region = fr.region = None
 
     # -- fast dispatch tiers ------------------------------------------------
-    def _execute_fast(self, compiled: CompiledMethod, args: list[Value]) -> Value:
-        """Run a fast dispatch form of ``compiled``: one loop over a
-        pc-indexed table of handlers.
-
-        The template-jit table holds a *fused-run function* at each
-        run-start pc and the per-uop handler everywhere else, so
-        straight-line spans retire without re-entering the loop; fused
-        code bails to the handler for anything it cannot replay exactly.
-        The pre-decoded table holds a handler at every pc.  Either way
-        the loop resumes at whatever pc the handler (or the abort
-        machinery) hands back.  Observationally identical to the
-        interpretive loop (enforced by the differential suite); only
-        reached with the null tracer and no scheduler, so nothing
-        instrumented is skipped.
-        """
-        if self._jit_tier:
-            table = get_jitted(compiled, self).table(self.timing is not None)
-        else:
-            table = get_predecoded(compiled, self._line_shift).handlers
-        code_base = self._code_base(compiled)
-        spill_base = self._next_spill_base
-        self._next_spill_base += 0x10000
-
-        regs: list[Value] = [0] * compiled.num_regs
-        spill: list[Value] = [0] * max(compiled.num_spill_slots, 1)
-        for value, loc in zip(args, compiled.param_locations):
-            kind, index = loc
-            if kind == "r":
-                regs[index] = value
-            else:
-                spill[index] = value
-
-        fr = ExecFrame()
-        fr.machine = self
-        fr.compiled = compiled
-        fr.regs = regs
-        fr.spill = spill
-        fr.spill_base = spill_base
-        fr.code_base = code_base
-        fr.region = None
-        fr.tid = MAIN_THREAD
-        fr.stats = self.stats
-        fr.timing = self.timing
-        fr.ret = None
-
-        pc = 0
-        while pc >= 0:
-            pc = table[pc](fr)
-        return fr.ret
-
     def _fast_abort(self, fr: ExecFrame, reason: str, next_pc: int) -> int:
         """Retirement-check abort from a handler; returns the resume pc."""
         pc = self._do_abort(

@@ -1,52 +1,71 @@
-"""Template JIT: fused straight-line uop runs compiled to Python source.
+"""Template JIT: the one fast-path definition of every uop.
 
-PR 4's pre-decoded handler arrays (:mod:`repro.hw.codegen`) pay one
-Python call, two counter stores, and a retirement-check call per retired
-uop.  This module is the third dispatch tier: it walks a compiled
-method's decoded uops, partitions every basic block into runs of
-*fusable* uops (at most :data:`MAX_RUN` long), and emits real Python
-source for each run — one function per run, registers resolved to list
-indexes, immediates/field names/branch targets baked in as constants,
-and the per-uop bookkeeping collapsed into batched counter flushes at
-the run's exit points (superinstruction fusion).  Each run is
-``compile()``d on its *first execution*: the dispatch table starts out
-holding a stub per run that compiles the run, patches itself out of the
-table, and runs it.  The table is cached on the
-:class:`~repro.hw.isa.CompiledMethod` alongside the pre-decode arrays,
-under the same ``disable_region``/recompile invalidation.
+Each uop's semantics are written once, as a template in :class:`_Body`,
+and instantiated in two modes.  Apart from the interpretive reference
+loop in :mod:`repro.hw.machine`, nothing else in the repo implements a
+uop.
 
-The contract is the same strict observational equivalence the
-pre-decoded tier obeys: byte-identical :class:`ExecStats`, identical
-timing-model state (cycle counts, scoreboard, predictor, caches),
-identical heap/address allocation order, and identical
-exception/abort behaviour versus the interpretive loop (enforced by
+**Handler mode: one uop per call.**  The pre-decoded handler at each pc
+comes from a *factory* per template shape — the op plus the static facts
+its template branches on (a branch's condition and whether it compares
+against zero, ``LOADG``'s missing address, a lock store's direction).  A
+shape's factory (``def _mk(instr, mypc, shift): ...; return h``) is
+emitted and ``compile()``d the first time any method needs it, then
+cached for the process; building the handler at a pc is a key, a lookup
+and a factory call that binds the uop's operands as closure names.  A
+handler applies the uop, calls the timing model (``T.branch``/``T.uop``)
+when one is attached, counts the uop once, and then — inside a region —
+runs the full retirement probe ``Machine._hw_condition`` at exactly the
+reference loop's points (none after ``JMP`` or a fired ``BR_ABORT``; a
+taken ``BR`` probes at its target), so fault-injected runs, whose
+offsets and interrupts read those counters, stay exact.  The uops fused
+code never contains (lock-word stores, atomic RMW, calls, return, region
+begin/end/abort) have handler-mode templates only.
+
+**Fused mode: straight-line runs.**  :func:`fused_runs` partitions every
+basic block into runs of *fusable* uops (at most :data:`MAX_RUN` long),
+and each run becomes one function: registers resolved to list indexes,
+immediates/field names/branch targets baked in as constants, and the
+per-uop bookkeeping collapsed into batched counter flushes at the run's
+exit points (superinstruction fusion).  Each run is ``compile()``d on its
+*first execution*: the dispatch table starts out holding a stub per run
+that compiles the run, patches itself out of the table, and runs it.
+Handlers and fused tables live together on one :class:`JittedMethod`,
+cached on the :class:`~repro.hw.isa.CompiledMethod` and dropped by
+``disable_region``/recompile.
+
+The contract is strict observational equivalence with the reference:
+byte-identical :class:`ExecStats`, identical timing-model state (cycle
+counts, scoreboard, predictor, caches), identical heap/address
+allocation order, and identical exception/abort behaviour (enforced by
 ``tests/test_differential.py`` and the generative battery in
-``tests/test_templatejit.py``).  Three mechanisms make that hold:
+``tests/test_templatejit.py``).  Four mechanisms make that hold:
 
-**Side exits re-land on the per-uop tier.**  Any situation the emitted
-fast path cannot (or should not) handle inline — a non-integer ALU
-operand, a missing field, an out-of-bounds or non-integer array index, a
-reference comparison under an ordered condition, a negative array length
-— *bails*: it flushes the batched counters for the uops already
-completed and tail-calls the pre-decoded handler of the *current* uop,
-which replays it from scratch with exactly the slow path's semantics
-(counters, traps, aborts, errors).  A bail always happens before the
-current uop has any observable effect, so the replay is exact.
+**Slow paths are the reference.**  Any case a template does not handle
+inline — a non-integer ALU operand, a zero divisor, a null or junk base,
+a missing field, an out-of-bounds or non-integer index, a reference
+under an ordered condition, a negative array length, a contended or
+foreign lock word — *bails* before the uop has any observable effect.
+Fused code flushes the counters of the uops already completed and
+tail-calls the current uop's handler; a handler returns
+``Machine._step``, which retires that one uop on the reference loop (the
+deoptimization-to-reference discipline).  So every slow path — counters,
+traps, aborts, errors — is exact by construction.
 
-**Retirement checks only where they can fire.**  The interpretive loop
-probes ``Machine._hw_condition`` after every retired uop; under the
-JIT's admission profile (no scheduler, no tracer, no fault injector)
-that probe's verdict can only change when a uop grows the region's
-read/write line sets or store buffer.  Fused code therefore emits the
+**Retirement checks only where they can fire.**  Under the JIT's
+admission profile (no scheduler, no tracer, no fault injector) the
+probe's verdict can only change when a uop grows the region's read/write
+line sets or store buffer.  Fused code therefore emits the
 (profile-specialised) check only after the memory-tracking uops —
-CLASSOF/LOADF/STOREF/LOADA/STOREA/LOADLEN — in the region body, and the
-checks it emits mirror ``_hw_condition``'s order and detail-register
-writes exactly.  Lock-word *stores*, atomic-RMW, call, return, and
-region begin/end/abort uops are never fused; they stay on their
-pre-decoded handlers, splitting runs.  ``LOADLOCK`` — the SLE'd
-monitor-enter's single probing load — *is* fused: it is a pure read
-(read-set add + lock-owner probe) and sits on the hottest
-elided-monitor paths.
+CLASSOF/LOADF/STOREF/LOADA/STOREA/LOADLEN/LOADLOCK — in the region body,
+and the checks it emits mirror ``_hw_condition``'s order and
+detail-register writes exactly.
+
+**Unfusable uops split runs.**  Lock-word stores, atomic RMW, calls,
+return and region begin/end/abort never enter fused code; they retire on
+their handlers between runs.  ``LOADLOCK`` — the SLE'd monitor-enter's
+single probing load — *is* fused: it is a pure read (read-set add +
+lock-owner probe) and sits on the hottest elided-monitor paths.
 
 **The timing model is folded in.**  Every fused run has two variants.
 The untimed one touches no timing state.  The timed one inlines the
@@ -63,27 +82,22 @@ LRU reorder needed) is resolved inline; every other access calls the
 cache model.  The locals are written back to the model before *every*
 exit — fall-through, branch returns, bails, ``_fast_abort``,
 ``_fast_exception`` and ``raise`` — so whatever runs next (a handler, the
-abort machinery, the next run) sees exactly the per-uop model's state
-(the deoptimization discipline).  A trap path, which never ticks, leaves
-a mispredict pending for the next uop like the slow path; and a run
-entered while the model carries a pending mispredict or commit record
-bails to its first uop's handler, so fused code never has to apply them.
+abort machinery, the next run) sees exactly the per-uop model's state.
+A trap path, which never ticks, leaves a mispredict pending for the next
+uop like the slow path; and a run entered while the model carries a
+pending mispredict or commit record bails to its first uop's handler, so
+fused code never has to apply them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from ..runtime.errors import GuestError
 from ..runtime.heap import GuestArray, GuestObject
-from ..runtime.interpreter import guest_div, guest_mod, wrap_int
-from .codegen import (
-    _machine_blocks,
-    _trap_error,
-    get_predecoded,
-    machine_compare,
-)
-from .isa import CompiledMethod, MOp
+from ..runtime.interpreter import compare, guest_div, guest_mod, wrap_int
+from .codegen import _machine_blocks
+from .isa import CompiledMethod, MOp, trap_error
 from .timing import LOAD, RMW, STORE, uop_timing
 
 __all__ = [
@@ -93,14 +107,15 @@ __all__ = [
     "JittedMethod",
     "fused_runs",
     "get_jitted",
+    "handler_source",
     "jit_compile",
     "jit_profile",
     "jit_source",
 ]
 
 #: uops the emitter knows how to fuse.  Everything else (atomics,
-#: lock-word ops, calls, return, region begin/end/abort) stays on its
-#: pre-decoded handler and splits the surrounding run.
+#: lock-word stores, calls, return, region begin/end/abort) runs only on
+#: its handler and splits the surrounding run.
 FUSABLE_MOPS = frozenset({
     MOp.CONST, MOp.CONST_NULL, MOp.CONST_CLASS, MOp.MOV,
     MOp.ADD, MOp.SUB, MOp.MUL, MOp.DIV, MOp.MOD,
@@ -129,6 +144,7 @@ _MEM_TRACK = frozenset({
 
 _BRANCHY = frozenset({MOp.BR, MOp.BR_TRAP, MOp.BR_ABORT})
 _SPILLY = frozenset({MOp.LOADSPILL, MOp.STORESPILL})
+_ATOMICS = frozenset({MOp.FAA, MOp.CAS, MOp.LL, MOp.SC})
 
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
@@ -187,25 +203,28 @@ def jit_profile(machine) -> JitProfile:
 
 @dataclass
 class JittedMethod:
-    """The template-JIT dispatch form of one :class:`CompiledMethod`.
+    """The dispatch form of one :class:`CompiledMethod`: its handler
+    table and the two fused-run tables built over it.
 
-    :meth:`table` returns a pc-indexed list of callables: the fused run
-    function (or, until its first execution, the stub that compiles it)
-    at each run-start pc, the pre-decoded per-uop handler everywhere
-    else.  The machine's jit loop is identical in shape to the
-    pre-decoded loop — ``pc = table[pc](fr)`` — so entering and leaving
-    fused code costs nothing beyond the table load.
+    :attr:`handlers` holds the handler-mode instantiation of each uop's
+    template at its pc.  :meth:`table` returns a pc-indexed list of
+    callables: the fused run function (or, until its first execution,
+    the stub that compiles it) at each run-start pc, the handler
+    everywhere else.  The machine's loop is the same over either —
+    ``pc = table[pc](fr)`` — so entering and leaving fused code costs
+    nothing beyond the table load.
     """
 
-    #: machine constants the source was specialised for.
+    #: machine constants the fused source was specialised for.
     profile: JitProfile
     #: fused spans ``(start, end)`` over the instruction array.
     runs: list = field(default_factory=list)
+    #: pc-indexed handlers (the ``predecoded`` tier, and the fused runs'
+    #: bail target).
+    handlers: list = field(default_factory=list, repr=False, compare=False)
     #: the code object the runs were cut from.
     _compiled: CompiledMethod | None = field(
         default=None, repr=False, compare=False)
-    #: the pre-decoded handler array the tables fall back to.
-    _handlers: list = field(default_factory=list, repr=False, compare=False)
     #: lazily-built dispatch tables, indexed ``[timed]``.
     _tables: list = field(default_factory=lambda: [None, None],
                           repr=False, compare=False)
@@ -252,32 +271,54 @@ def fused_runs(compiled: CompiledMethod) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 class _Body:
-    """Emits one body (plain or region) of one fused-run variant.
+    """Emits one body (plain or region) of one fused run or one handler.
 
-    Tracks the statically-known counter increments of the uops completed
-    so far; every exit point flushes them in one batch, so the per-uop
-    ``uops_retired``/``loads``/``stores``/``branches`` stores of the
-    handler tier collapse into a handful of ``+= K`` statements.  The
-    timed variant also tracks which timing-model state the uops emitted
-    so far have changed, so each exit writes back exactly that state.
+    Fused mode tracks the statically-known counter increments of the uops
+    completed so far; every exit point flushes them in one batch, so the
+    per-uop ``uops_retired``/``loads``/``stores``/``branches`` stores
+    collapse into a handful of ``+= K`` statements.  The timed variant
+    also tracks which timing-model state the uops emitted so far have
+    changed, so each exit writes back exactly that state.
+
+    Handler mode (``handler=True``) emits the same templates for a single
+    uop whose operands are closure names bound by the handler's factory
+    (``dst``, ``a``, ``target``, ``mypc``, ``nxt``, ``instr`` ...): its
+    counters are flushed once, before the full retirement probe
+    ``mach._hw_condition(region)``; timing is the dynamic
+    ``T.branch``/``T.uop`` calls; and a bail steps the reference loop.
     """
 
-    def __init__(self, regioned: bool, timed: bool, profile: JitProfile,
-                 base_depth: int) -> None:
+    def __init__(self, regioned: bool, timed: bool,
+                 profile: JitProfile | None, base_depth: int,
+                 handler: bool = False) -> None:
         self.regioned = regioned
         self.timed = timed
         self.profile = profile
         self.base = base_depth
+        self.handler = handler
         self.lines: list[str] = []
         # completed-uop counter batch: uops, loads, stores, branches,
         # monitor ops
         self.u = self.l = self.s = self.b = self.m = 0
         # timed: scoreboard ticked / predictor trained / L1 hit inline
         self.ticked = self.predicted = self.cached = False
+        #: the last template emitted ends in an unconditional return (a
+        #: jump or branch ends its run; some handlers return themselves).
+        self.closed = False
 
     # -- plumbing ---------------------------------------------------------
     def w(self, text: str, depth: int = 0) -> None:
         self.lines.append("    " * (self.base + depth) + text)
+
+    def probe(self, resume: str, depth: int, opened: bool = False) -> None:
+        """Handler mode, in a region (or one the uop ``opened``): the
+        full retirement-time probe, after the uop's counters are flushed
+        (fault offsets and interrupts read them); an abort resumes at
+        ``resume``."""
+        if self.handler and (self.regioned or opened):
+            self.w("reason = mach._hw_condition(region)", depth)
+            self.w("if reason is not None:", depth)
+            self.w(f"return mach._fast_abort(fr, reason, {resume})", depth + 1)
 
     def _flush_stmts(self, u: int, l: int, s: int, b: int,
                      m: int) -> list[str]:
@@ -318,14 +359,18 @@ class _Body:
                                       self.m + inc[4]):
             self.w(stmt, depth)
 
-    def bail(self, i: int, depth: int) -> None:
-        """Deoptimise: replay uop ``i`` on its pre-decoded handler.
+    def bail(self, i: int | None, depth: int) -> None:
+        """Deoptimise: replay uop ``i`` on its handler (fused mode), or
+        step the reference loop for this one uop (handler mode).
 
         Must be emitted before the current uop has any observable
         effect; the flush covers only the uops already completed.
         """
         self.flush(depth)
-        self.w(f"return H[{i}](fr)", depth)
+        if self.handler:
+            self.w("return mach._step(fr, mypc)", depth)
+        else:
+            self.w(f"return H[{i}](fr)", depth)
 
     def addr(self, expr: str, reused: bool = False) -> str:
         """The current uop's simulated address as an expression: the
@@ -350,10 +395,16 @@ class _Body:
         self.w(miss, 1)
         self.cached = True
 
-    def tick(self, instr, mem: str, mispredict: bool = False) -> None:
+    def tick(self, instr, mem: str, mispredict: bool = False,
+             depth: int = 0) -> None:
         """The timing model's ``uop(instr, mem)``, inlined with
         ``instr``'s static facts baked in (``mispredict``: apply the
-        bubble of this branch's prediction ``mp``)."""
+        bubble of this branch's prediction ``mp``); a handler calls the
+        model."""
+        if self.handler:
+            self.w("if T is not None:", depth)
+            self.w(f"T.uop(instr, {mem})", depth + 1)
+            return
         if not self.timed:
             return
         p = self.profile
@@ -412,7 +463,13 @@ class _Body:
     def predict(self, i: int) -> None:
         """The combining predictor's ``predict_and_update`` for the
         branch at uop ``i`` with outcome ``t``, inlined; leaves
-        ``mp`` (mispredicted) set and counts a mispredict."""
+        ``mp`` (mispredicted) set and counts a mispredict.  A handler
+        calls the model's predictor."""
+        if self.handler:
+            self.w("if T is not None and "
+                   "not T.branch(fr.code_base + mypc, t):")
+            self.w("st.mispredicts += 1", 1)
+            return
         p = self.profile
         gm, bm = p.gshare_mask, p.bimodal_mask
         w = self.w
@@ -452,8 +509,9 @@ class _Body:
     def hw_check(self, i: int, inc) -> None:
         """The retirement-time hardware condition, specialised and
         emitted only after set-growing uops (mirrors
-        ``Machine._hw_condition``'s order and detail writes)."""
-        if not self.regioned:
+        ``Machine._hw_condition``'s order and detail writes).  A
+        handler probes in full at its exit instead (:meth:`probe`)."""
+        if not self.regioned or self.handler:
             return
         p = self.profile
         nxt = i + 1
@@ -540,58 +598,77 @@ class _Body:
         self.bail(i, 1)
 
     # -- per-uop templates ------------------------------------------------
-    def emit_uop(self, i: int, instr) -> None:
+    def emit_uop(self, i: int | None, instr) -> None:
         op = instr.op
         regioned = self.regioned
-        shift = self.profile.line_shift
+        handler = self.handler
         inc = (1, 0, 0, 0, 0)
+        # Operands: literals baked into fused code, closure names in a
+        # handler (bound per pc by its factory).
+        if handler:
+            shift = "shift"
+            dst, a, b, c, target = "dst", "a", "b", "c", "target"
+            imm, fieldname, cls = "imm", "fieldname", "cls"
+            here, after, me = "mypc", "nxt", "instr"
+            spilled = "fr.spill_base + imm * 8"
+        else:
+            shift = self.profile.line_shift
+            dst, a, b, c, target = (instr.dst, instr.a, instr.b, instr.c,
+                                    instr.target)
+            imm, fieldname, cls = (repr(instr.imm), repr(instr.fieldname),
+                                   repr(instr.cls))
+            here, after, me = i, i + 1, f"I[{i}]"
+            if op in _SPILLY:
+                spilled = f"sbase + {instr.imm * 8}"
+        if instr.b is None:
+            b = None
 
         if op is MOp.CONST or op is MOp.CONST_NULL or op is MOp.CONST_CLASS:
-            value = (instr.imm if op is MOp.CONST
-                     else None if op is MOp.CONST_NULL else instr.cls)
-            self.w(f"regs[{instr.dst}] = {value!r}")
+            value = (imm if op is MOp.CONST
+                     else "None" if op is MOp.CONST_NULL else cls)
+            self.w(f"regs[{dst}] = {value}")
             self.tick(instr, "None")
 
         elif op is MOp.MOV:
-            self.w(f"regs[{instr.dst}] = regs[{instr.a}]")
+            self.w(f"regs[{dst}] = regs[{a}]")
             self.tick(instr, "None")
 
         elif op in (MOp.ADD, MOp.SUB, MOp.MUL, MOp.AND, MOp.OR, MOp.XOR,
                     MOp.SHL, MOp.SHR, MOp.DIV, MOp.MOD):
-            self.w(f"x = regs[{instr.a}]")
-            self.w(f"y = regs[{instr.b}]")
+            self.w(f"x = regs[{a}]")
+            self.w(f"y = regs[{b}]")
             zero = " or y == 0" if op in (MOp.DIV, MOp.MOD) else ""
             self.w(f"if type(x) is not int or type(y) is not int{zero}:")
             self.bail(i, 1)
             if op is MOp.ADD:
-                self._wrap_store(instr.dst, "x + y")
+                self._wrap_store(dst, "x + y")
             elif op is MOp.SUB:
-                self._wrap_store(instr.dst, "x - y")
+                self._wrap_store(dst, "x - y")
             elif op is MOp.MUL:
-                self._wrap_store(instr.dst, "x * y")
+                self._wrap_store(dst, "x * y")
             elif op is MOp.AND:
                 # Bitwise ops on in-range operands stay in range.
-                self.w(f"regs[{instr.dst}] = x & y")
+                self.w(f"regs[{dst}] = x & y")
             elif op is MOp.OR:
-                self.w(f"regs[{instr.dst}] = x | y")
+                self.w(f"regs[{dst}] = x | y")
             elif op is MOp.XOR:
-                self.w(f"regs[{instr.dst}] = x ^ y")
+                self.w(f"regs[{dst}] = x ^ y")
             elif op is MOp.SHL:
-                self._wrap_store(instr.dst, "x << (y & 63)")
+                self._wrap_store(dst, "x << (y & 63)")
             elif op is MOp.SHR:
-                self.w(f"regs[{instr.dst}] = x >> (y & 63)")
+                self.w(f"regs[{dst}] = x >> (y & 63)")
             elif op is MOp.DIV:
-                self.w(f"regs[{instr.dst}] = _gdiv(x, y)")
+                self.w(f"regs[{dst}] = _gdiv(x, y)")
             else:
-                self.w(f"regs[{instr.dst}] = _gmod(x, y)")
+                self.w(f"regs[{dst}] = _gmod(x, y)")
             self.tick(instr, "None")
 
         elif op is MOp.CLASSOF:
-            self.w(f"o = regs[{instr.a}]")
+            self.w(f"o = regs[{a}]")
             self.w("if isinstance(o, GuestObject):")
-            self.w(f"regs[{instr.dst}] = o.class_name", 1)
+            self.w(f"regs[{dst}] = o.class_name", 1)
             self.w("elif isinstance(o, GuestArray):")
-            self.w(f"regs[{instr.dst}] = '[array]'", 1)
+            self.w(f"regs[{dst}] = '[array]'", 1)
             self.w("else:")
             self.bail(i, 1)
             inc = (1, 1, 0, 0, 0)
@@ -602,8 +679,8 @@ class _Body:
             self.hw_check(i, inc)
 
         elif op is MOp.LOADF or op is MOp.STOREF:
-            self._mem_ref(i, instr.a, "GuestObject")
-            self.w(f"n = o.field_index.get({instr.fieldname!r})")
+            self._mem_ref(i, a, "GuestObject")
+            self.w(f"n = o.field_index.get({fieldname})")
             self.w("if n is None:")
             self.bail(i, 1)
             mem = self.addr("o.base + 16 + n * 8", regioned)
@@ -612,23 +689,23 @@ class _Body:
                 if regioned:
                     self.w(f"rl.add(m >> {shift})")
                     self.w("b0 = sb.get((id(o), 'f', n))")
-                    self.w(f"regs[{instr.dst}] = "
+                    self.w(f"regs[{dst}] = "
                            "o.slots[n] if b0 is None else b0[2]")
                 else:
-                    self.w(f"regs[{instr.dst}] = o.slots[n]")
+                    self.w(f"regs[{dst}] = o.slots[n]")
             else:
                 inc = (1, 0, 1, 0, 0)
                 if regioned:
-                    self.w(f"sb[(id(o), 'f', n)] = (o, n, regs[{instr.b}])")
+                    self.w(f"sb[(id(o), 'f', n)] = (o, n, regs[{b}])")
                     self.w(f"wl.add(m >> {shift})")
                 else:
-                    self.w(f"o.slots[n] = regs[{instr.b}]")
+                    self.w(f"o.slots[n] = regs[{b}]")
             self.tick(instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADA or op is MOp.STOREA:
-            self._mem_ref(i, instr.a, "GuestArray")
-            self.w(f"x = regs[{instr.b}]")
+            self._mem_ref(i, a, "GuestArray")
+            self.w(f"x = regs[{b}]")
             self.w("vs = o.values")
             self.w("if type(x) is not int or x < 0 or x >= len(vs):")
             self.bail(i, 1)
@@ -638,99 +715,107 @@ class _Body:
                 if regioned:
                     self.w(f"rl.add(m >> {shift})")
                     self.w("b0 = sb.get((id(o), 'a', x))")
-                    self.w(f"regs[{instr.dst}] = "
+                    self.w(f"regs[{dst}] = "
                            "vs[x] if b0 is None else b0[2]")
                 else:
-                    self.w(f"regs[{instr.dst}] = vs[x]")
+                    self.w(f"regs[{dst}] = vs[x]")
             else:
                 inc = (1, 0, 1, 0, 0)
                 if regioned:
-                    self.w(f"sb[(id(o), 'a', x)] = (o, x, regs[{instr.c}])")
+                    self.w(f"sb[(id(o), 'a', x)] = (o, x, regs[{c}])")
                     self.w(f"wl.add(m >> {shift})")
                 else:
-                    self.w(f"vs[x] = regs[{instr.c}]")
+                    self.w(f"vs[x] = regs[{c}]")
             self.tick(instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADLEN:
-            self._mem_ref(i, instr.a, "GuestArray")
+            self._mem_ref(i, a, "GuestArray")
             inc = (1, 1, 0, 0, 0)
             mem = self.addr("o.base + 16")
             if regioned:
                 self.w(f"rl.add(({mem}) >> {shift})")
-            self.w(f"regs[{instr.dst}] = o.length")
+            self.w(f"regs[{dst}] = o.length")
             self.tick(instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADLOCK:
             # The SLE'd monitor-enter probe: one tracked load of the
             # lock word, result 1 iff another thread holds the monitor.
-            self._mem_ref(i, instr.a, "GuestObject")
+            self._mem_ref(i, a, "GuestObject")
             inc = (1, 1, 0, 0, 1)
             mem = self.addr("o.base + 8")
             if regioned:
                 self.w(f"rl.add(({mem}) >> {shift})")
             self.w("lo = o.lock.owner")
-            self.w(f"regs[{instr.dst}] = "
+            self.w(f"regs[{dst}] = "
                    "0 if lo is None or lo == fr.tid else 1")
             self.tick(instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADSPILL:
             inc = (1, 1, 0, 0, 0)
-            self.w(f"regs[{instr.dst}] = spill[{instr.imm}]")
-            self.tick(instr, self.addr(f"sbase + {instr.imm * 8}"))
+            self.w(f"regs[{dst}] = spill[{imm}]")
+            self.tick(instr, self.addr(spilled))
 
         elif op is MOp.STORESPILL:
             inc = (1, 0, 1, 0, 0)
-            self.w(f"spill[{instr.imm}] = regs[{instr.a}]")
-            self.tick(instr, self.addr(f"sbase + {instr.imm * 8}"))
+            self.w(f"spill[{imm}] = regs[{a}]")
+            self.tick(instr, self.addr(spilled))
 
         elif op is MOp.LOADG:
-            self.w(f"regs[{instr.dst}] = 0")
+            self.w(f"regs[{dst}] = 0")
             if instr.imm is not None:
                 inc = (1, 1, 0, 0, 0)
-            self.tick(instr, repr(instr.imm))
+            self.tick(instr, imm)
 
         elif op is MOp.NEWOBJ:
-            self.w(f"o = mach.heap.new_object({instr.cls!r}, "
-                   f"mach.program.field_layout({instr.cls!r}))")
-            self.w(f"regs[{instr.dst}] = o")
+            self.w(f"o = mach.heap.new_object({cls}, "
+                   f"mach.program.field_layout({cls}))")
+            self.w(f"regs[{dst}] = o")
             if regioned:
                 self.w("region.allocs.append(o)")
             self.tick(instr, "None")
 
         elif op is MOp.NEWARR:
-            self.w(f"x = regs[{instr.a}]")
+            self.w(f"x = regs[{a}]")
             self.w("if type(x) is not int or x < 0:")
             self.bail(i, 1)
             self.w("o = mach.heap.new_array(x)")
-            self.w(f"regs[{instr.dst}] = o")
+            self.w(f"regs[{dst}] = o")
             if regioned:
                 self.w("region.allocs.append(o)")
             self.tick(instr, "None")
 
         elif op is MOp.JMP:
+            # No retirement probe after a jump, like the reference.
             self.tick(instr, "None")
             self.flush(0, inc)
-            self.w(f"return {instr.target}")
+            self.w(f"return {target}")
+            self.closed = True
 
         elif op is MOp.BR or op is MOp.BR_ABORT:
             inc = (1, 0, 0, 1, 0)
-            self._cond(i, instr.cond, instr.a, instr.b)
-            if self.timed:
+            self._cond(i, instr.cond, a, b)
+            if self.timed or handler:
                 self.predict(i)
                 self.tick(instr, "None", mispredict=True)
             self.w("if t:")
             self.flush(1, inc)
-            self.w(f"return {instr.target}", 1)
+            if op is MOp.BR:
+                # A taken branch probes at its target; a fired
+                # BR_ABORT lands on its abort stub unprobed.
+                self.probe(target, 1)
+            self.w(f"return {target}", 1)
             self.flush(0, inc)
-            self.w(f"return {i + 1}")
+            self.probe(after, 0)
+            self.w(f"return {after}")
+            self.closed = True
 
         elif op is MOp.BR_TRAP:
             inc = (1, 0, 0, 1, 0)
-            self._cond(i, instr.cond, instr.a, instr.b)
-            if self.timed:
+            self._cond(i, instr.cond, a, b)
+            if self.timed or handler:
                 self.predict(i)
             self.w("if t:")
             self.flush(1, inc)
@@ -741,13 +826,192 @@ class _Body:
             if regioned:
                 # Hardware fault inside a region: abort without ticking
                 # the faulting uop, exactly like the slow path's handler.
-                self.w(f"return mach._fast_exception(fr, {i})", 1)
+                self.w(f"return mach._fast_exception(fr, {here})", 1)
             else:
-                self.w(f"raise _te(I[{i}])", 1)
+                self.w(f"raise _te({me})", 1)
             self.tick(instr, "None", mispredict=True)
 
-        else:  # pragma: no cover - guarded by FUSABLE_MOPS
+        elif not handler:  # pragma: no cover - guarded by FUSABLE_MOPS
             raise AssertionError(f"cannot fuse {op}")
+
+        # -- unfusable uops: handler mode only ------------------------------
+        elif op is MOp.STORELOCK:
+            enter = instr.imm == 1
+            self._mem_ref(i, a, "GuestObject")
+            self.w("lk = o.lock")
+            # A foreign exit, and contention outside a region (a monitor
+            # error with no scheduler), are the reference's.
+            if not enter:
+                self.w("if lk.owner != fr.tid:")
+                self.bail(i, 1)
+            elif not regioned:
+                self.w("if lk.owner is not None and lk.owner != fr.tid:")
+                self.bail(i, 1)
+            inc = (1, 0, 1, 0, 0)
+            if regioned:
+                self.w("pre = (lk.owner, lk.depth, lk.reserver)")
+                self.w(f"wl.add((o.base + 8) >> {shift})")
+            if enter and regioned:
+                # A speculative region must not wait: genuine contention
+                # aborts as a real conflict.
+                self.w("if lk.enter(fr.tid) == 'blocked':")
+                self.flush(1, (1, 0, 0, 0, 0))  # retired, stored nothing
+                self.w("region.real_conflict = True", 1)
+                self.tick(instr, "o.base + 8", depth=1)
+                self._abort_here("'conflict'", "None", 1)
+            else:
+                self.w(f"lk.{'enter' if enter else 'exit'}(fr.tid)")
+            if regioned:
+                self.w("region.lock_log.append("
+                       "(lk, pre, (lk.owner, lk.depth, lk.reserver)))")
+            self.tick(instr, "o.base + 8")
+
+        elif op in _ATOMICS:
+            self._mem_ref(i, a, "GuestObject")
+            self.w(f"n = o.field_index.get({fieldname})")
+            self.w("if n is None:")
+            self.bail(i, 1)
+            if op is not MOp.SC:
+                if regioned:
+                    self.w("b0 = sb.get((id(o), 'f', n))")
+                    self.w("x = o.slots[n] if b0 is None else b0[2]")
+                else:
+                    self.w("x = o.slots[n]")
+            if op is MOp.FAA:
+                self.w(f"y = regs[{b}]")
+                self.w("if type(x) is not int or type(y) is not int:")
+                self.bail(i, 1)
+            self.w("m = o.base + 16 + n * 8")
+            if regioned:
+                self.w(f"rl.add(m >> {shift})")
+            if op is MOp.FAA:
+                self.w("v = x + y")
+                self._store_field(f"v if {_INT_MIN} <= v <= {_INT_MAX} "
+                                  "else _wi(v)", 0)
+                self.w(f"regs[{dst}] = x")
+                self.w("st.faa_ops += 1")
+            elif op is MOp.LL:
+                self.w(f"regs[{dst}] = x")
+                self.w("mach.heap.set_reservation(fr.tid, m)")
+                self.w("st.ll_ops += 1")
+            else:
+                if op is MOp.CAS:
+                    self.w(f"t = _cmp('eq', x, regs[{b}])")
+                    value, kind = c, "cas"
+                else:
+                    self.w("t = mach.heap.check_reservation(fr.tid, m)")
+                    self.w("mach.heap.clear_reservation(fr.tid)")
+                    value, kind = b, "sc"
+                self.w(f"regs[{dst}] = 1 if t else 0")
+                self.w(f"st.{kind}_ops += 1")
+                self.w("if t:")
+                self._store_field(f"regs[{value}]", 1)
+                self.w("else:")
+                self.w(f"st.{kind}_failures += 1", 1)
+            self.tick(instr, "m")
+
+        elif op is MOp.CALLVM or op is MOp.VCALLVM:
+            # A call inside a region is malformed: the reference raises.
+            if regioned:
+                self.bail(i, 0)
+            else:
+                self.w("if mach.dispatcher is None:")
+                self.bail(i, 1)
+                self.w("vals = [regs[r] if r >= 0 else spill[-r - 1] "
+                       "for r in args]")
+                if op is MOp.VCALLVM:
+                    self.w("o = vals[0]")
+                    self.w("if o is None:")
+                    self.bail(i, 1)
+                # Retired before the callee runs: its probes read the
+                # counters.
+                self.flush(0, inc)
+                if op is MOp.CALLVM:
+                    self.w("callee = mach.program.resolve_static(method)")
+                else:
+                    self.w("callee = mach.program.resolve_virtual("
+                           "o.class_name, method)")
+                self.w("if T is not None:")
+                self.w("T.call_boundary()", 1)
+                self.w(f"regs[{dst}] = mach.dispatcher.invoke(callee, vals)")
+                self.tick(instr, "None")
+                self.w(f"return {after}")
+            self.closed = True
+
+        elif op is MOp.RET:
+            if regioned:
+                self.bail(i, 0)
+            else:
+                self.w("if mach._fallback_holds:")
+                self.w("mach._release_fallback_lock(fr.tid)", 1)
+                self.tick(instr, "None")
+                self.w("fr.ret = " + (f"regs[{a}]" if instr.a is not None
+                                      else "None"))
+                self.flush(0, inc)
+                self.w("return -1")
+            self.closed = True
+
+        elif op is MOp.AREGION_BEGIN:
+            if regioned:
+                self.bail(i, 0)  # nested begin: the reference raises
+            else:
+                self.flush(0, inc)
+                self.w("if mach._pending_cc:")
+                self.w("code = mach._pending_cc.pop(fr.tid, None)", 1)
+                self.w("if code is not None:", 1)
+                # setjmp-style delivery: branch to the software path.
+                self.w("mach.condition_code_register = code", 2)
+                self.w("st.setjmp_deliveries += 1", 2)
+                self.tick(instr, "None", depth=2)
+                self.w(f"return {target}", 2)
+                self.w("mach.condition_code_register = 0")
+                self.w("if mach._fallback_holds:")
+                self.w("mach._release_fallback_lock(fr.tid)", 1)
+                # Patched to permanent non-speculative fallback.
+                self.w(f"if {imm} in fr.compiled.disabled_regions:")
+                self.w("st.regions_suppressed += 1", 1)
+                self.tick(instr, "None", depth=1)
+                self.w(f"return {target}", 1)
+                self.w("region = fr.region = mach._begin_region("
+                       f"fr.compiled, instr, regs, fr.spill, {here}, fr.tid)")
+                self.w("if T is not None:")
+                self.w("T.region_begin()", 1)
+                self.w("T.uop(instr, None)", 1)
+                self.probe(after, 0, opened=True)
+                self.w(f"return {after}")
+            self.closed = True
+
+        elif op is MOp.AREGION_END:
+            if not regioned:
+                self.bail(i, 0)  # outside a region: the reference raises
+            else:
+                self.flush(0, inc)
+                self.w("if mach._fallback_mode == 'end' and "
+                       "mach.fallback_lock.held_by_other(fr.tid):")
+                # Sandboxed commit-instant validation of the fallback
+                # lock fails: a real conflict.
+                self.w("region.real_conflict = True", 1)
+                self.tick(instr, "None", depth=1)
+                self._abort_here("'conflict'", "None", 1)
+                self.w("mach._commit(region)")
+                self.w("if T is not None:")
+                self.w("T.region_end()", 1)
+                self.w("T.uop(instr, None)", 1)
+                self.w("fr.region = None")
+                self.w(f"return {after}")
+            self.closed = True
+
+        elif op is MOp.AREGION_ABORT:
+            if not regioned:
+                self.bail(i, 0)  # outside a region: the reference raises
+            else:
+                self.flush(0, inc)
+                self.tick(instr, "None")
+                self._abort_here(f"{cls} or 'assert'", "abort_id", 0)
+            self.closed = True
+
+        else:  # pragma: no cover - every MOp has a template
+            raise AssertionError(f"no template for {op}")
 
         self.u += inc[0]
         self.l += inc[1]
@@ -755,11 +1019,38 @@ class _Body:
         self.b += inc[3]
         self.m += inc[4]
 
-    def finish(self, end: int) -> None:
+    def _abort_here(self, reason: str, abort_id: str, depth: int) -> None:
+        """Handler mode: roll the region back with the abort pc at this
+        uop and resume where the abort machinery says."""
+        self.w("pc2 = mach._do_abort(fr.compiled, region, "
+               f"{reason}, fr.code_base + mypc, {abort_id}, regs, fr.spill)",
+               depth)
+        self.w("fr.region = None", depth)
+        self.w("return pc2", depth)
+
+    def _store_field(self, value: str, depth: int) -> None:
+        """An atomic's field store of ``value`` to slot ``n`` of ``o``
+        (address ``m``): buffered in a region, else written through,
+        killing other threads' LL/SC reservations on its line."""
+        if self.regioned:
+            self.w(f"sb[(id(o), 'f', n)] = (o, n, {value})", depth)
+            self.w("wl.add(m >> shift)", depth)
+        else:
+            self.w(f"o.slots[n] = {value}", depth)
+            self.w("if mach.heap.reservations:", depth)
+            self.w("mach.heap.kill_reservations(fr.tid, m, shift)", depth + 1)
+        self.w("st.stores += 1", depth)
+
+    def finish(self, end: int | None) -> None:
         """Fall-through exit: flush everything and hand the next pc
-        (an unfusable uop's handler or the next run) back to the loop."""
+        (an unfusable uop's handler or the next run) back to the loop.
+        A handler probes between its flush and the return."""
         self.flush(0)
-        self.w(f"return {end}")
+        if self.handler:
+            self.probe("nxt", 0)
+            self.w("return nxt")
+        else:
+            self.w(f"return {end}")
 
 
 def _timed_prologue(instrs: list, start: int, end: int,
@@ -802,7 +1093,6 @@ def _emit_fn(compiled: CompiledMethod, start: int, end: int,
     ops = {instrs[i].op for i in range(start, end)}
     uses_spill = bool(ops & _SPILLY)
     uses_mem = bool(ops & _MEM_TRACK)
-    terminated = instrs[end - 1].op in (MOp.BR, MOp.JMP, MOp.BR_ABORT)
 
     name = f"_f{start}_{'t' if timed else 'u'}"
     out = [f"def {name}(fr):"]
@@ -821,7 +1111,7 @@ def _emit_fn(compiled: CompiledMethod, start: int, end: int,
     plain = _Body(False, timed, profile, 2)
     for i in range(start, end):
         plain.emit_uop(i, instrs[i])
-    if not terminated:
+    if not plain.closed:
         plain.finish(end)
     out += plain.lines
 
@@ -834,7 +1124,7 @@ def _emit_fn(compiled: CompiledMethod, start: int, end: int,
     region = _Body(True, timed, profile, 1)
     for i in range(start, end):
         region.emit_uop(i, instrs[i])
-    if not terminated:
+    if not region.closed:
         region.finish(end)
     out += region.lines
     return out
@@ -867,18 +1157,16 @@ def _build_table(jm: JittedMethod, timed: bool) -> list:
     compile-on-first-execution stub at each run start."""
     compiled = jm._compiled
     namespace = {
-        "H": jm._handlers,
+        "H": jm.handlers,
         "I": tuple(compiled.instrs),
-        "MC": machine_compare,
         "GuestObject": GuestObject,
         "GuestArray": GuestArray,
-        "GuestError": GuestError,
         "_wi": wrap_int,
         "_gdiv": guest_div,
         "_gmod": guest_mod,
-        "_te": _trap_error,
+        "_te": trap_error,
     }
-    table = list(jm._handlers)
+    table = list(jm.handlers)
     for start, end in jm.runs:
         table[start] = _stub(jm, timed, namespace, table, start, end)
     return table
@@ -902,26 +1190,141 @@ def _stub(jm: JittedMethod, timed: bool, namespace: dict, table: list,
     return compile_and_run
 
 
+# ---------------------------------------------------------------------------
+# Handlers: one factory per template shape
+# ---------------------------------------------------------------------------
+
+#: names a handler template may use for its uop's fields, bound once per
+#: pc by the factory (which also binds ``instr``, ``mypc``, ``nxt`` and
+#: the cache-line ``shift``).
+_OPERANDS = ("dst", "a", "b", "c", "imm", "target", "fieldname", "cls",
+             "args", "method", "abort_id")
+
+#: per-call locals a handler loads from its frame, when its body uses them.
+_FRAME_LOCALS = (("T", "fr.timing"), ("mach", "fr.machine"),
+                 ("st", "fr.stats"), ("regs", "fr.regs"),
+                 ("spill", "fr.spill"))
+_REGION_LOCALS = (("rl", "region.read_lines"), ("wl", "region.write_lines"),
+                  ("sb", "region.store_buffer"))
+
+#: a bare name (not an attribute) in generated source.
+_NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+
+#: the globals every handler factory runs against.
+_HANDLER_NS = {
+    "GuestObject": GuestObject,
+    "GuestArray": GuestArray,
+    "_wi": wrap_int,
+    "_gdiv": guest_div,
+    "_gmod": guest_mod,
+    "_te": trap_error,
+    "_cmp": compare,
+}
+
+#: compiled factories, one per shape, shared by every method and machine
+#: of the process (a factory is a pure function of its shape's source).
+_FACTORIES: dict = {}
+
+
+def _shape(instr):
+    """The static facts a handler template branches on beyond its
+    operands: the factory cache key."""
+    op = instr.op
+    if op in _BRANCHY:
+        return op, instr.cond, instr.b is None
+    if op is MOp.LOADG:
+        return op, instr.imm is None
+    if op is MOp.STORELOCK:
+        return op, instr.imm == 1
+    if op is MOp.RET:
+        return op, instr.a is None
+    return op
+
+
+def _shape_name(key) -> str:
+    if isinstance(key, tuple):
+        return " ".join([key[0].name] + [repr(fact) for fact in key[1:]])
+    return key.name
+
+
+def _factory_source(instr) -> str:
+    """The factory of ``instr``'s shape: ``_mk(instr, mypc, shift)``
+    binds the operands and returns the handler."""
+    plain = _Body(False, False, None, 3, handler=True)
+    plain.emit_uop(None, instr)
+    if not plain.closed:
+        plain.finish(None)
+    region = _Body(True, False, None, 2, handler=True)
+    region.emit_uop(None, instr)
+    if not region.closed:
+        region.finish(None)
+    used = set(_NAME.findall("\n".join(plain.lines + region.lines)))
+    name = f"h_{instr.op.name.lower()}"
+    out = ["def _mk(instr, mypc, shift):"]
+    out += [f"    {n} = instr.{n}" for n in _OPERANDS if n in used]
+    if "nxt" in used:
+        out.append("    nxt = mypc + 1")
+    out.append(f"    def {name}(fr):")
+    out += [f"        {n} = {expr}" for n, expr in _FRAME_LOCALS if n in used]
+    out.append("        region = fr.region")
+    out.append("        if region is None:")
+    out += plain.lines
+    out += [f"        {n} = {expr}" for n, expr in _REGION_LOCALS if n in used]
+    out += region.lines
+    out.append(f"    return {name}")
+    return "\n".join(out) + "\n"
+
+
+def _factory(instr):
+    """The cached factory of ``instr``'s shape, compiled on first use."""
+    key = _shape(instr)
+    mk = _FACTORIES.get(key)
+    if mk is None:
+        scope: dict = {}
+        exec(compile(_factory_source(instr),
+                     f"<handler:{_shape_name(key)}>", "exec"),
+             _HANDLER_NS, scope)
+        mk = _FACTORIES[key] = scope["_mk"]
+    return mk
+
+
+def handler_source(compiled: CompiledMethod) -> str:
+    """The factory source of every handler shape ``compiled`` uses, in
+    order of first appearance (deterministic; pinned by the golden-source
+    test)."""
+    seen, parts = set(), [f"# handlers: {compiled.name}"]
+    for instr in compiled.instrs:
+        key = _shape(instr)
+        if key not in seen:
+            seen.add(key)
+            parts += ["", f"# shape: {_shape_name(key)}",
+                      _factory_source(instr)]
+    return "\n".join(parts)
+
+
 def jit_compile(compiled: CompiledMethod, machine) -> JittedMethod:
-    """Build the fused form of ``compiled`` for ``machine``'s profile
-    and install it on the code object (the same cache slot
-    ``disable_region``/recompile drop).  Variant tables are built on
-    first :meth:`JittedMethod.table` call; runs compile on first
+    """Build the dispatch form of ``compiled`` for ``machine``'s profile
+    and install it on the code object (the one cache slot
+    ``disable_region``/recompile drop).  Handlers are instantiated now —
+    a key, a lookup and a factory call per pc; variant tables are built
+    on first :meth:`JittedMethod.table` call; runs compile on first
     execution."""
     profile = jit_profile(machine)
-    pre = get_predecoded(compiled, profile.line_shift)
+    shift = profile.line_shift
     jm = JittedMethod(
         profile=profile, runs=fused_runs(compiled),
-        _compiled=compiled, _handlers=pre.handlers,
+        handlers=[_factory(instr)(instr, pc, shift)
+                  for pc, instr in enumerate(compiled.instrs)],
+        _compiled=compiled,
     )
     compiled._jitted = jm
     return jm
 
 
 def get_jitted(compiled: CompiledMethod, machine) -> JittedMethod:
-    """Return the cached fused form, rebuilding when the cache is stale
-    (dropped by ``disable_region``/``invalidate_predecode``) or built
-    for a different machine profile."""
+    """Return the cached dispatch form, rebuilding when the cache is
+    stale (dropped by ``disable_region``/``invalidate_predecode``) or
+    built for a different machine profile."""
     jm = compiled._jitted
     profile = machine._jit_profile
     if jm is None or (jm.profile is not profile and jm.profile != profile):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import signal
 import sys
 
 from .client import SweepClient
@@ -58,6 +59,10 @@ async def _serve(args) -> int:
                          workers=args.workers, disk_cache=args.disk_cache)
     host, port = await server.start()
     print(f"repro-sweep-server listening on {host}:{port}", flush=True)
+    # SIGTERM stops the server like Ctrl-C does: ``stop`` closes the
+    # supervisor, so no pool worker outlives the server.
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel)
     try:
         await server.serve_forever()
     except asyncio.CancelledError:

@@ -1,25 +1,34 @@
-"""Random straight-line uop programs for the dispatch-tier battery.
+"""Random uop programs for the dispatch-tier battery.
 
 :mod:`repro.testutil.genprog` fuzzes whole guest programs through the
 compiler; this module fuzzes the *machine* directly.  Each seed builds a
-hand-crafted :class:`~repro.hw.isa.CompiledMethod` — a straight-line
-sequence of the uops the template JIT fuses (ALU, typed memory,
-spill/global traffic, allocation, lock probes, hardware traps),
-optionally wrapped in an atomic region with a recovery path — plus a
-deterministic seeded heap, and runs it on a fresh
-:class:`~repro.hw.machine.Machine` under any dispatch tier.
+hand-crafted :class:`~repro.hw.isa.CompiledMethod` plus a deterministic
+seeded heap, and runs it on a fresh :class:`~repro.hw.machine.Machine`
+under any dispatch tier:
 
-The point is adversarial coverage of the fused templates' *bail* edges:
-registers deliberately hold a soup of ints, nulls, objects, and arrays,
-so generated operands routinely hit every deoptimization path (non-int
-ALU operands, null/junk memory bases, out-of-bounds and non-int indexes,
-reference comparisons, negative array lengths, division by zero, traps
-inside and outside regions).  Whatever happens — a value, a guest trap,
-a host ``VMError``/``TypeError`` from genuinely malformed code — every
-tier must agree byte-for-byte on the outcome, the
-``ExecStats.summary()``, the heap fingerprint and, for timed runs, the
-timing model's full state (:func:`run_uop_case` returns all four; the
-battery in ``tests/test_templatejit.py`` compares them across tiers).
+- :func:`uop_case` — a straight-line sequence of the uops the template
+  JIT fuses (ALU, typed memory, spill/global traffic, allocation, lock
+  probes, hardware traps), optionally wrapped in an atomic region with a
+  recovery path;
+- :func:`branchy_case` — segments of those uops plus lock-word stores
+  and atomic RMW (which only ever run on handlers), joined by forward
+  ``BR``/``BR_ABORT``/``JMP`` edges, with one bounded loop;
+- :func:`fault_plan` — a dense seeded fault schedule to run either
+  under, so injected assert, exception, conflict, interrupt and
+  capacity-shrink probes fire at handler retirement points.
+
+The point is adversarial coverage of the templates' *bail* edges and
+probe points: registers deliberately hold a soup of ints, nulls,
+objects, and arrays, so generated operands routinely hit every
+deoptimization path (non-int ALU operands, null/junk memory bases,
+out-of-bounds and non-int indexes, reference comparisons, negative array
+lengths, division by zero, foreign lock owners, traps inside and outside
+regions).  Whatever happens — a value, a guest trap, a host
+``VMError``/``TypeError`` from genuinely malformed code — every tier must
+agree byte-for-byte on the outcome, the :func:`stats_fingerprint`, the
+heap fingerprint and, for timed runs, the timing model's full state
+(:func:`run_uop_case` returns all four; the battery in
+``tests/test_templatejit.py`` compares them across tiers).
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
+from ..faults import FaultInjector, FaultPlan
 from ..hw.config import BASELINE_4WIDE, HardwareConfig
 from ..hw.isa import CompiledMethod, MInstr, MOp
 from ..hw.machine import Machine
@@ -36,7 +46,15 @@ from ..hw.timing import TimingModel
 from ..lang.bytecode import ClassDef, Program
 from ..runtime.heap import Heap
 
-__all__ = ["UopCase", "run_uop_case", "timing_snapshot", "uop_case"]
+__all__ = [
+    "UopCase",
+    "branchy_case",
+    "fault_plan",
+    "run_uop_case",
+    "stats_fingerprint",
+    "timing_snapshot",
+    "uop_case",
+]
 
 #: the one guest class seeded heaps instantiate.
 _CLASS = "Node"
@@ -55,6 +73,14 @@ _NUM_REGS = 12
 _NUM_PARAMS = 6
 _NUM_SPILL = 4
 
+#: branchy cases' loop registers, never written by their bodies: the
+#: constant 1 and the trip counter.
+_STEP_REG = 10
+_LOOP_REG = 11
+
+#: the guest thread owning a seeded object's monitor in ``rich`` heaps.
+_OTHER_THREAD = 7
+
 
 @dataclass
 class UopCase:
@@ -64,8 +90,9 @@ class UopCase:
     compiled: CompiledMethod
     program: Program
     #: argument recipe: ("int", k) | ("null",) | ("obj", slot values) |
-    #: ("arr", element values).  Replayed against a fresh heap per run so
-    #: every tier sees identical objects at identical addresses.
+    #: ("obj", slot values, monitor owner tid) | ("arr", element values).
+    #: Replayed against a fresh heap per run so every tier sees identical
+    #: objects at identical addresses.
     arg_specs: list = field(default_factory=list)
 
     def make_args(self, heap: Heap) -> list:
@@ -81,6 +108,8 @@ class UopCase:
                 obj = heap.new_object(_CLASS, layout)
                 for slot, value in enumerate(spec[1]):
                     obj.slots[slot] = value
+                if len(spec) > 2:
+                    obj.lock.force_owner(spec[2])
                 args.append(obj)
             else:
                 arr = heap.new_array(len(spec[1]))
@@ -95,71 +124,90 @@ def _base_program() -> Program:
     return program
 
 
-def uop_case(seed: int, region_bias: float = 0.5) -> UopCase:
-    """Generate one seeded straight-line case (deterministic per seed).
+class _Gen:
+    """Seeded uop generator with static type shadows for operand picks.
 
-    ``region_bias`` is the probability the body runs inside an atomic
-    region with a constant-returning recovery path.
+    Operand picks draw from the matching shadow most of the time — a
+    mistyped operand is usually *fatal* (host TypeError/VMError or a
+    guest trap), so the wildcard rate directly sets expected program
+    depth.  At 8% per operand most programs run deep into the templates,
+    while across a battery of seeds every template's bail edge still
+    fires many times (branchy ``rich`` programs, whose joins already
+    stale the shadows, use 3%).  ``rich`` adds the uops fused code never contains
+    (lock-word stores, atomic RMW) and objects whose monitor another
+    thread owns.
     """
-    rng = random.Random(seed)
-    regs = range(_NUM_REGS)
 
-    # Static type shadows.  Operand picks draw from the matching shadow
-    # most of the time — a mistyped operand is usually *fatal* (host
-    # TypeError/VMError or a guest trap), so the wildcard rate directly
-    # sets expected program depth.  At 8% per operand most programs run
-    # deep into the fused templates, while across a battery of seeds
-    # every template's bail edge still fires many times.
-    int_regs: set[int] = set()     # definitely holds an int
-    small_regs: set[int] = set()   # definitely holds a small int
-    tiny_regs: set[int] = set()    # definitely holds an int in 0..2
-    obj_regs: set[int] = set()     # definitely holds a GuestObject
-    arr_regs: set[int] = set()     # definitely holds a GuestArray
+    def __init__(self, rng: random.Random, regs: range,
+                 rich: bool = False) -> None:
+        self.rng = rng
+        self.regs = regs
+        self.rich = rich
+        self.int_regs: set[int] = set()     # definitely holds an int
+        self.small_regs: set[int] = set()   # definitely a small int
+        self.tiny_regs: set[int] = set()    # definitely an int in 0..2
+        self.obj_regs: set[int] = set()     # definitely a GuestObject
+        self.arr_regs: set[int] = set()     # definitely a GuestArray
 
-    # Always seed at least one object and one array: without them every
-    # memory uop's typed pick degenerates to a (usually fatal) wildcard
-    # and the whole program dies within a handful of uops.
-    kinds = ["obj", "arr"] + [rng.choice(("int", "int", "obj", "arr", "null"))
-                              for _ in range(_NUM_PARAMS - 2)]
-    rng.shuffle(kinds)
+    def args(self) -> list:
+        """Argument recipes for registers ``0.._NUM_PARAMS-1``."""
+        rng = self.rng
+        # Always seed at least one object and one array: without them
+        # every memory uop's typed pick degenerates to a (usually fatal)
+        # wildcard and the whole program dies within a handful of uops.
+        kinds = ["obj", "arr"] + [
+            rng.choice(("int", "int", "obj", "arr", "null"))
+            for _ in range(_NUM_PARAMS - 2)]
+        rng.shuffle(kinds)
+        arg_specs = []
+        for index, kind in enumerate(kinds):
+            if kind == "int":
+                value = rng.choice((0, 1, -1, 7, -(1 << 62), (1 << 62) + 11))
+                arg_specs.append(("int", value))
+                self.int_regs.add(index)
+                if abs(value) <= 64:
+                    self.small_regs.add(index)
+                if 0 <= value <= 2:
+                    self.tiny_regs.add(index)
+            elif kind == "obj":
+                spec = ("obj", [rng.randrange(-9, 9) for _ in _FIELDS])
+                if self.rich and rng.random() < 0.2:
+                    spec += (_OTHER_THREAD,)
+                arg_specs.append(spec)
+                self.obj_regs.add(index)
+            elif kind == "arr":
+                arg_specs.append(("arr", [rng.randrange(-9, 9)
+                                          for _ in range(rng.randrange(1, 5))]))
+                self.arr_regs.add(index)
+            else:
+                arg_specs.append(("null",))
+        return arg_specs
 
-    arg_specs = []
-    for index, kind in enumerate(kinds):
-        if kind == "int":
-            value = rng.choice((0, 1, -1, 7, -(1 << 62), (1 << 62) + 11))
-            arg_specs.append(("int", value))
-            int_regs.add(index)
-            if abs(value) <= 64:
-                small_regs.add(index)
-            if 0 <= value <= 2:
-                tiny_regs.add(index)
-        elif kind == "obj":
-            arg_specs.append(("obj", [rng.randrange(-9, 9)
-                                      for _ in _FIELDS]))
-            obj_regs.add(index)
-        elif kind == "arr":
-            arg_specs.append(("arr", [rng.randrange(-9, 9)
-                                      for _ in range(rng.randrange(1, 5))]))
-            arr_regs.add(index)
-        else:
-            arg_specs.append(("null",))
+    def wrote(self, reg: int) -> None:
+        self.int_regs.discard(reg)
+        self.small_regs.discard(reg)
+        self.tiny_regs.discard(reg)
+        self.obj_regs.discard(reg)
+        self.arr_regs.discard(reg)
 
-    def wrote(reg: int) -> None:
-        int_regs.discard(reg)
-        small_regs.discard(reg)
-        tiny_regs.discard(reg)
-        obj_regs.discard(reg)
-        arr_regs.discard(reg)
+    def pick_from(self, pool: set[int]) -> int:
+        if pool and self.rng.random() < (0.97 if self.rich else 0.92):
+            return self.rng.choice(sorted(pool))
+        return self.rng.choice(self.regs)
 
-    def pick_from(pool: set[int]) -> int:
-        if pool and rng.random() < 0.92:
-            return rng.choice(sorted(pool))
-        return rng.choice(regs)
+    def chunk(self, count: int) -> list[MInstr]:
+        body: list[MInstr] = []
+        for _ in range(count):
+            self.uop(body)
+        return body
 
-    body: list[MInstr] = []
-
-    def gen_uop() -> None:
-        pick = rng.randrange(100)
+    def uop(self, body: list[MInstr]) -> None:
+        rng, regs, wrote, pick_from = (self.rng, self.regs, self.wrote,
+                                       self.pick_from)
+        int_regs, small_regs, tiny_regs, obj_regs, arr_regs = (
+            self.int_regs, self.small_regs, self.tiny_regs, self.obj_regs,
+            self.arr_regs)
+        pick = rng.randrange(112 if self.rich else 100)
         dst = rng.choice(regs)
         if pick < 12:
             imm = rng.choice((0, 1, 2, -3, 64, (1 << 63) - 1))
@@ -256,14 +304,64 @@ def uop_case(seed: int, region_bias: float = 0.5) -> UopCase:
         elif pick < 95:
             body.append(MInstr(MOp.CONST_NULL, dst=dst))
             wrote(dst)
-        else:
+        elif pick < 100:
             a, b = pick_from(int_regs), pick_from(int_regs)
             body.append(MInstr(MOp.BR_TRAP, cond=rng.choice(_TRAP_CONDS),
                                a=a, b=None if rng.random() < 0.4 else b))
+        elif pick < 104:
+            # Monitor enter/exit: unmatched exits and foreign owners
+            # exercise the handlers' bails to the reference.
+            body.append(MInstr(MOp.STORELOCK, a=pick_from(obj_regs),
+                               imm=rng.choice((1, 1, -1))))
+        else:
+            op = rng.choice((MOp.FAA, MOp.CAS, MOp.LL, MOp.SC))
+            obj = pick_from(obj_regs)
+            field = rng.choice(_FIELDS)
+            if op is MOp.FAA:
+                body.append(MInstr(op, dst=dst, a=obj, b=pick_from(int_regs),
+                                   fieldname=field))
+            elif op is MOp.CAS:
+                body.append(MInstr(op, dst=dst, a=obj, b=rng.choice(regs),
+                                   c=rng.choice(regs), fieldname=field))
+            elif op is MOp.LL:
+                body.append(MInstr(op, dst=dst, a=obj, fieldname=field))
+            else:
+                body.append(MInstr(op, dst=dst, a=obj, b=rng.choice(regs),
+                                   fieldname=field))
+            wrote(dst)
+            if op is MOp.CAS or op is MOp.SC:
+                int_regs.add(dst)
+                small_regs.add(dst)
+                tiny_regs.add(dst)
 
-    for _ in range(rng.randrange(4, 40)):
-        gen_uop()
-    ret_reg = rng.choice(regs)
+
+def _compiled(name: str, instrs: list[MInstr], regioned: bool,
+              region_entries: dict[int, int]) -> CompiledMethod:
+    compiled = CompiledMethod(
+        name=name,
+        num_params=_NUM_PARAMS,
+        instrs=instrs,
+        num_regs=_NUM_REGS,
+        num_spill_slots=_NUM_SPILL,
+        region_entries=region_entries,
+        uses_regions=regioned,
+    )
+    compiled.param_locations = tuple(  # type: ignore[attr-defined]
+        ("r", index) for index in range(_NUM_PARAMS))
+    return compiled
+
+
+def uop_case(seed: int, region_bias: float = 0.5) -> UopCase:
+    """Generate one seeded straight-line case (deterministic per seed).
+
+    ``region_bias`` is the probability the body runs inside an atomic
+    region with a constant-returning recovery path.
+    """
+    rng = random.Random(seed)
+    gen = _Gen(rng, range(_NUM_REGS))
+    arg_specs = gen.args()
+    body = gen.chunk(rng.randrange(4, 40))
+    ret_reg = rng.choice(gen.regs)
     regioned = rng.random() < region_bias
 
     instrs: list[MInstr] = []
@@ -286,20 +384,103 @@ def uop_case(seed: int, region_bias: float = 0.5) -> UopCase:
     else:
         instrs.extend(body)
         instrs.append(MInstr(MOp.RET, a=ret_reg))
+    return UopCase(seed=seed,
+                   compiled=_compiled(f"uopcase_{seed}", instrs, regioned,
+                                      region_entries),
+                   program=_base_program(), arg_specs=arg_specs)
 
-    compiled = CompiledMethod(
-        name=f"uopcase_{seed}",
-        num_params=_NUM_PARAMS,
-        instrs=instrs,
-        num_regs=_NUM_REGS,
-        num_spill_slots=_NUM_SPILL,
-        region_entries=region_entries,
-        uses_regions=regioned,
-    )
-    compiled.param_locations = tuple(  # type: ignore[attr-defined]
-        ("r", index) for index in range(_NUM_PARAMS))
-    return UopCase(seed=seed, compiled=compiled, program=_base_program(),
-                   arg_specs=arg_specs)
+
+def branchy_case(seed: int, region_bias: float = 0.7) -> UopCase:
+    """Generate one seeded branchy case (deterministic per seed).
+
+    The body is a few segments of :meth:`_Gen.chunk` uops — including
+    lock-word stores and atomic RMW — joined by forward ``BR``/``JMP``
+    edges (and, inside a region, ``BR_ABORT`` edges to an abort stub),
+    with one segment wrapped in a loop whose back edge is a ``BR`` on a
+    counter register the body never writes, so every run terminates.
+    With probability ``region_bias`` everything after a short prologue
+    runs inside an atomic region with a constant-returning recovery
+    path.
+    """
+    rng = random.Random(f"branchy:{seed}")
+    gen = _Gen(rng, range(_STEP_REG), rich=True)
+    arg_specs = gen.args()
+    prologue = gen.chunk(rng.randrange(0, 3))
+    segments = [gen.chunk(rng.randrange(1, 6))
+                for _ in range(rng.randrange(2, 6))]
+    loop_at = rng.randrange(len(segments))
+    trips = rng.randrange(1, 4)
+    ret_reg = rng.choice(gen.regs)
+    regioned = rng.random() < region_bias
+
+    instrs = list(prologue)
+    instrs.append(MInstr(MOp.CONST, dst=_STEP_REG, imm=1))
+    region_entries: dict[int, int] = {}
+    if regioned:
+        region_entries[1] = len(instrs)
+        instrs.append(MInstr(MOp.AREGION_BEGIN, imm=1))
+    labels: list[int] = []
+    forward: list[tuple[MInstr, int]] = []   # (branch, target segment)
+    aborts: list[MInstr] = []
+    for j, segment in enumerate(segments):
+        if j == loop_at:
+            instrs.append(MInstr(MOp.CONST, dst=_LOOP_REG, imm=trips))
+        labels.append(len(instrs))
+        instrs.extend(segment)
+        if j == loop_at:
+            instrs.append(MInstr(MOp.SUB, dst=_LOOP_REG, a=_LOOP_REG,
+                                 b=_STEP_REG))
+            instrs.append(MInstr(MOp.BR, cond="gt", a=_LOOP_REG,
+                                 target=labels[j]))
+        edge = rng.random()
+        cond = rng.choice(_TRAP_CONDS)
+        a = gen.pick_from(gen.int_regs)
+        b = None if rng.random() < 0.4 else gen.pick_from(gen.int_regs)
+        to = rng.randrange(j + 1, len(segments) + 1)
+        if edge < 0.35:
+            branch = MInstr(MOp.BR, cond=cond, a=a, b=b)
+            forward.append((branch, to))
+            instrs.append(branch)
+        elif edge < 0.5:
+            branch = MInstr(MOp.JMP)
+            forward.append((branch, to))
+            instrs.append(branch)
+        elif edge < 0.65 and regioned:
+            branch = MInstr(MOp.BR_ABORT, cond=cond, a=a, b=b,
+                            abort_id=100 + j)
+            aborts.append(branch)
+            instrs.append(branch)
+    labels.append(len(instrs))
+    for branch, to in forward:
+        branch.target = labels[to]
+    if regioned:
+        instrs.append(MInstr(MOp.AREGION_END))
+    instrs.append(MInstr(MOp.RET, a=ret_reg))
+    if regioned:
+        # Recovery path: land here on any abort, return a sentinel.
+        instrs[region_entries[1]].target = len(instrs)
+        instrs.append(MInstr(MOp.CONST, dst=ret_reg,
+                             imm=-(2000 + seed % 997)))
+        instrs.append(MInstr(MOp.RET, a=ret_reg))
+    for branch in aborts:
+        branch.target = len(instrs)
+        instrs.append(MInstr(MOp.AREGION_ABORT, imm=branch.abort_id,
+                             cls="assert", abort_id=branch.abort_id))
+    return UopCase(seed=seed,
+                   compiled=_compiled(f"branchy_{seed}", instrs, regioned,
+                                      region_entries),
+                   program=_base_program(), arg_specs=arg_specs)
+
+
+def fault_plan(seed: int) -> FaultPlan:
+    """A dense seeded fault schedule for one battery case: every
+    region-relative kind (assert, exception, conflict, line and
+    store-buffer capacity shrinks) at short offsets, plus interrupts a
+    few dozen uops apart."""
+    return FaultPlan.seeded(
+        seed, conflict_rate=0.25, assert_rate=0.25, exception_rate=0.25,
+        overflow_rate=0.15, capacity_rate=0.15, interrupt_gap=(3, 40),
+        offset_range=(1, 16), capacity_lines=2, capacity_stores=0)
 
 
 def timing_snapshot(timing: TimingModel) -> tuple:
@@ -326,16 +507,32 @@ def timing_snapshot(timing: TimingModel) -> tuple:
     )
 
 
+def stats_fingerprint(stats: ExecStats) -> tuple:
+    """``stats.summary()`` plus the raw per-kind counters and abort
+    breakdowns it folds into ratios or leaves out."""
+    return (
+        tuple(sorted(stats.summary().items())),
+        stats.loads, stats.stores, stats.branches, stats.mispredicts,
+        stats.monitor_ops, stats.regions_committed, stats.uops_in_regions,
+        tuple(sorted(stats.abort_reasons.items())),
+        tuple(sorted(stats.abort_sites.items())),
+        tuple(stats.region_sizes), tuple(stats.region_lines),
+    )
+
+
 def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
-                 hw: HardwareConfig = BASELINE_4WIDE):
+                 hw: HardwareConfig = BASELINE_4WIDE,
+                 faults: FaultPlan | None = None):
     """Run ``case`` on a fresh machine/heap under one dispatch tier.
 
-    Returns ``(outcome, stats_summary, heap_fingerprint, timing)`` where
+    Returns ``(outcome, stats, heap_fingerprint, timing)`` where
     ``outcome`` is ``("value", v)`` or ``("raise", type, str)`` —
     generated programs legitimately produce guest traps *and* host-level
     ``VMError``/``TypeError`` for malformed operands, and the tiers must
-    agree on those too — and ``timing`` is the model's
-    :func:`timing_snapshot` after the run (None when untimed).
+    agree on those too — ``stats`` is the :func:`stats_fingerprint`, and
+    ``timing`` is the model's :func:`timing_snapshot` after the run (None
+    when untimed).  ``faults`` attaches a fresh injector for that plan
+    (which keeps ``auto`` on the handler table).
     """
     heap = Heap()
     stats = ExecStats()
@@ -343,6 +540,7 @@ def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
     machine = Machine(
         case.program, heap, config=hw, stats=stats, timing=model,
         dispatch=dispatch,
+        fault_injector=FaultInjector(faults) if faults is not None else None,
     )
     args = case.make_args(heap)
     try:
@@ -355,4 +553,4 @@ def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
     except Exception as exc:  # noqa: BLE001 - the comparison IS the test
         outcome = ("raise", type(exc).__name__, str(exc))
     snapshot = timing_snapshot(model) if model is not None else None
-    return outcome, stats.summary(), heap.fingerprint(), snapshot
+    return outcome, stats_fingerprint(stats), heap.fingerprint(), snapshot

@@ -38,7 +38,7 @@ class VMOptions:
     compile_threshold: int = 10
     enable_timing: bool = True
     auto_compile: bool = True
-    #: machine dispatch tier: "auto" (template-jit, or pre-decoded when
+    #: machine dispatch tier: "auto" (template-jit, or the handlers when
     #: a fault injector is attached), "predecoded", or "interpretive"
     #: (always the instrumented slow loop).  A host-speed knob only; see
     #: :class:`repro.hw.machine.Machine`.

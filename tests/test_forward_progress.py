@@ -285,8 +285,8 @@ class TestPredecodeInvalidation:
         assert result == expected(program, (100, 0))
         assert compiled.disabled_regions == {0}
         # The fast path executed this method, then the storm escalated to
-        # a patch: disable_region must have dropped the pre-decoded form.
-        assert compiled._predecoded is None
+        # a patch: disable_region must have dropped the handler table.
+        assert compiled._jitted is None
 
         # The next fast-path run rebuilds the cache against the patched
         # region table: no region entries, correct result.
@@ -296,7 +296,7 @@ class TestPredecodeInvalidation:
         assert again == result
         assert stats.regions_entered == 0
         assert stats.regions_suppressed > 0
-        assert compiled._predecoded is not None
+        assert compiled._jitted is not None
 
     def test_patched_fast_and_slow_paths_agree(self):
         """Post-patch behaviour is dispatch-invariant: the suppressed

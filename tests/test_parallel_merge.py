@@ -35,7 +35,7 @@ class _AdversarialPool:
     completion_log: list[list[int]] = []
     live: list["_AdversarialPool"] = []
 
-    def __init__(self, max_workers=None):
+    def __init__(self, max_workers=None, initializer=None, initargs=()):
         self._pending = []
         self._submitted = 0
         type(self).live.append(self)

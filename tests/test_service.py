@@ -19,6 +19,8 @@ import contextlib
 import json
 import multiprocessing
 import os
+import time
+from pathlib import Path
 
 import pytest
 
@@ -470,9 +472,22 @@ def _recording_job(cell):
 
 
 def _kill_once_job(cell):
-    """Kills its worker on each cell's first attempt, then computes."""
-    attempt = claim_attempt(os.environ["SERVICE_TEST_STATE"], repr(cell))
+    """Kills its worker on each cell's first attempt, then computes.
+
+    A doomed worker first waits (up to 30 s) until
+    ``SERVICE_TEST_KILL_QUORUM`` first attempts have been claimed, so
+    every worker of a batch holds its cell before the first death
+    breaks the pool; otherwise a cell the broken pool never started
+    would die on the rebuilt pool and force a second rebuild.
+    """
+    state = os.environ["SERVICE_TEST_STATE"]
+    attempt = claim_attempt(state, repr(cell))
     if attempt == 0 and multiprocessing.parent_process() is not None:
+        quorum = int(os.environ.get("SERVICE_TEST_KILL_QUORUM", "0"))
+        deadline = time.monotonic() + 30.0
+        while (len(list(Path(state).glob("*.0"))) < quorum
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
         os._exit(113)
     return _recording_job(cell)
 
@@ -512,6 +527,9 @@ class TestWorkerPool:
         state = tmp_path / "attempts"
         monkeypatch.setenv("SERVICE_TEST_PID_LOG", str(log))
         monkeypatch.setenv("SERVICE_TEST_STATE", str(state))
+        # both of batch one's cells start on the first pool before
+        # either worker dies: exactly one rebuild, deterministically
+        monkeypatch.setenv("SERVICE_TEST_KILL_QUORUM", str(len(MATRIX)))
         monkeypatch.setattr("repro.service.server._compute_job",
                             _kill_once_job)
         for cell in MATRIX[2:]:

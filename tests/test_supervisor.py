@@ -3,8 +3,9 @@
 Covers each rung in isolation — clean pass-through, transient-exception
 retry, quarantine after the budget, hung-cell timeout + pool rebuild,
 worker-kill (``BrokenProcessPool``) recovery, degradation to serial —
-plus the crash-consistent journal (torn tails, corrupt records, resume)
-and the long-lived form's pool reuse.
+plus the crash-consistent journal (torn tails, corrupt records, resume),
+the long-lived form's pool reuse, and pool workers exiting with a
+killed parent.
 
 Cell functions live at module level (the pool path pickles them) and
 coordinate cross-process attempt counts through
@@ -16,9 +17,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.harness import run_supervised
 from repro.harness.hostchaos import claim_attempt
 from repro.harness.supervisor import (
@@ -314,3 +320,55 @@ class TestLongLivedSupervisor:
         assert first.ok and first.pool_rebuilds >= 1
         assert second.ok and second.pool_rebuilds == 0
         assert first.results == second.results == [v + 100 for v in range(4)]
+
+
+#: builds a 2-worker pool, prints the worker pids, then idles until
+#: killed.
+_DRIVER = """
+import time
+from repro.harness.supervisor import Supervisor, SupervisorConfig
+pool = Supervisor(SupervisorConfig(workers=2)).open()
+for future in [pool.submit(time.sleep, 0.3) for _ in range(2)]:
+    future.result()
+print(*sorted(pool._processes), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs (a zombie awaiting its reaper has
+    exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_driver_is_killed(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        driver = subprocess.Popen([sys.executable, "-c", _DRIVER], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        pids = []
+        try:
+            pids = [int(pid) for pid in driver.stdout.readline().split()]
+            assert len(pids) == 2
+            driver.kill()
+            driver.wait()
+            deadline = time.monotonic() + 5.0
+            while (any(_running(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert not [pid for pid in pids if _running(pid)], (
+                "pool workers outlived their SIGKILLed parent by 5 s")
+        finally:
+            driver.kill()
+            driver.wait()
+            driver.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, 9)

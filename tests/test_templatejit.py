@@ -1,20 +1,23 @@
 """Template-JIT suite: generative equivalence battery, golden source,
 cache-eviction and fallback regressions.
 
-The fused tier's contract is *observational inertness*: for any installed
-code, any heap, and any hardware shape, running on it (``dispatch="auto"``
-with no fault injector) must be byte-identical — outcome,
-``ExecStats.summary()``, heap fingerprint and, for timed runs, the timing
-model's full state — to the instrumented interpretive loop.  The battery here
-attacks that contract with randomly generated straight-line uop programs
-(:mod:`repro.testutil.uopgen`) whose operands deliberately wander off the
-fused templates' happy paths, so every bail edge re-lands in the handler
-tier mid-program.
+The fast tiers' contract is *observational inertness*: for any installed
+code, any heap, and any hardware shape, running on handlers
+(``dispatch="predecoded"``) or fused runs (``dispatch="auto"`` with no
+fault injector) must be byte-identical — outcome, stats, heap
+fingerprint and, for timed runs, the timing model's full state — to the
+instrumented interpretive loop.  The battery here attacks that contract
+with randomly generated straight-line and branchy uop programs
+(:mod:`repro.testutil.uopgen`), with and without seeded fault plans,
+whose operands deliberately wander off the templates' happy paths, so
+every bail edge re-lands on a handler and steps the reference loop
+mid-program.
 
-The golden test pins the *generated host source* for a hand-built region
-that exercises every fused template: an emitter change that silently
-reorders counter flushes or drops a read-set insert fails here first.
-Regenerate intentionally with::
+The golden tests pin the *generated host source* — the fused runs of a
+hand-built region that exercises every fused template, and the handler
+factory of every shape: an emitter change that silently reorders
+counter flushes, moves a probe or drops a read-set insert fails here
+first.  Regenerate intentionally with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_templatejit.py
 """
@@ -22,6 +25,7 @@ Regenerate intentionally with::
 from __future__ import annotations
 
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,6 +41,7 @@ from repro.hw.templatejit import (
     MAX_RUN,
     fused_runs,
     get_jitted,
+    handler_source,
     jit_profile,
     jit_source,
 )
@@ -44,7 +49,13 @@ from repro.hw.timing import TimingModel
 from repro.obs.tracer import Tracer
 from repro.runtime.errors import VMError
 from repro.runtime.heap import Heap
-from repro.testutil.uopgen import run_uop_case, timing_snapshot, uop_case
+from repro.testutil.uopgen import (
+    branchy_case,
+    fault_plan,
+    run_uop_case,
+    timing_snapshot,
+    uop_case,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -72,13 +83,17 @@ JIT_HTM_MATRIX = [
 
 
 def _assert_tiers_agree(seed: int, timing: bool = False,
-                        hw=BASELINE_4WIDE) -> None:
-    case = uop_case(seed)
-    base = run_uop_case(case, "interpretive", timing=timing, hw=hw)
+                        hw=BASELINE_4WIDE, make=uop_case,
+                        faults: bool = False) -> None:
+    case = make(seed)
+    plan = fault_plan(seed) if faults else None
+    base = run_uop_case(case, "interpretive", timing=timing, hw=hw,
+                        faults=plan)
     for tier in ("predecoded", "auto"):
-        got = run_uop_case(case, tier, timing=timing, hw=hw)
+        got = run_uop_case(case, tier, timing=timing, hw=hw, faults=plan)
         assert got == base, (
-            f"seed {seed} ({hw.name}, timed={timing}): {tier} diverged\n"
+            f"{make.__name__}({seed}) ({hw.name}, timed={timing}, "
+            f"faults={faults}): {tier} diverged\n"
             f"  {tier}: {got[0]}\n  interpretive: {base[0]}"
         )
 
@@ -141,6 +156,86 @@ class TestGenerativeEquivalence:
         assert "VMError" in kinds or "TypeError" in kinds
 
 
+class TestHandlerBattery:
+    """The handler tier under the branchy programs and fault plans that
+    steer uops onto it: forward ``BR``/``BR_ABORT``/``JMP`` edges and a
+    bounded back edge, lock-word stores and atomic RMW (which only ever
+    run on handlers), and seeded fault schedules (which keep ``auto``
+    off fused code, as in fault-injected service cells).  Every probe
+    the schedules fire — assert, exception, conflict, interrupt, line
+    and store-buffer capacity shrinks — reads the counters a handler
+    flushes, so its abort point is compared across tiers."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_branchy_seeds_untimed(self, seed):
+        _assert_tiers_agree(seed, timing=False, make=branchy_case)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_branchy_seeds_timed(self, seed):
+        _assert_tiers_agree(seed, timing=True, make=branchy_case)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fault_plans(self, seed):
+        for make in (uop_case, branchy_case):
+            for timing in (False, True):
+                _assert_tiers_agree(seed, timing=timing, make=make,
+                                    faults=True)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_fault_offset(self, seed):
+        """An assert injected at each region-relative offset in turn
+        lands on every kind of uop a region retires — a taken branch
+        included — so a probe skipped or moved off any of them moves
+        the abort point."""
+        case = branchy_case(seed)
+        for offset in range(1, 13):
+            plan = FaultPlan.single("assert", offset=offset)
+            base = run_uop_case(case, "interpretive", faults=plan)
+            got = run_uop_case(case, "predecoded", faults=plan)
+            assert got == base, f"branchy_case({seed}), offset {offset}"
+
+    @pytest.mark.parametrize("hw", JIT_HTM_MATRIX[1:], ids=lambda h: h.name)
+    def test_branchy_tight_htm(self, hw):
+        for seed in range(15):
+            _assert_tiers_agree(seed, timing=True, hw=hw, make=branchy_case)
+            _assert_tiers_agree(seed, timing=False, hw=hw, make=branchy_case,
+                                faults=True)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_random_branchy_seeds(self, seed):
+        _assert_tiers_agree(seed, timing=True, make=branchy_case)
+        _assert_tiers_agree(seed, timing=False, make=branchy_case,
+                            faults=True)
+
+    def test_battery_reaches_handler_paths(self):
+        """The generators must keep reaching what the battery claims to
+        compare: taken back edges and forward branches, fired aborts,
+        every unfusable uop, and every kind of injected fault."""
+        seen = Counter()
+        for seed in range(150):
+            case = branchy_case(seed)
+            for plan in (None, fault_plan(seed)):
+                _, stats, _, _ = run_uop_case(case, "interpretive",
+                                              faults=plan)
+                summary = dict(stats[0])
+                for kind in ("faa_ops", "cas_ops", "ll_ops", "sc_ops"):
+                    seen[kind] += summary[kind] > 0
+                seen["stores"] += stats[2] > 0
+                seen["branches>3"] += stats[3] > 3
+                seen["committed"] += stats[6] > 0
+                seen["abort_site"] += bool(stats[9])
+                for reason, count in stats[8]:
+                    seen[reason] += count
+            ops = {instr.op for instr in case.compiled.instrs}
+            seen["storelock"] += MOp.STORELOCK in ops
+            seen["jmp"] += MOp.JMP in ops
+        for key in ("faa_ops", "cas_ops", "ll_ops", "sc_ops", "stores",
+                    "branches>3", "committed", "abort_site", "storelock",
+                    "jmp", "assert", "exception", "conflict", "interrupt",
+                    "overflow", "capacity"):
+            assert seen[key] > 0, f"battery never reached {key}: {seen}"
+
+
 # -- golden generated source -------------------------------------------------
 
 def _golden_method() -> CompiledMethod:
@@ -193,6 +288,34 @@ def _golden_method() -> CompiledMethod:
     return compiled
 
 
+def _handler_extras() -> CompiledMethod:
+    """One uop of every handler shape the golden method lacks: the
+    other control-flow shapes and every unfusable uop."""
+    instrs = [
+        MInstr(MOp.CONST_CLASS, dst=0, cls="Node"),
+        MInstr(MOp.JMP, target=2),
+        MInstr(MOp.BR, cond="lt", a=0, b=1, target=0),
+        MInstr(MOp.BR, cond="ne", a=0, target=0),
+        MInstr(MOp.BR_ABORT, cond="gt", a=0, b=1, target=16),
+        MInstr(MOp.BR_TRAP, cond="uge", fieldname="bounds", a=0, b=1),
+        MInstr(MOp.LOADG, dst=0, imm=None),
+        MInstr(MOp.STORELOCK, a=0, imm=1),
+        MInstr(MOp.STORELOCK, a=0, imm=-1),
+        MInstr(MOp.FAA, dst=1, a=0, b=2, fieldname="f0"),
+        MInstr(MOp.CAS, dst=1, a=0, b=2, c=3, fieldname="f0"),
+        MInstr(MOp.LL, dst=1, a=0, fieldname="f0"),
+        MInstr(MOp.SC, dst=1, a=0, b=2, fieldname="f0"),
+        MInstr(MOp.CALLVM, dst=0, method="helper", args=(0, -1)),
+        MInstr(MOp.VCALLVM, dst=0, method="helper", args=(0,)),
+        MInstr(MOp.RET),
+        MInstr(MOp.AREGION_ABORT, imm=1, cls="assert", abort_id=10_000),
+    ]
+    compiled = CompiledMethod(name="golden_handlers", num_params=0,
+                              instrs=instrs, num_regs=4, num_spill_slots=1)
+    compiled.param_locations = ()
+    return compiled
+
+
 class TestGoldenSource:
     def _profile(self):
         # The profile depends only on the hardware config, not the guest
@@ -214,6 +337,26 @@ class TestGoldenSource:
         assert source == path.read_text(), (
             "generated template-jit source changed; if the emitter change "
             "is intentional, regenerate with REGEN_GOLDEN=1 and re-run the "
+            "full differential battery"
+        )
+
+    def test_handler_source_matches_golden(self):
+        """The handler-mode factories of every shape, pinned next to the
+        fused source: a change that moves a counter flush past a probe,
+        drops a probe, or applies an effect before a bail shows here."""
+        source = "\n".join(handler_source(compiled) for compiled in
+                           (_golden_method(), _handler_extras()))
+        path = GOLDEN_DIR / "templatejit_handlers.txt"
+        if os.environ.get("REGEN_GOLDEN"):
+            path.write_text(source)
+            pytest.skip(f"regenerated {path}")
+        assert path.exists(), (
+            f"missing golden file {path}; run with REGEN_GOLDEN=1 to "
+            "create it"
+        )
+        assert source == path.read_text(), (
+            "generated handler source changed; if the emitter change is "
+            "intentional, regenerate with REGEN_GOLDEN=1 and re-run the "
             "full differential battery"
         )
 
@@ -246,7 +389,6 @@ class TestCacheEviction:
             "disable_region must drop the fused-function cache: the patch "
             "changes what aregion_begin does"
         )
-        assert case.compiled._predecoded is None
         # The rebuilt fused code takes the permanent fallback path —
         # and still agrees with the interpretive loop on the patched code.
         for timing in (False, True):
@@ -257,13 +399,16 @@ class TestCacheEviction:
         assert case.compiled._jitted is not jitted_before
 
     def test_invalidate_predecode_drops_both_caches(self):
+        """The handler table and the fused tables share one cache slot,
+        and one invalidation drops both."""
         case = uop_case(COMMITTING_REGION_SEED)
         run_uop_case(case, "predecoded")
+        jm = case.compiled._jitted
+        assert jm is not None and jm.handlers
         run_uop_case(case, "auto")
-        assert case.compiled._predecoded is not None
-        assert case.compiled._jitted is not None
+        assert case.compiled._jitted is jm
+        assert jm._tables[0] is not None
         case.compiled.invalidate_predecode()
-        assert case.compiled._predecoded is None
         assert case.compiled._jitted is None
 
     def test_profile_change_rebuilds_fused_code(self):
@@ -498,4 +643,3 @@ class TestJitGating:
         other = uop_case(1)
         slow.prepare(other.compiled)
         assert other.compiled._jitted is None
-        assert other.compiled._predecoded is None
