@@ -6,7 +6,10 @@ program-level work, identical across compiler configurations, and weight
 multi-phase benchmarks by each phase's contribution.
 
 Results are memoized per (workload, compiler, hardware, flags) because
-every figure shares runs with every other figure.
+every figure shares runs with every other figure.  Warm-up is memoized too,
+per workload sample: it is pure tier-0 profiling, identical under every
+configuration, so each sample is warmed once and every cell starts from a
+private copy of that state.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from ..hw.config import BASELINE_4WIDE, HardwareConfig
 from ..hw.stats import ExecStats
 from ..vm.adaptive import AdaptiveController
 from ..vm.compiler import CompilerConfig
-from ..vm.vm import TieredVM, VMOptions
+from ..vm.vm import TieredVM, VMOptions, WarmState
 from ..workloads.base import Workload
 from . import diskcache
 
@@ -104,10 +107,34 @@ class RunResult:
 
 
 _cache: dict[tuple, RunResult] = {}
+#: warmed state per workload sample; see :func:`warmed`.
+_warm: dict[tuple, WarmState] = {}
 
 
 def clear_cache() -> None:
+    """Drop memoized results and warm-ups: the next cells run cold."""
     _cache.clear()
+    _warm.clear()
+
+
+def warmed(workload: Workload, index: int) -> WarmState:
+    """A private copy of the tier-0 warm-up state of sample ``index``.
+
+    The first call per sample builds the program and warms it up; later
+    calls copy the stored state.  The key is everything warm-up reads —
+    the build callable, the entry and the sample's index and warm args —
+    not the workload's name, so a renamed variant with the same inputs
+    shares the entry and a same-named one with other inputs does not.
+    """
+    sample = workload.samples[index]
+    key = (workload.build, workload.entry, index,
+           tuple(tuple(args) for args in sample.warm_args))
+    state = _warm.get(key)
+    if state is None:
+        vm = TieredVM(workload.build(), options=VMOptions(enable_timing=False))
+        state = _warm[key] = vm.warm_up(
+            workload.entry, [list(a) for a in sample.warm_args])
+    return state.copy()
 
 
 def memo_key(
@@ -157,6 +184,11 @@ def run_workload(
     events across all samples; traced runs bypass the cache so a stateful
     tracer never leaks into (or out of) memoized results.
 
+    ``use_cache=False`` bypasses only the result memo.  Every cell starts
+    from a private copy of its samples' memoized warm-up (:func:`warmed`),
+    whatever ``use_cache`` says: warm-up reads no configuration, so
+    sharing it cannot change a result.
+
     ``dispatch`` selects the machine's uop dispatch tier (see
     :class:`repro.hw.machine.Machine`).  Every tier is observationally
     identical, so it is not part of the memo key: a memoised cell is
@@ -188,18 +220,18 @@ def run_workload(
         compiler=compiler_config.name,
         hardware=hw_config.name,
     )
-    for sample in workload.samples:
-        program = workload.build()
+    for index, sample in enumerate(workload.samples):
+        warm = warmed(workload, index)
         config = compiler_config
         if force_monomorphic and workload.force_monomorphic_sites is not None:
-            sites = workload.force_monomorphic_sites(program)
+            sites = workload.force_monomorphic_sites(warm.program)
             config = replace(
                 config,
                 name=config.name + "+mono",
                 inline=replace(config.inline, force_monomorphic=sites),
             )
         vm = TieredVM(
-            program,
+            warm,
             compiler_config=config,
             hw_config=hw_config,
             options=VMOptions(
@@ -209,8 +241,9 @@ def run_workload(
             ),
             fault_plan=fault_plan,
             tracer=tracer,
+            # the warm-up VM validated this program's original
+            validate=False,
         )
-        vm.warm_up(workload.entry, [list(a) for a in sample.warm_args])
         vm.compile_hot(min_invocations=1)
 
         controller = (

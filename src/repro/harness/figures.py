@@ -7,7 +7,7 @@ them as text.  Benchmarks under ``benchmarks/`` call straight into these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..hw.config import (
     BASELINE_4WIDE,
@@ -23,6 +23,7 @@ from ..vm.compiler import (
     NO_ATOMIC_AGGRESSIVE,
 )
 from ..workloads import ALL_WORKLOADS, get_workload
+from ..workloads.base import Workload
 from ..workloads.contention import SCENARIOS, contention_workload
 from .chaos import run_concurrency_chaos
 from .experiment import RunResult, run_workload
@@ -209,6 +210,20 @@ def section63(benches: list[str] | None = None) -> FigureData:
     return data
 
 
+def adaptive_window(bench: str) -> Workload:
+    """``bench`` with each sample's measured window four times longer,
+    renamed; its build and warm-up inputs are the source's."""
+    source = get_workload(bench)
+    return replace(
+        source,
+        name=f"{bench}-adaptive-window",
+        samples=[
+            replace(s, measure_args=[list(a) for a in s.measure_args] * 4)
+            for s in source.samples
+        ],
+    )
+
+
 def section7_adaptive(bench: str = "pmd") -> FigureData:
     """Adaptive recompilation (§7): the phase-changed benchmark, with and
     without the abort-rate-driven controller.
@@ -218,17 +233,7 @@ def section7_adaptive(bench: str = "pmd") -> FigureData:
     reports after the first invocation) has a chance to pay off within the
     sample — the paper's continuous-monitoring scenario.
     """
-    from dataclasses import replace as dc_replace
-
-    source = get_workload(bench)
-    extended = dc_replace(
-        source,
-        name=f"{bench}-adaptive-window",
-        samples=[
-            dc_replace(s, measure_args=[list(a) for a in s.measure_args] * 4)
-            for s in source.samples
-        ],
-    )
+    extended = adaptive_window(bench)
     base = run_workload(extended, NO_ATOMIC, BASELINE_4WIDE)
     plain = run_workload(extended, ATOMIC_AGGRESSIVE, BASELINE_4WIDE)
     adaptive = run_workload(

@@ -69,6 +69,16 @@ class _Stepped(Exception):
     argument is the next pc."""
 
 
+class _RegionAbort(Exception):
+    """A uop of the reference loop aborts the in-flight region: the
+    reason, the pc the abort is attributed to, and the abort id."""
+
+    def __init__(self, reason: str, pc: int, abort_id=None) -> None:
+        self.reason = reason
+        self.pc = pc
+        self.abort_id = abort_id
+
+
 class _OneStep:
     """The instruction array as a single step of the reference loop
     sees it: the uop it was entered at, then a stop."""
@@ -455,12 +465,7 @@ class Machine:
                                 # as a real conflict (retry/backoff path).
                                 region.real_conflict = True
                                 self._tick(instr, mem_address, timing)
-                                pc = self._do_abort(
-                                    compiled, region, "conflict",
-                                    code_base + pc, None, regs, spill,
-                                )
-                                region = fr.region = None
-                                continue
+                                raise _RegionAbort("conflict", pc)
                         else:
                             lock.exit(tid)
                         region.lock_log.append(
@@ -573,11 +578,7 @@ class Machine:
                         if region is not None:
                             reason = self._hw_condition(region)
                             if reason is not None:
-                                pc = self._do_abort(
-                                    compiled, region, reason,
-                                    code_base + pc, None, regs, spill,
-                                )
-                                region = fr.region = None
+                                raise _RegionAbort(reason, pc)
                         continue
                 elif op is MOp.JMP:
                     self._tick(instr, mem_address, timing)
@@ -653,12 +654,7 @@ class Machine:
                     if self._real_conflict(region):
                         region.real_conflict = True
                         self._tick(instr, mem_address, timing)
-                        pc = self._do_abort(
-                            compiled, region, "conflict", code_base + pc,
-                            None, regs, spill,
-                        )
-                        region = fr.region = None
-                        continue
+                        raise _RegionAbort("conflict", pc)
                     if (self._fallback_mode == "end"
                             and self.fallback_lock.held_by_other(tid)):
                         # Sandboxed subscription: the region ran blind and
@@ -667,12 +663,7 @@ class Machine:
                         # means it must not commit over it.
                         region.real_conflict = True
                         self._tick(instr, mem_address, timing)
-                        pc = self._do_abort(
-                            compiled, region, "conflict", code_base + pc,
-                            None, regs, spill,
-                        )
-                        region = fr.region = None
-                        continue
+                        raise _RegionAbort("conflict", pc)
                     self._commit(region)
                     if timing is not None:
                         timing.region_end()
@@ -680,14 +671,9 @@ class Machine:
                 elif op is MOp.AREGION_ABORT:
                     if region is None:
                         raise VMError("aregion_abort outside a region")
-                    reason = instr.cls or "assert"
                     self._tick(instr, mem_address, timing)
-                    pc = self._do_abort(
-                        compiled, region, reason, code_base + pc,
-                        instr.abort_id, regs, spill,
-                    )
-                    region = fr.region = None
-                    continue
+                    raise _RegionAbort(instr.cls or "assert", pc,
+                                       instr.abort_id)
                 elif op is MOp.CALLVM or op is MOp.VCALLVM:
                     if region is not None:
                         raise VMError("call inside an atomic region")
@@ -717,6 +703,16 @@ class Machine:
                     return regs[instr.a] if instr.a is not None else None
                 else:  # pragma: no cover - exhaustive
                     raise VMError(f"unhandled machine op {op}")
+            except _RegionAbort as abort:
+                # Outside the guest-fault handler below: an error the
+                # abort machinery itself raises propagates, as it does
+                # from the fast tiers.
+                pc = self._do_abort(
+                    compiled, region, abort.reason, code_base + abort.pc,
+                    abort.abort_id, regs, spill,
+                )
+                region = fr.region = None
+                continue
             except GuestError:
                 if region is None:
                     raise

@@ -10,7 +10,7 @@ from .compiler import (
     NO_ATOMIC_AGGRESSIVE,
     compile_method,
 )
-from .vm import TieredVM, VMOptions
+from .vm import TieredVM, VMOptions, WarmState
 
 __all__ = [
     "ATOMIC",
@@ -23,5 +23,6 @@ __all__ = [
     "NO_ATOMIC_AGGRESSIVE",
     "TieredVM",
     "VMOptions",
+    "WarmState",
     "compile_method",
 ]

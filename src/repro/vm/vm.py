@@ -11,10 +11,15 @@ For deterministic experiments, the harness drives the tiers explicitly:
 machine code, ``start_measurement`` resets the statistics and the timing
 model, and the measured calls then run on the final code, exactly like the
 paper's marker-delimited samples.
+
+Warm-up is pure tier-0 work, so its outcome is a :class:`WarmState` that
+does not depend on the compiler or hardware config: a VM of any
+configuration can start from a private copy of it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from ..faults import FaultInjector, FaultPlan
@@ -45,12 +50,42 @@ class VMOptions:
     dispatch: str = "auto"
 
 
+@dataclass(frozen=True)
+class WarmState:
+    """Everything tier-0 warm-up leaves behind.
+
+    The program, the heap the warm-up calls allocated, the profiles they
+    gathered and the interpreter's counters.  A fresh VM starts from an
+    empty state.  The objects are live: the VM that produced or received a
+    state keeps mutating them, so another VM starts from :meth:`copy`.
+    """
+
+    program: Program
+    heap: Heap = field(default_factory=Heap)
+    profiles: ProfileStore = field(default_factory=ProfileStore)
+    bytecodes_executed: int = 0
+    safepoints_polled: int = 0
+
+    def copy(self) -> "WarmState":
+        """A private deep copy, sharing no mutable object with ``self``.
+
+        One ``deepcopy`` call covers every field, so references between
+        them (heap objects' field layouts are the program's) stay shared
+        within the copy.
+        """
+        return copy.deepcopy(self)
+
+
 class TieredVM:
-    """One guest program + one compiler config + one hardware config."""
+    """One guest program + one compiler config + one hardware config.
+
+    ``program`` is either a freshly built program or a :class:`WarmState`
+    to start from; the VM takes ownership of the state's objects.
+    """
 
     def __init__(
         self,
-        program: Program,
+        program: Program | WarmState,
         compiler_config: CompilerConfig = NO_ATOMIC,
         hw_config: HardwareConfig = BASELINE_4WIDE,
         options: VMOptions | None = None,
@@ -59,6 +94,8 @@ class TieredVM:
         validate: bool = True,
         tracer=None,
     ) -> None:
+        warm = program if isinstance(program, WarmState) else WarmState(program)
+        program = warm.program
         if validate:
             validate_program(program)
         self.program = program
@@ -70,13 +107,15 @@ class TieredVM:
         #: the null tracer: one attribute check, zero emission.
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
-        self.heap = Heap()
-        self.profiles = ProfileStore()
+        self.heap = warm.heap
+        self.profiles = warm.profiles
         self.stats = ExecStats()
         self.timing = TimingModel(hw_config) if self.options.enable_timing else None
         self.interpreter = Interpreter(
             program, heap=self.heap, profiles=self.profiles, dispatcher=self
         )
+        self.interpreter.bytecodes_executed = warm.bytecodes_executed
+        self.interpreter.safepoints_polled = warm.safepoints_polled
         if fault_injector is not None and fault_plan is not None:
             raise VMError("pass either fault_plan or fault_injector, not both")
         if fault_injector is None and fault_plan is not None:
@@ -234,13 +273,17 @@ class TieredVM:
         return sched
 
     # -- measurement protocol ---------------------------------------------------
-    def warm_up(self, entry: str, args_list: list[list[Value]]) -> None:
+    def warm_up(self, entry: str, args_list: list[list[Value]]) -> WarmState:
         """Interpret the workload to build profiles (no stats recorded).
 
         Auto-compilation is suspended: warm-up is a pure tier-0 profiling
         phase, so no method's profile is frozen mid-warm-up with only a
         handful of branch samples (which would misclassify warm edges as
-        cold and create spurious asserts).
+        cold and create spurious asserts).  Before anything is compiled,
+        every call therefore runs on the interpreter, which never reads the
+        compiler or hardware config, the timing model, the fault injector
+        or the tracer: the returned state (live, not a copy) can seed a VM
+        of any configuration.
         """
         method = self.program.resolve_static(entry)
         previous = self.options.auto_compile
@@ -250,6 +293,11 @@ class TieredVM:
                 self.interpreter.invoke(method, list(args))
         finally:
             self.options.auto_compile = previous
+        return WarmState(
+            self.program, self.heap, self.profiles,
+            self.interpreter.bytecodes_executed,
+            self.interpreter.safepoints_polled,
+        )
 
     def start_measurement(self) -> None:
         """Begin a timing sample: fresh statistics and timing state."""

@@ -32,6 +32,7 @@ from repro.hw import (
 )
 from repro.lang import ProgramBuilder
 from repro.runtime import Interpreter, MonitorStateError
+from repro.testutil.uopgen import stats_fingerprint
 from repro.vm import ATOMIC, TieredVM, VMOptions
 from repro.workloads import HSQLDB_THREADED, get_workload
 
@@ -275,12 +276,12 @@ class TestAbortDelivery:
 
 
 class TestFallbackLock:
-    def _forced_owner_vm(self, mode):
+    def _forced_owner_vm(self, mode, dispatch="auto"):
         program = stride_store_program()
         hw = BASELINE_4WIDE.scaled(
             name=f"test-lock-{mode}", fallback_lock_mode=mode,
         )
-        vm = make_vm(program, hw)
+        vm = make_vm(program, hw, dispatch=dispatch)
         vm.warm_up("work", [[200]] * 3)
         vm.compile_hot(min_invocations=1)
         vm.start_measurement()
@@ -321,6 +322,24 @@ class TestFallbackLock:
         # Same abort ladder, strictly more speculative work: each end-mode
         # attempt ran to the commit point before noticing the lock.
         assert end_vm.machine.uops_executed > begin_vm.machine.uops_executed
+
+    @pytest.mark.parametrize("mode", ["begin", "end"])
+    def test_escalation_error_is_raised_on_every_tier(self, mode):
+        """An error the abort machinery itself raises (the escalation to a
+        foreign-owned fallback lock with no scheduler) propagates from the
+        reference loop exactly as from the fast tiers: it is not a guest
+        fault of the aborting uop, so it never becomes an ``exception``
+        abort of the same region."""
+        outcomes = []
+        for dispatch in ("interpretive", "auto"):
+            vm = self._forced_owner_vm(mode, dispatch)
+            with pytest.raises(MonitorStateError) as raised:
+                vm.run("work", [24])
+            stats = vm.machine.stats
+            assert "exception" not in stats.abort_reasons
+            outcomes.append((str(raised.value), stats_fingerprint(stats),
+                             vm.machine.uops_executed))
+        assert outcomes[0] == outcomes[1]
 
     def test_begin_mode_adds_exactly_the_lock_line(self):
         """Eager subscription costs one read-set line per region; the
