@@ -45,7 +45,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.service import ServiceCell, SweepClient, SweepServer  # noqa: E402
+from repro.harness import Cell  # noqa: E402
+from repro.service import SweepClient, SweepServer  # noqa: E402
 
 #: minimum cold-p50 / cached-p50 ratio (the acceptance criterion).
 CACHED_SPEEDUP_FLOOR = 10.0
@@ -55,8 +56,8 @@ CACHED_SPEEDUP_FLOOR = 10.0
 WORKLOAD, COMPILER = "hsqldb", "atomic"
 
 
-def cell(seed: int) -> ServiceCell:
-    return ServiceCell(workload=WORKLOAD, compiler=COMPILER, seed=seed)
+def cell(seed: int) -> Cell:
+    return Cell(workload=WORKLOAD, compiler=COMPILER, seed=seed)
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -64,7 +65,7 @@ def percentile(samples: list[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-async def closed_loop(server: SweepServer, cells: list[ServiceCell],
+async def closed_loop(server: SweepServer, cells: list[Cell],
                       latencies: list[float], digests: dict) -> None:
     """One tenant: submit each cell alone and wait for its result."""
     client = await SweepClient.connect(server.host, server.port)
@@ -78,7 +79,7 @@ async def closed_loop(server: SweepServer, cells: list[ServiceCell],
         await client.close()
 
 
-async def phase(server: SweepServer, per_client: list[list[ServiceCell]],
+async def phase(server: SweepServer, per_client: list[list[Cell]],
                 digests: dict) -> dict:
     latencies: list[float] = []
     begin = time.perf_counter()

@@ -21,13 +21,13 @@ Run:  python examples/service_sweep.py
 
 import asyncio
 
-from repro.harness import render_cache
-from repro.service import ServiceCell, SweepClient, SweepServer, canonical_json
+from repro.harness import Cell, render_cache
+from repro.service import SweepClient, SweepServer, canonical_json
 
 MATRIX = [
-    ServiceCell(workload="hsqldb", compiler="no-atomic"),
-    ServiceCell(workload="hsqldb", compiler="atomic"),
-    ServiceCell(workload="hsqldb", compiler="atomic", seed=3),
+    Cell(workload="hsqldb", compiler="no-atomic"),
+    Cell(workload="hsqldb", compiler="atomic"),
+    Cell(workload="hsqldb", compiler="atomic", seed=3),
 ]
 
 

@@ -1,9 +1,17 @@
-"""Sharded experiment sweeps with a deterministic merge order.
+"""Experiment cells, the config registries, and sharded sweeps.
+
+:class:`Cell` is the one experiment cell type: a (workload, compiler,
+hardware, seed, flags) tuple named against :data:`COMPILER_CONFIGS`,
+:data:`HARDWARE_CONFIGS` and the workload registry, keyed by
+:func:`repro.harness.experiment.memo_key`, and run by
+:func:`compute_cell`.  Figure prewarms and the sweep service
+(:mod:`repro.service`) submit the same cells, so a served figure cell
+and a prewarmed one share memo and disk-cache entries.
 
 Figure sweeps and chaos matrices decompose into independent cells — one
-(workload, compiler, hardware, flags) experiment, or one fault seed — and
-every cell builds its own VM from scratch, so cells parallelize across a
-process pool with no shared state.  The pool is the sweep supervisor's
+experiment, or one fault seed — and every cell builds its own VM from
+scratch, so cells parallelize across a process pool with no shared
+state.  The pool is the sweep supervisor's
 (:mod:`repro.harness.supervisor`, the only code that runs one).  Two
 disciplines keep the parallel runs byte-identical to serial ones:
 
@@ -34,6 +42,7 @@ from ..hw.config import (
     CHKPT_SINGLE_INFLIGHT,
     OOO_2WIDE,
     OOO_2WIDE_HALF,
+    htm_variant_configs,
 )
 from ..vm.compiler import (
     ATOMIC,
@@ -47,23 +56,29 @@ from .chaos import ChaosReport, run_chaos
 from .figures import BENCH_ORDER
 from .supervisor import SupervisorConfig, SweepOutcome, run_supervised
 
-#: named configs a worker process can resolve from a picklable cell spec.
+#: named configs a worker process can resolve from a picklable cell.
 COMPILER_CONFIGS = {
     c.name: c
     for c in (NO_ATOMIC, ATOMIC, NO_ATOMIC_AGGRESSIVE, ATOMIC_AGGRESSIVE)
 }
+#: the figure machines plus every best-effort HTM variant, by ``.name``.
 HARDWARE_CONFIGS = {
     h.name: h
     for h in (BASELINE_4WIDE, CHKPT_20CYCLE, CHKPT_SINGLE_INFLIGHT,
-              OOO_2WIDE, OOO_2WIDE_HALF)
+              OOO_2WIDE, OOO_2WIDE_HALF, *htm_variant_configs())
 }
 
 
-# -- figure-sweep cells -------------------------------------------------------
+# -- cells -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Cell:
-    """One picklable experiment cell (resolved by name in the worker)."""
+    """One picklable experiment cell (resolved by name where it runs).
+
+    ``seed`` maps to :meth:`repro.faults.FaultPlan.seeded`, the chaos
+    harness's default fault schedule.  ``trace`` marks a cell run under
+    a live tracer; its key never aliases the untraced cell's.
+    """
 
     workload: str
     compiler: str
@@ -71,11 +86,31 @@ class Cell:
     timing: bool = True
     force_monomorphic: bool = False
     adaptive: bool = False
+    seed: int | None = None
+    trace: bool = False
+
+    def plan(self) -> FaultPlan | None:
+        return None if self.seed is None else FaultPlan.seeded(self.seed)
 
     def key(self) -> tuple:
+        """The memo key, plus a ``("traced",)`` suffix for traced cells."""
         return experiment.memo_key(
             self.workload, self.compiler, self.hardware, self.timing,
-            self.force_monomorphic, self.adaptive,
+            self.force_monomorphic, self.adaptive, fault_plan=self.plan(),
+        ) + (("traced",) if self.trace else ())
+
+    def run(self, tracer=None) -> experiment.RunResult:
+        """Resolve the names and run the cell, bypassing the result memo."""
+        return experiment.run_workload(
+            get_workload(self.workload),
+            COMPILER_CONFIGS[self.compiler],
+            HARDWARE_CONFIGS[self.hardware],
+            timing=self.timing,
+            force_monomorphic=self.force_monomorphic,
+            adaptive=self.adaptive,
+            fault_plan=self.plan(),
+            use_cache=False,
+            tracer=tracer,
         )
 
 
@@ -105,16 +140,7 @@ def figure_cells(benches: list[str] | None = None) -> list[Cell]:
 
 def compute_cell(cell: Cell):
     """Worker entry: run one cell; returns (memo key, result)."""
-    result = experiment.run_workload(
-        get_workload(cell.workload),
-        COMPILER_CONFIGS[cell.compiler],
-        HARDWARE_CONFIGS[cell.hardware],
-        timing=cell.timing,
-        force_monomorphic=cell.force_monomorphic,
-        adaptive=cell.adaptive,
-        use_cache=False,
-    )
-    return cell.key(), result
+    return cell.key(), cell.run()
 
 
 def prewarm_figures(

@@ -15,40 +15,42 @@ cache, fault-tolerant supervisor) turned into a long-running service:
   and the canonical result projection whose bytes are proven identical
   to serial ``compute_cell`` runs.
 
+A served cell is the harness's own :class:`repro.harness.Cell`, the type
+figure sweeps prewarm, and it runs through the same
+:func:`repro.harness.parallel.compute_cell`.
+
 Determinism contract (the repo-wide invariant, one level up): any served
 cell's payload is byte-identical to a serial run — cold, deduped, or
 cached, under concurrent tenants and mid-stream disconnects.
 """
 
+from ..harness.parallel import Cell
 from .client import ServiceError, SubmitHandle, SweepClient
 from .protocol import (
     ERROR_CODES,
     PROTOCOL_VERSION,
-    SERVICE_HARDWARE,
     ProtocolError,
-    ServiceCell,
     canonical_json,
-    compute_service_cell,
-    compute_service_cell_traced,
+    cell_spec,
     payload_digest,
     result_payload,
     validate_cell,
 )
 from .server import SweepServer
 
+# benchmarks/e2e imports the cell type under its former name.
+ServiceCell = Cell
+
 __all__ = [
     "ERROR_CODES",
     "PROTOCOL_VERSION",
-    "SERVICE_HARDWARE",
     "ProtocolError",
-    "ServiceCell",
     "ServiceError",
     "SubmitHandle",
     "SweepClient",
     "SweepServer",
     "canonical_json",
-    "compute_service_cell",
-    "compute_service_cell_traced",
+    "cell_spec",
     "payload_digest",
     "result_payload",
     "validate_cell",

@@ -28,30 +28,43 @@ import json
 import signal
 import sys
 
+from ..harness.parallel import Cell, compute_cell
 from .client import SweepClient
 from .protocol import (
-    ServiceCell,
+    ProtocolError,
     canonical_json,
-    compute_service_cell,
     result_payload,
+    validate_cell,
 )
 from .server import SweepServer
 
-#: the default smoke matrix: fast cells, two compilers, one seeded.
+#: the default smoke matrix: fast cells, two compilers, two seeded (one
+#: on a best-effort HTM machine).
 DEFAULT_SMOKE_CELLS = ("hsqldb:atomic", "hsqldb:no-atomic",
-                       "xalan:atomic+aggr-inline", "hsqldb:atomic:4wide:3")
+                       "xalan:atomic+aggr-inline", "hsqldb:atomic:4wide:3",
+                       "hsqldb:atomic:4wide-htm-rock:3")
 
 
-def parse_cell(text: str) -> ServiceCell:
+def parse_cell(text: str) -> Cell:
+    """``workload:compiler[:hardware[:seed]]`` → a cell validated exactly
+    as a wire spec is; a bad cell exits with its text and error code."""
     parts = text.split(":")
     if not 2 <= len(parts) <= 4:
         raise SystemExit(
             f"bad cell {text!r}: want workload:compiler[:hardware[:seed]]")
-    workload, compiler = parts[0], parts[1]
-    hardware = parts[2] if len(parts) > 2 and parts[2] else "4wide"
-    seed = int(parts[3]) if len(parts) > 3 else None
-    return ServiceCell(workload=workload, compiler=compiler,
-                       hardware=hardware, seed=seed)
+    spec = {"workload": parts[0], "compiler": parts[1]}
+    if len(parts) > 2 and parts[2]:
+        spec["hardware"] = parts[2]
+    if len(parts) > 3:
+        try:
+            spec["seed"] = int(parts[3])
+        except ValueError:
+            spec["seed"] = parts[3]  # validate_cell rejects it
+    try:
+        return validate_cell(spec)
+    except ProtocolError as exc:
+        raise SystemExit(
+            f"bad cell {text!r}: {exc.code}: {exc.detail}") from None
 
 
 async def _serve(args) -> int:
@@ -108,7 +121,7 @@ async def _smoke(args) -> int:
     # the serial reference, through the same canonical projection.
     expected = []
     for cell in cells:
-        _key, result = compute_service_cell(cell)
+        _key, result = compute_cell(cell)
         expected.append(canonical_json(result_payload(result)))
 
     failures = 0
@@ -118,7 +131,8 @@ async def _smoke(args) -> int:
             verdict = "ok" if served == reference else "MISMATCH"
             if served != reference:
                 failures += 1
-            print(f"client {index}  {cell.workload}:{cell.compiler}"
+            print(f"client {index}  {cell.workload}:{cell.compiler}:"
+                  f"{cell.hardware}"
                   f"{':' + str(cell.seed) if cell.seed is not None else ''}"
                   f"  source={event['source']:5s}  {verdict}")
     async with await SweepClient.connect(args.host, args.port) as client:

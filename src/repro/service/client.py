@@ -17,7 +17,8 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from .protocol import FRAME_LIMIT, ProtocolError, ServiceCell, decode, encode
+from ..harness.parallel import Cell
+from .protocol import FRAME_LIMIT, ProtocolError, cell_spec, decode, encode
 
 #: events that terminate one submitted request.
 _TERMINAL = ("done",)
@@ -178,9 +179,9 @@ class SweepClient:
 
     # -- operations --------------------------------------------------------
     async def submit(self, cells, request_id: str | None = None) -> SubmitHandle:
-        """Submit a list of cells (:class:`ServiceCell` or wire dicts);
-        returns the accepted handle or raises :class:`ServiceError`."""
-        specs = [cell.spec() if isinstance(cell, ServiceCell) else cell
+        """Submit a list of cells (:class:`~repro.harness.Cell` or wire
+        dicts); returns the accepted handle or raises :class:`ServiceError`."""
+        specs = [cell_spec(cell) if isinstance(cell, Cell) else cell
                  for cell in cells]
         message: dict = {"op": "submit", "cells": specs}
         if request_id is not None:

@@ -7,17 +7,15 @@ speakable from ``netcat``.  Client→server messages carry an ``"op"``
 carry an ``"event"`` (``hello`` / ``accepted`` / ``result`` / ``trace``
 / ``progress`` / ``error`` / ``pong`` / ``stats`` / ``done``).
 
-The experiment vocabulary is exactly the harness's: a cell is a
-(workload, compiler, hardware, seed, flags) tuple validated against the
-same registries the parallel runner resolves
-(:data:`repro.harness.parallel.COMPILER_CONFIGS`, the
-:mod:`repro.hw.config` hardware table including the HTM variants, and
-the workload registry), and its identity is the canonical
-:func:`repro.harness.experiment.memo_key` — so the server, the disk
-cache, and a serial ``compute_cell`` can never disagree about what a
-cell *is*.  ``seed`` maps to :meth:`repro.faults.FaultPlan.seeded`
-exactly as the chaos harness's default does, which is what makes a
-"seed matrix of figure cells" servable.
+The experiment vocabulary is exactly the harness's: a wire cell is
+validated against the harness's registries
+(:data:`repro.harness.parallel.COMPILER_CONFIGS`,
+:data:`repro.harness.parallel.HARDWARE_CONFIGS` and the workload
+registry) and becomes the harness's own
+:class:`repro.harness.parallel.Cell`, so the server, the disk cache, and
+a serial ``compute_cell`` can never disagree about what a cell *is*.
+:func:`cell_spec` and :func:`validate_cell` are the wire form's round
+trip.
 
 Determinism contract: :func:`result_payload` is the *one* projection of
 a :class:`~repro.harness.experiment.RunResult` onto the wire, and
@@ -30,13 +28,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import fields
 
-from ..faults import FaultPlan
-from ..harness import experiment
-from ..harness.parallel import COMPILER_CONFIGS, HARDWARE_CONFIGS
-from ..hw.config import htm_variant_configs
-from ..workloads import get_workload, workload_names
+from ..harness.parallel import (
+    COMPILER_CONFIGS,
+    HARDWARE_CONFIGS,
+    Cell,
+    compute_cell,
+)
+from ..hw.config import BASELINE_4WIDE
+from ..workloads import workload_names
 
 #: protocol version spoken in the hello event.
 PROTOCOL_VERSION = 1
@@ -60,16 +61,8 @@ ERROR_CODES = (
     "compute_failed",  # the cell itself raised/quarantined server-side
 )
 
-#: hardware table the service validates against: the figure configs plus
-#: every best-effort HTM variant (all resolved from repro.hw.config).
-SERVICE_HARDWARE = dict(HARDWARE_CONFIGS)
-for _hw in htm_variant_configs():
-    SERVICE_HARDWARE.setdefault(_hw.name, _hw)
-
-_CELL_FIELDS = frozenset((
-    "workload", "compiler", "hardware", "seed", "timing",
-    "force_monomorphic", "adaptive", "trace",
-))
+#: every cell field and its default (workload and compiler have none).
+_CELL_DEFAULTS = {f.name: f.default for f in fields(Cell)}
 
 
 class ProtocolError(Exception):
@@ -110,51 +103,20 @@ def decode(line: bytes) -> dict:
 
 # -- cells ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ServiceCell:
-    """One servable experiment cell (picklable; resolved by name in the
-    worker, exactly like :class:`repro.harness.parallel.Cell`)."""
-
-    workload: str
-    compiler: str
-    hardware: str = "4wide"
-    seed: int | None = None
-    timing: bool = True
-    force_monomorphic: bool = False
-    adaptive: bool = False
-    trace: bool = False
-
-    def plan(self) -> FaultPlan | None:
-        """``seed`` → the chaos harness's default seeded fault schedule."""
-        return None if self.seed is None else FaultPlan.seeded(self.seed)
-
-    def key(self) -> tuple:
-        """The canonical cell identity (memo key + the trace flag —
-        traced executions never alias untraced cached ones)."""
-        return experiment.memo_key(
-            self.workload, self.compiler, self.hardware, self.timing,
-            self.force_monomorphic, self.adaptive, fault_plan=self.plan(),
-        ) + (("traced",) if self.trace else ())
-
-    def spec(self) -> dict:
-        """The wire form (round-trips through :func:`validate_cell`)."""
-        out = {"workload": self.workload, "compiler": self.compiler,
-               "hardware": self.hardware}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if not self.timing:
-            out["timing"] = False
-        if self.force_monomorphic:
-            out["force_monomorphic"] = True
-        if self.adaptive:
-            out["adaptive"] = True
-        if self.trace:
-            out["trace"] = True
-        return out
+def cell_spec(cell: Cell) -> dict:
+    """The wire form of a cell: its names plus every field off its
+    default (round-trips through :func:`validate_cell`)."""
+    spec = {"hardware": cell.hardware}
+    for name, default in _CELL_DEFAULTS.items():
+        value = getattr(cell, name)
+        if value != default:
+            spec[name] = value
+    return spec
 
 
-def validate_cell(spec, index: int = 0) -> ServiceCell:
-    """A :class:`ServiceCell` from one wire spec, or a typed error.
+def validate_cell(spec, index: int = 0) -> Cell:
+    """A :class:`~repro.harness.parallel.Cell` from one wire spec, or a
+    typed error.
 
     Validation is total: unknown fields, wrong types, and names missing
     from the workload/compiler/hardware registries each raise the
@@ -164,11 +126,12 @@ def validate_cell(spec, index: int = 0) -> ServiceCell:
     where = f"cells[{index}]"
     if not isinstance(spec, dict):
         raise ProtocolError("bad_request", f"{where} must be an object")
-    unknown = set(spec) - _CELL_FIELDS
+    unknown = set(spec) - _CELL_DEFAULTS.keys()
     if unknown:
         raise ProtocolError(
             "bad_request", f"{where} has unknown fields {sorted(unknown)}")
-    for required in ("workload", "compiler"):
+    spec = {"hardware": BASELINE_4WIDE.name, **spec}
+    for required in ("workload", "compiler", "hardware"):
         if not isinstance(spec.get(required), str):
             raise ProtocolError(
                 "bad_request", f"{where} needs a string {required!r}")
@@ -184,63 +147,23 @@ def validate_cell(spec, index: int = 0) -> ServiceCell:
             "unknown_compiler",
             f"{where}: no compiler config {compiler!r}; "
             f"available: {sorted(COMPILER_CONFIGS)}")
-    hardware = spec.get("hardware", "4wide")
-    if hardware not in SERVICE_HARDWARE:
+    hardware = spec["hardware"]
+    if hardware not in HARDWARE_CONFIGS:
         raise ProtocolError(
             "unknown_hardware",
             f"{where}: no hardware config {hardware!r}; "
-            f"available: {sorted(SERVICE_HARDWARE)}")
+            f"available: {sorted(HARDWARE_CONFIGS)}")
     seed = spec.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ProtocolError("bad_request", f"{where}: seed must be an int")
     for flag in ("timing", "force_monomorphic", "adaptive", "trace"):
         if not isinstance(spec.get(flag, False), bool):
             raise ProtocolError("bad_request", f"{where}: {flag} must be a bool")
-    return ServiceCell(
-        workload=workload, compiler=compiler, hardware=hardware, seed=seed,
-        timing=spec.get("timing", True),
-        force_monomorphic=spec.get("force_monomorphic", False),
-        adaptive=spec.get("adaptive", False),
-        trace=spec.get("trace", False),
-    )
+    return Cell(**spec)
 
 
-# -- execution (worker entry points; must be module-level picklables) ----------
-
-def compute_service_cell(cell: ServiceCell):
-    """Worker entry: run one cell exactly as a serial ``compute_cell``
-    would (cache-bypassing ``run_workload``); returns (key, result)."""
-    result = experiment.run_workload(
-        get_workload(cell.workload),
-        COMPILER_CONFIGS[cell.compiler],
-        SERVICE_HARDWARE[cell.hardware],
-        timing=cell.timing,
-        force_monomorphic=cell.force_monomorphic,
-        adaptive=cell.adaptive,
-        fault_plan=cell.plan(),
-        use_cache=False,
-    )
-    return cell.key(), result
-
-
-def compute_service_cell_traced(cell: ServiceCell):
-    """Worker entry for ``trace=True`` cells: same execution with a live
-    region-lifecycle tracer; returns (key, result, events, truncated)."""
-    from ..obs import Tracer
-
-    tracer = Tracer()
-    result = experiment.run_workload(
-        get_workload(cell.workload),
-        COMPILER_CONFIGS[cell.compiler],
-        SERVICE_HARDWARE[cell.hardware],
-        timing=cell.timing,
-        force_monomorphic=cell.force_monomorphic,
-        adaptive=cell.adaptive,
-        fault_plan=cell.plan(),
-        use_cache=False,
-        tracer=tracer,
-    )
-    return cell.key(), result, tracer.events, tracer.truncated
+# benchmarks/e2e imports the worker entry under its former name.
+compute_service_cell = compute_cell
 
 
 # -- result projection ---------------------------------------------------------

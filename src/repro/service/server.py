@@ -27,12 +27,13 @@ socket in front of a process pool:
   the connection closed — slow consumers shed load instead of wedging
   the server.
 
-- **Determinism.**  Cells execute via the same cache-bypassing
-  ``run_workload`` path as a serial ``compute_cell``, in worker processes
-  with no shared state; the payload a tenant receives is byte-identical
-  (through :func:`~repro.service.protocol.canonical_json`) to a serial
-  run, whether the cell was computed cold, deduped, or served from
-  either cache layer.  ``tests/test_service.py`` enforces this under
+- **Determinism.**  Cells are the harness's :class:`~repro.harness.Cell`
+  and execute through the same ``compute_cell`` as a serial run, in
+  worker processes with no shared state; the payload a tenant receives
+  is byte-identical (through
+  :func:`~repro.service.protocol.canonical_json`) to a serial run,
+  whether the cell was computed cold, deduped, or served from either
+  cache layer.  ``tests/test_service.py`` enforces this under
   concurrent duplicate submissions and mid-stream disconnects.
 
 The server holds one long-lived sweep supervisor
@@ -54,15 +55,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..harness import diskcache
+from ..harness.parallel import Cell, compute_cell
 from ..harness.supervisor import Supervisor, SupervisorConfig, default_workers
-from ..obs import NULL_TRACER, Metrics, to_chrome_trace
+from ..obs import NULL_TRACER, Metrics, Tracer, to_chrome_trace
 from .protocol import (
     FRAME_LIMIT,
     PROTOCOL_VERSION,
     ProtocolError,
-    ServiceCell,
-    compute_service_cell,
-    compute_service_cell_traced,
     encode,
     decode,
     payload_digest,
@@ -89,7 +88,7 @@ class _Waiter:
 class _Job:
     """One scheduled execution (1 cell, N waiters)."""
 
-    cell: ServiceCell
+    cell: Cell
     key: tuple
     waiters: list[_Waiter] = field(default_factory=list)
 
@@ -381,7 +380,7 @@ class SweepServer:
         for cell, cell_id in zip(cells, cell_ids):
             self._schedule(client, cell, cell_id, request_id)
 
-    def _schedule(self, client: _Client, cell: ServiceCell, cell_id: str,
+    def _schedule(self, client: _Client, cell: Cell, cell_id: str,
                   request_id: str) -> None:
         key = cell.key()
         if not cell.trace:
@@ -512,7 +511,7 @@ class SweepServer:
                 self._broadcast_progress()
 
     # -- batch execution (runs in the executor thread) ---------------------
-    def _compute_batch(self, cells: list[ServiceCell]) -> list[tuple]:
+    def _compute_batch(self, cells: list[Cell]) -> list[tuple]:
         """One batch → one outcome per cell:
         ``("ok", (result, events|None))`` or ``("failed", message)``."""
         sweep = self.supervisor.run(cells, _compute_job)
@@ -525,10 +524,11 @@ class SweepServer:
         ]
 
 
-def _compute_job(cell: ServiceCell) -> tuple:
+def _compute_job(cell: Cell) -> tuple:
     """Worker entry: ``(result, (events, truncated) | None)`` for one cell
-    (the tracer rides back with the result for ``trace=True`` cells)."""
+    (a live tracer's events ride back with the result for ``trace=True``
+    cells)."""
     if cell.trace:
-        _key, result, events, truncated = compute_service_cell_traced(cell)
-        return result, (events, truncated)
-    return compute_service_cell(cell)[1], None
+        tracer = Tracer()
+        return cell.run(tracer), (tracer.events, tracer.truncated)
+    return compute_cell(cell)[1], None

@@ -24,34 +24,50 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import diskcache
+from repro.faults import FaultPlan
+from repro.harness import diskcache, experiment
 from repro.harness.hostchaos import claim_attempt
+from repro.harness.parallel import (
+    COMPILER_CONFIGS,
+    HARDWARE_CONFIGS,
+    Cell,
+    compute_cell,
+    figure_cells,
+)
+from repro.hw.config import (
+    BASELINE_4WIDE,
+    CHKPT_20CYCLE,
+    CHKPT_SINGLE_INFLIGHT,
+    OOO_2WIDE,
+    OOO_2WIDE_HALF,
+    htm_variant_configs,
+)
 from repro.obs import Tracer
 from repro.obs.export import validate_chrome_trace
 from repro.service import (
     ERROR_CODES,
     ProtocolError,
-    ServiceCell,
     ServiceError,
     SweepClient,
     SweepServer,
     canonical_json,
-    compute_service_cell,
+    cell_spec,
     payload_digest,
     result_payload,
     validate_cell,
 )
-from repro.service.__main__ import parse_cell
+from repro.service.__main__ import main, parse_cell
 from repro.service.protocol import decode, encode
+from repro.workloads import get_workload
 from repro.service.server import _compute_job
 
 # the seed matrix under test: fast workloads, two compiler configs, a
 # seeded (fault-plan-carrying) cell, and a second workload.
 MATRIX = (
-    ServiceCell(workload="hsqldb", compiler="atomic"),
-    ServiceCell(workload="hsqldb", compiler="no-atomic"),
-    ServiceCell(workload="hsqldb", compiler="atomic", seed=3),
-    ServiceCell(workload="xalan", compiler="atomic+aggr-inline"),
+    Cell(workload="hsqldb", compiler="atomic"),
+    Cell(workload="hsqldb", compiler="no-atomic"),
+    Cell(workload="hsqldb", compiler="atomic", seed=3),
+    Cell(workload="xalan", compiler="atomic+aggr-inline"),
 )
 CELL = MATRIX[0]
 
@@ -64,7 +80,7 @@ def run(coro):
 def serial():
     """The serial reference: cell -> (key, result), computed once per
     module through the exact worker entry point the server uses."""
-    return {cell: compute_service_cell(cell) for cell in MATRIX}
+    return {cell: compute_cell(cell) for cell in MATRIX}
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +131,9 @@ class TestProtocolUnits:
             ProtocolError("made_up_code", "nope")
 
     def test_spec_roundtrip(self):
-        cell = ServiceCell(workload="hsqldb", compiler="atomic",
-                           hardware="2wide", seed=7, trace=True)
-        assert validate_cell(cell.spec()) == cell
+        cell = Cell(workload="hsqldb", compiler="atomic",
+                    hardware="2wide", seed=7, trace=True)
+        assert validate_cell(cell_spec(cell)) == cell
 
     @pytest.mark.parametrize("spec,code", [
         ("not a dict", "bad_request"),
@@ -137,6 +153,10 @@ class TestProtocolUnits:
          "bad_request"),
         ({"workload": "hsqldb", "compiler": "atomic", "trace": 1},
          "bad_request"),
+        ({"workload": "hsqldb", "compiler": "atomic", "hardware": []},
+         "bad_request"),
+        ({"workload": "hsqldb", "compiler": "atomic", "hardware": None},
+         "bad_request"),
     ])
     def test_validation_is_total(self, spec, code):
         with pytest.raises(ProtocolError) as err:
@@ -144,24 +164,88 @@ class TestProtocolUnits:
         assert err.value.code == code
 
     def test_trace_flag_changes_the_key(self):
-        plain = ServiceCell(workload="hsqldb", compiler="atomic")
-        traced = ServiceCell(workload="hsqldb", compiler="atomic", trace=True)
-        assert plain.key() != traced.key()
+        for seed in (None, 3):
+            plain = Cell(workload="hsqldb", compiler="atomic", seed=seed)
+            traced = Cell(workload="hsqldb", compiler="atomic", seed=seed,
+                          trace=True)
+            assert plain.key() != traced.key()
+            assert traced.key() == plain.key() + ("traced",)
 
     def test_seeded_keys_are_deterministic(self):
-        first = ServiceCell(workload="hsqldb", compiler="atomic", seed=9)
-        second = ServiceCell(workload="hsqldb", compiler="atomic", seed=9)
-        other = ServiceCell(workload="hsqldb", compiler="atomic", seed=10)
+        first = Cell(workload="hsqldb", compiler="atomic", seed=9)
+        second = Cell(workload="hsqldb", compiler="atomic", seed=9)
+        other = Cell(workload="hsqldb", compiler="atomic", seed=10)
         assert first.key() == second.key()
         assert first.key() != other.key()
+        assert Cell(workload="hsqldb", compiler="atomic",
+                    seed=3).key()[-1] == FaultPlan.seeded(3)
+
+    def test_figure_cells_share_one_identity(self, monkeypatch):
+        """A served figure cell and a prewarmed one share memo (and so
+        disk-cache) entries: the wire round trip, the cell, and
+        ``run_workload``'s own memo lookup agree on every key."""
+        def miss(*_args):
+            raise AssertionError("run_workload missed the memo")
+
+        monkeypatch.setattr(experiment, "warmed", miss)
+        for cell in figure_cells():
+            key = cell.key()
+            assert key == (cell.workload, cell.compiler, cell.hardware,
+                           cell.timing, cell.force_monomorphic,
+                           cell.adaptive, None)
+            assert validate_cell(cell_spec(cell)).key() == key
+            hit = object()
+            monkeypatch.setitem(experiment._cache, key, hit)
+            assert experiment.run_workload(
+                get_workload(cell.workload),
+                COMPILER_CONFIGS[cell.compiler],
+                HARDWARE_CONFIGS[cell.hardware],
+                timing=cell.timing,
+                force_monomorphic=cell.force_monomorphic,
+                adaptive=cell.adaptive,
+                disk_cache=False,
+            ) is hit
+
+    def test_one_hardware_registry(self):
+        figure = (BASELINE_4WIDE, CHKPT_20CYCLE, CHKPT_SINGLE_INFLIGHT,
+                  OOO_2WIDE, OOO_2WIDE_HALF)
+        for name, config in HARDWARE_CONFIGS.items():
+            assert name == config.name
+        # every source config is in the table, and no name is claimed by
+        # two different configs
+        for config in figure + htm_variant_configs():
+            assert HARDWARE_CONFIGS[config.name] == config
+        for name in HARDWARE_CONFIGS:
+            assert validate_cell({"workload": "hsqldb", "compiler": "atomic",
+                                  "hardware": name}).hardware == name
+        with pytest.raises(ProtocolError) as err:
+            validate_cell({"workload": "hsqldb", "compiler": "atomic",
+                           "hardware": "nope"})
+        assert err.value.code == "unknown_hardware"
+        assert f"available: {sorted(HARDWARE_CONFIGS)}" in err.value.detail
 
     def test_parse_cell_forms(self):
-        assert parse_cell("hsqldb:atomic") == ServiceCell(
+        assert parse_cell("hsqldb:atomic") == Cell(
             workload="hsqldb", compiler="atomic")
-        assert parse_cell("hsqldb:atomic:2wide:5") == ServiceCell(
+        assert parse_cell("hsqldb:atomic:2wide:5") == Cell(
             workload="hsqldb", compiler="atomic", hardware="2wide", seed=5)
         with pytest.raises(SystemExit):
             parse_cell("just-a-workload")
+
+    @pytest.mark.parametrize("text,code", [
+        ("hsqldb:atomic:4wide:x", "bad_request"),
+        ("nope:atomic", "unknown_workload"),
+    ])
+    def test_cli_rejects_bad_cells_before_connecting(self, text, code,
+                                                     monkeypatch):
+        def no_socket(*_args):
+            raise AssertionError("the CLI connected before validating")
+
+        monkeypatch.setattr(SweepClient, "connect", no_socket)
+        with pytest.raises(SystemExit) as err:
+            main(["submit", "--port", "1", text])
+        assert text in str(err.value.code)
+        assert code in str(err.value.code)
 
 
 # -- wire-level edge cases -----------------------------------------------------
@@ -181,6 +265,23 @@ class TestWireEdges:
                     assert pong["event"] == "pong"
         run(scenario())
 
+    def test_non_string_hardware_is_typed_and_survivable(self):
+        async def scenario():
+            async with SweepServer(workers=1, disk_cache=False) as server:
+                async with connect(server) as client:
+                    for hardware in ([], {}, 4):
+                        await client.raw({"op": "submit", "cells": [
+                            {"workload": "hsqldb", "compiler": "atomic",
+                             "hardware": hardware}]})
+                        error = await asyncio.wait_for(
+                            client.next_control(), timeout=30)
+                        assert error["event"] == "error"
+                        assert error["code"] == "bad_request"
+                        pong = await asyncio.wait_for(client.ping(),
+                                                      timeout=30)
+                        assert pong["event"] == "pong"
+        run(scenario())
+
     def test_unknown_op(self):
         async def scenario():
             async with SweepServer(workers=1, disk_cache=False) as server:
@@ -197,7 +298,7 @@ class TestWireEdges:
                 async with connect(server) as client:
                     with pytest.raises(ServiceError) as err:
                         await client.submit([
-                            CELL.spec(),
+                            cell_spec(CELL),
                             {"workload": "nope", "compiler": "atomic"},
                         ])
                     assert err.value.code == "unknown_workload"
@@ -405,7 +506,7 @@ class TestBackpressure:
                 # 8 hot cells answer synchronously in one dispatch: the
                 # writer task cannot drain between enqueues, so the
                 # 4-deep queue must overflow -> eviction, deterministically.
-                submit = {"op": "submit", "cells": [CELL.spec()] * 8}
+                submit = {"op": "submit", "cells": [cell_spec(CELL)] * 8}
                 writer.write(json.dumps(submit).encode() + b"\n")
                 await writer.drain()
                 lines = []
@@ -445,7 +546,7 @@ class TestComputeFailed:
         def boom(cell):
             raise RuntimeError("synthetic worker failure")
 
-        monkeypatch.setattr("repro.service.server.compute_service_cell", boom)
+        monkeypatch.setattr("repro.service.server.compute_cell", boom)
 
         async def scenario():
             async with SweepServer(workers=1, disk_cache=False) as server:
@@ -561,8 +662,8 @@ class TestTracing:
             async with SweepServer(workers=1, disk_cache=False) as server:
                 async with connect(server) as client:
                     handle = await client.submit([
-                        ServiceCell(workload="hsqldb", compiler="atomic",
-                                    trace=True)])
+                        Cell(workload="hsqldb", compiler="atomic",
+                             trace=True)])
                     kinds = {}
                     async for event in handle.events():
                         kinds[event["event"]] = event
