@@ -16,10 +16,10 @@ ever leave a complete entry or none — a torn entry is *impossible to
 observe* at the final path, not merely caught by the checksum.
 
 :class:`HotCache` adds an in-memory LRU layer in front of :func:`load`
-(the sweep server's memory-speed answer path): :func:`load_hot` consults
-the hot layer first, falls through to disk, and counts
-``hot_hits`` / ``disk_hits`` / ``misses`` alongside the module's
-``quarantined_entries`` — rendered by
+(the sweep server's memory-speed answer path; the server owns its one
+instance): :meth:`HotCache.get` consults the hot layer first, falls
+through to disk, and counts ``hot_hits`` / ``disk_hits`` / ``misses``
+alongside the module's ``quarantined_entries`` — rendered by
 :func:`repro.harness.report.render_cache`.
 
 Entries are self-verifying: each file is ``magic + sha256(payload) +
@@ -204,8 +204,8 @@ class HotCache:
     every outcome: ``hot_hits`` (answered from memory), ``disk_hits``
     (answered from disk, now promoted), ``misses`` (nowhere — compute).
 
-    Not thread-safe by design: the sweep server mutates it only from its
-    event loop, and sweeps use one instance per process.
+    Not thread-safe by design: the sweep server builds its own instance
+    and mutates it only from its event loop.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -265,20 +265,3 @@ class HotCache:
         self.disk_hits = 0
         self.misses = 0
 
-
-#: the shared default hot layer (one per process, like the memo table).
-_HOT = HotCache()
-
-
-def load_hot(cell_key: tuple, disk: bool = True):
-    """:meth:`HotCache.get` on the shared default instance."""
-    return _HOT.get(cell_key, disk=disk)
-
-
-def store_hot(cell_key: tuple, result, disk: bool = False) -> None:
-    """:meth:`HotCache.put` on the shared default instance."""
-    _HOT.put(cell_key, result, disk=disk)
-
-
-def clear_hot() -> None:
-    _HOT.clear()

@@ -334,8 +334,11 @@ class Machine:
 
     def _step(self, fr: ExecFrame, pc: int) -> int:
         """Retire the one uop at ``pc`` on the reference loop: the slow
-        path of every handler, entered before the handler has applied any
-        effect.  Returns the next pc (-1 after a return)."""
+        path of every templated handler, entered before the handler has
+        applied any effect, and the whole handler of a stepped uop (see
+        :mod:`repro.hw.templatejit`).  All the uop does, a taken trap's
+        pending mispredict included, is the reference's.  Returns the
+        next pc (-1 after a return)."""
         try:
             fr.ret = self._run(fr, pc, _OneStep(fr.compiled.instrs))
         except _Stepped as stop:
@@ -745,15 +748,6 @@ class Machine:
         )
         fr.region = None
         return pc
-
-    def _fast_exception(self, fr: ExecFrame, pc: int) -> int:
-        """Guest fault inside a region: abort without ticking the uop."""
-        resume = self._do_abort(
-            fr.compiled, fr.region, "exception", fr.code_base + pc, None,
-            fr.regs, fr.spill,
-        )
-        fr.region = None
-        return resume
 
     # -- helpers -------------------------------------------------------------
     def _code_base(self, compiled: CompiledMethod) -> int:

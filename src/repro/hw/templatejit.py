@@ -1,9 +1,12 @@
-"""Template JIT: the one fast-path definition of every uop.
+"""Template JIT: the one fast-path definition of every hot uop.
 
-Each uop's semantics are written once, as a template in :class:`_Body`,
-and instantiated in two modes.  Apart from the interpretive reference
-loop in :mod:`repro.hw.machine`, nothing else in the repo implements a
-uop.
+Each hot uop's semantics are written once, as a template in
+:class:`_Body`, and instantiated in two modes.  The uops production
+traffic barely retires — atomic RMW (``FAA``/``CAS``/``LL``/``SC``),
+calls, return and ``AREGION_ABORT`` — are *stepped*: they have no
+template, and their handler at every pc retires them on the interpretive
+reference loop in :mod:`repro.hw.machine`.  Apart from that loop,
+nothing else in the repo implements a uop.
 
 **Handler mode: one uop per call.**  The pre-decoded handler at each pc
 comes from a *factory* per template shape — the op plus the static facts
@@ -18,9 +21,10 @@ when one is attached, counts the uop once, and then — inside a region —
 runs the full retirement probe ``Machine._hw_condition`` at exactly the
 reference loop's points (none after ``JMP`` or a fired ``BR_ABORT``; a
 taken ``BR`` probes at its target), so fault-injected runs, whose
-offsets and interrupts read those counters, stay exact.  The uops fused
-code never contains (lock-word stores, atomic RMW, calls, return, region
-begin/end/abort) have handler-mode templates only.
+offsets and interrupts read those counters, stay exact.  Only
+``STORELOCK``, ``AREGION_BEGIN`` and ``AREGION_END`` have handler-mode
+templates only; a stepped uop's handler is one closure that calls
+``Machine._step``, and no factory source is emitted for it.
 
 **Fused mode: straight-line runs.**  :func:`fused_runs` partitions every
 basic block into runs of *fusable* uops (at most :data:`MAX_RUN` long),
@@ -44,8 +48,11 @@ allocation order, and identical exception/abort behaviour (enforced by
 **Slow paths are the reference.**  Any case a template does not handle
 inline — a non-integer ALU operand, a zero divisor, a null or junk base,
 a missing field, an out-of-bounds or non-integer index, a reference
-under an ordered condition, a negative array length, a contended or
-foreign lock word — *bails* before the uop has any observable effect.
+under an ordered condition, a negative array length, a taken trap, a
+lock word another thread owns, a failed fallback-lock check at
+``AREGION_END``, an ``AREGION_BEGIN`` that re-lands (setjmp delivery),
+releases the fallback lock or is suppressed — *bails* before the uop
+has any observable effect.
 Fused code flushes the counters of the uops already completed and
 tail-calls the current uop's handler; a handler returns
 ``Machine._step``, which retires that one uop on the reference loop (the
@@ -61,9 +68,9 @@ CLASSOF/LOADF/STOREF/LOADA/STOREA/LOADLEN/LOADLOCK — in the region body,
 and the checks it emits mirror ``_hw_condition``'s order and
 detail-register writes exactly.
 
-**Unfusable uops split runs.**  Lock-word stores, atomic RMW, calls,
-return and region begin/end/abort never enter fused code; they retire on
-their handlers between runs.  ``LOADLOCK`` — the SLE'd monitor-enter's
+**Unfusable uops split runs.**  Lock-word stores, region begin/end and
+the stepped uops never enter fused code; they retire on their handlers
+between runs.  ``LOADLOCK`` — the SLE'd monitor-enter's
 single probing load — *is* fused: it is a pure read (read-set add +
 lock-owner probe) and sits on the hottest elided-monitor paths.
 
@@ -80,13 +87,13 @@ predictor runs inline, a mispredict's bubble is applied in the same
 uop's tick, and an L1 access that hits the most-recently-used way (no
 LRU reorder needed) is resolved inline; every other access calls the
 cache model.  The locals are written back to the model before *every*
-exit — fall-through, branch returns, bails, ``_fast_abort``,
-``_fast_exception`` and ``raise`` — so whatever runs next (a handler, the
-abort machinery, the next run) sees exactly the per-uop model's state.
-A trap path, which never ticks, leaves a mispredict pending for the next
-uop like the slow path; and a run entered while the model carries a
-pending mispredict or commit record bails to its first uop's handler, so
-fused code never has to apply them.
+exit — fall-through, branch returns, bails and ``_fast_abort`` — so
+whatever runs next (a handler, the abort machinery, the next run) sees
+exactly the per-uop model's state.  A taken trap bails before its
+prediction, so the reference step predicts it and leaves its mispredict
+pending; and a run entered while the model carries a pending mispredict
+or commit record bails to its first uop's handler, so fused code never
+has to apply them.
 """
 
 from __future__ import annotations
@@ -95,9 +102,9 @@ import re
 from dataclasses import dataclass, field
 
 from ..runtime.heap import GuestArray, GuestObject
-from ..runtime.interpreter import compare, guest_div, guest_mod, wrap_int
+from ..runtime.interpreter import guest_div, guest_mod, wrap_int
 from .codegen import _machine_blocks
-from .isa import CompiledMethod, MOp, trap_error
+from .isa import CompiledMethod, MOp
 from .timing import LOAD, RMW, STORE, uop_timing
 
 __all__ = [
@@ -113,9 +120,9 @@ __all__ = [
     "jit_source",
 ]
 
-#: uops the emitter knows how to fuse.  Everything else (atomics,
-#: lock-word stores, calls, return, region begin/end/abort) runs only on
-#: its handler and splits the surrounding run.
+#: uops the emitter knows how to fuse.  Everything else (lock-word
+#: stores, region begin/end, and the stepped uops) runs only on its
+#: handler and splits the surrounding run.
 FUSABLE_MOPS = frozenset({
     MOp.CONST, MOp.CONST_NULL, MOp.CONST_CLASS, MOp.MOV,
     MOp.ADD, MOp.SUB, MOp.MUL, MOp.DIV, MOp.MOD,
@@ -144,7 +151,12 @@ _MEM_TRACK = frozenset({
 
 _BRANCHY = frozenset({MOp.BR, MOp.BR_TRAP, MOp.BR_ABORT})
 _SPILLY = frozenset({MOp.LOADSPILL, MOp.STORESPILL})
-_ATOMICS = frozenset({MOp.FAA, MOp.CAS, MOp.LL, MOp.SC})
+#: uops with no template: production traffic barely retires them, so
+#: their handler at every pc steps the reference loop.
+_STEPPED = frozenset({
+    MOp.FAA, MOp.CAS, MOp.LL, MOp.SC, MOp.CALLVM, MOp.VCALLVM, MOp.RET,
+    MOp.AREGION_ABORT,
+})
 
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
@@ -207,12 +219,12 @@ class JittedMethod:
     table and the two fused-run tables built over it.
 
     :attr:`handlers` holds the handler-mode instantiation of each uop's
-    template at its pc.  :meth:`table` returns a pc-indexed list of
-    callables: the fused run function (or, until its first execution,
-    the stub that compiles it) at each run-start pc, the handler
-    everywhere else.  The machine's loop is the same over either —
-    ``pc = table[pc](fr)`` — so entering and leaving fused code costs
-    nothing beyond the table load.
+    template at its pc (a stepped uop's reference step).  :meth:`table`
+    returns a pc-indexed list of callables: the fused run function (or,
+    until its first execution, the stub that compiles it) at each
+    run-start pc, the handler everywhere else.  The machine's loop is
+    the same over either — ``pc = table[pc](fr)`` — so entering and
+    leaving fused code costs nothing beyond the table load.
     """
 
     #: machine constants the fused source was specialised for.
@@ -395,15 +407,14 @@ class _Body:
         self.w(miss, 1)
         self.cached = True
 
-    def tick(self, instr, mem: str, mispredict: bool = False,
-             depth: int = 0) -> None:
+    def tick(self, instr, mem: str, mispredict: bool = False) -> None:
         """The timing model's ``uop(instr, mem)``, inlined with
         ``instr``'s static facts baked in (``mispredict``: apply the
         bubble of this branch's prediction ``mp``); a handler calls the
         model."""
         if self.handler:
-            self.w("if T is not None:", depth)
-            self.w(f"T.uop(instr, {mem})", depth + 1)
+            self.w("if T is not None:")
+            self.w(f"T.uop(instr, {mem})", 1)
             return
         if not self.timed:
             return
@@ -609,7 +620,7 @@ class _Body:
             shift = "shift"
             dst, a, b, c, target = "dst", "a", "b", "c", "target"
             imm, fieldname, cls = "imm", "fieldname", "cls"
-            here, after, me = "mypc", "nxt", "instr"
+            after = "nxt"
             spilled = "fr.spill_base + imm * 8"
         else:
             shift = self.profile.line_shift
@@ -617,7 +628,7 @@ class _Body:
                                     instr.target)
             imm, fieldname, cls = (repr(instr.imm), repr(instr.fieldname),
                                    repr(instr.cls))
-            here, after, me = i, i + 1, f"I[{i}]"
+            after = i + 1
             if op in _SPILLY:
                 spilled = f"sbase + {instr.imm * 8}"
         if instr.b is None:
@@ -815,20 +826,12 @@ class _Body:
         elif op is MOp.BR_TRAP:
             inc = (1, 0, 0, 1, 0)
             self._cond(i, instr.cond, a, b)
+            # A taken trap is the reference's: it raises (or, in a
+            # region, aborts) and leaves its mispredict pending.
+            self.w("if t:")
+            self.bail(i, 1)
             if self.timed or handler:
                 self.predict(i)
-            self.w("if t:")
-            self.flush(1, inc)
-            if self.timed:
-                # The trap never ticks: a mispredict stays pending for
-                # whichever uop retires next, exactly like the slow path.
-                self.w("T._pending_mispredict = mp", 1)
-            if regioned:
-                # Hardware fault inside a region: abort without ticking
-                # the faulting uop, exactly like the slow path's handler.
-                self.w(f"return mach._fast_exception(fr, {here})", 1)
-            else:
-                self.w(f"raise _te({me})", 1)
             self.tick(instr, "None", mispredict=True)
 
         elif not handler:  # pragma: no cover - guarded by FUSABLE_MOPS
@@ -839,141 +842,37 @@ class _Body:
             enter = instr.imm == 1
             self._mem_ref(i, a, "GuestObject")
             self.w("lk = o.lock")
-            # A foreign exit, and contention outside a region (a monitor
-            # error with no scheduler), are the reference's.
-            if not enter:
-                self.w("if lk.owner != fr.tid:")
-                self.bail(i, 1)
-            elif not regioned:
+            # A foreign exit, and an enter on a monitor another thread
+            # owns (a monitor error with no scheduler, or a real conflict
+            # in a region), are the reference's.
+            if enter:
                 self.w("if lk.owner is not None and lk.owner != fr.tid:")
-                self.bail(i, 1)
+            else:
+                self.w("if lk.owner != fr.tid:")
+            self.bail(i, 1)
             inc = (1, 0, 1, 0, 0)
             if regioned:
                 self.w("pre = (lk.owner, lk.depth, lk.reserver)")
                 self.w(f"wl.add((o.base + 8) >> {shift})")
-            if enter and regioned:
-                # A speculative region must not wait: genuine contention
-                # aborts as a real conflict.
-                self.w("if lk.enter(fr.tid) == 'blocked':")
-                self.flush(1, (1, 0, 0, 0, 0))  # retired, stored nothing
-                self.w("region.real_conflict = True", 1)
-                self.tick(instr, "o.base + 8", depth=1)
-                self._abort_here("'conflict'", "None", 1)
-            else:
-                self.w(f"lk.{'enter' if enter else 'exit'}(fr.tid)")
+            self.w(f"lk.{'enter' if enter else 'exit'}(fr.tid)")
             if regioned:
                 self.w("region.lock_log.append("
                        "(lk, pre, (lk.owner, lk.depth, lk.reserver)))")
             self.tick(instr, "o.base + 8")
 
-        elif op in _ATOMICS:
-            self._mem_ref(i, a, "GuestObject")
-            self.w(f"n = o.field_index.get({fieldname})")
-            self.w("if n is None:")
-            self.bail(i, 1)
-            if op is not MOp.SC:
-                if regioned:
-                    self.w("b0 = sb.get((id(o), 'f', n))")
-                    self.w("x = o.slots[n] if b0 is None else b0[2]")
-                else:
-                    self.w("x = o.slots[n]")
-            if op is MOp.FAA:
-                self.w(f"y = regs[{b}]")
-                self.w("if type(x) is not int or type(y) is not int:")
-                self.bail(i, 1)
-            self.w("m = o.base + 16 + n * 8")
-            if regioned:
-                self.w(f"rl.add(m >> {shift})")
-            if op is MOp.FAA:
-                self.w("v = x + y")
-                self._store_field(f"v if {_INT_MIN} <= v <= {_INT_MAX} "
-                                  "else _wi(v)", 0)
-                self.w(f"regs[{dst}] = x")
-                self.w("st.faa_ops += 1")
-            elif op is MOp.LL:
-                self.w(f"regs[{dst}] = x")
-                self.w("mach.heap.set_reservation(fr.tid, m)")
-                self.w("st.ll_ops += 1")
-            else:
-                if op is MOp.CAS:
-                    self.w(f"t = _cmp('eq', x, regs[{b}])")
-                    value, kind = c, "cas"
-                else:
-                    self.w("t = mach.heap.check_reservation(fr.tid, m)")
-                    self.w("mach.heap.clear_reservation(fr.tid)")
-                    value, kind = b, "sc"
-                self.w(f"regs[{dst}] = 1 if t else 0")
-                self.w(f"st.{kind}_ops += 1")
-                self.w("if t:")
-                self._store_field(f"regs[{value}]", 1)
-                self.w("else:")
-                self.w(f"st.{kind}_failures += 1", 1)
-            self.tick(instr, "m")
-
-        elif op is MOp.CALLVM or op is MOp.VCALLVM:
-            # A call inside a region is malformed: the reference raises.
-            if regioned:
-                self.bail(i, 0)
-            else:
-                self.w("if mach.dispatcher is None:")
-                self.bail(i, 1)
-                self.w("vals = [regs[r] if r >= 0 else spill[-r - 1] "
-                       "for r in args]")
-                if op is MOp.VCALLVM:
-                    self.w("o = vals[0]")
-                    self.w("if o is None:")
-                    self.bail(i, 1)
-                # Retired before the callee runs: its probes read the
-                # counters.
-                self.flush(0, inc)
-                if op is MOp.CALLVM:
-                    self.w("callee = mach.program.resolve_static(method)")
-                else:
-                    self.w("callee = mach.program.resolve_virtual("
-                           "o.class_name, method)")
-                self.w("if T is not None:")
-                self.w("T.call_boundary()", 1)
-                self.w(f"regs[{dst}] = mach.dispatcher.invoke(callee, vals)")
-                self.tick(instr, "None")
-                self.w(f"return {after}")
-            self.closed = True
-
-        elif op is MOp.RET:
-            if regioned:
-                self.bail(i, 0)
-            else:
-                self.w("if mach._fallback_holds:")
-                self.w("mach._release_fallback_lock(fr.tid)", 1)
-                self.tick(instr, "None")
-                self.w("fr.ret = " + (f"regs[{a}]" if instr.a is not None
-                                      else "None"))
-                self.flush(0, inc)
-                self.w("return -1")
-            self.closed = True
-
         elif op is MOp.AREGION_BEGIN:
             if regioned:
                 self.bail(i, 0)  # nested begin: the reference raises
             else:
+                # A setjmp re-landing, a fallback-lock release and a
+                # suppressed region are the reference's.
+                self.w("if mach._pending_cc or mach._fallback_holds or "
+                       f"{imm} in fr.compiled.disabled_regions:")
+                self.bail(i, 1)
                 self.flush(0, inc)
-                self.w("if mach._pending_cc:")
-                self.w("code = mach._pending_cc.pop(fr.tid, None)", 1)
-                self.w("if code is not None:", 1)
-                # setjmp-style delivery: branch to the software path.
-                self.w("mach.condition_code_register = code", 2)
-                self.w("st.setjmp_deliveries += 1", 2)
-                self.tick(instr, "None", depth=2)
-                self.w(f"return {target}", 2)
                 self.w("mach.condition_code_register = 0")
-                self.w("if mach._fallback_holds:")
-                self.w("mach._release_fallback_lock(fr.tid)", 1)
-                # Patched to permanent non-speculative fallback.
-                self.w(f"if {imm} in fr.compiled.disabled_regions:")
-                self.w("st.regions_suppressed += 1", 1)
-                self.tick(instr, "None", depth=1)
-                self.w(f"return {target}", 1)
                 self.w("region = fr.region = mach._begin_region("
-                       f"fr.compiled, instr, regs, fr.spill, {here}, fr.tid)")
+                       "fr.compiled, instr, regs, fr.spill, mypc, fr.tid)")
                 self.w("if T is not None:")
                 self.w("T.region_begin()", 1)
                 self.w("T.uop(instr, None)", 1)
@@ -985,14 +884,12 @@ class _Body:
             if not regioned:
                 self.bail(i, 0)  # outside a region: the reference raises
             else:
-                self.flush(0, inc)
+                # A failed commit-instant validation of the fallback lock
+                # (a real conflict) is the reference's.
                 self.w("if mach._fallback_mode == 'end' and "
                        "mach.fallback_lock.held_by_other(fr.tid):")
-                # Sandboxed commit-instant validation of the fallback
-                # lock fails: a real conflict.
-                self.w("region.real_conflict = True", 1)
-                self.tick(instr, "None", depth=1)
-                self._abort_here("'conflict'", "None", 1)
+                self.bail(i, 1)
+                self.flush(0, inc)
                 self.w("mach._commit(region)")
                 self.w("if T is not None:")
                 self.w("T.region_end()", 1)
@@ -1001,16 +898,7 @@ class _Body:
                 self.w(f"return {after}")
             self.closed = True
 
-        elif op is MOp.AREGION_ABORT:
-            if not regioned:
-                self.bail(i, 0)  # outside a region: the reference raises
-            else:
-                self.flush(0, inc)
-                self.tick(instr, "None")
-                self._abort_here(f"{cls} or 'assert'", "abort_id", 0)
-            self.closed = True
-
-        else:  # pragma: no cover - every MOp has a template
+        else:  # pragma: no cover - only stepped uops have no template
             raise AssertionError(f"no template for {op}")
 
         self.u += inc[0]
@@ -1018,28 +906,6 @@ class _Body:
         self.s += inc[2]
         self.b += inc[3]
         self.m += inc[4]
-
-    def _abort_here(self, reason: str, abort_id: str, depth: int) -> None:
-        """Handler mode: roll the region back with the abort pc at this
-        uop and resume where the abort machinery says."""
-        self.w("pc2 = mach._do_abort(fr.compiled, region, "
-               f"{reason}, fr.code_base + mypc, {abort_id}, regs, fr.spill)",
-               depth)
-        self.w("fr.region = None", depth)
-        self.w("return pc2", depth)
-
-    def _store_field(self, value: str, depth: int) -> None:
-        """An atomic's field store of ``value`` to slot ``n`` of ``o``
-        (address ``m``): buffered in a region, else written through,
-        killing other threads' LL/SC reservations on its line."""
-        if self.regioned:
-            self.w(f"sb[(id(o), 'f', n)] = (o, n, {value})", depth)
-            self.w("wl.add(m >> shift)", depth)
-        else:
-            self.w(f"o.slots[n] = {value}", depth)
-            self.w("if mach.heap.reservations:", depth)
-            self.w("mach.heap.kill_reservations(fr.tid, m, shift)", depth + 1)
-        self.w("st.stores += 1", depth)
 
     def finish(self, end: int | None) -> None:
         """Fall-through exit: flush everything and hand the next pc
@@ -1155,16 +1021,13 @@ def jit_source(compiled: CompiledMethod, profile: JitProfile) -> str:
 def _build_table(jm: JittedMethod, timed: bool) -> list:
     """One variant's pc-indexed dispatch table: the handlers, with a
     compile-on-first-execution stub at each run start."""
-    compiled = jm._compiled
     namespace = {
         "H": jm.handlers,
-        "I": tuple(compiled.instrs),
         "GuestObject": GuestObject,
         "GuestArray": GuestArray,
         "_wi": wrap_int,
         "_gdiv": guest_div,
         "_gmod": guest_mod,
-        "_te": trap_error,
     }
     table = list(jm.handlers)
     for start, end in jm.runs:
@@ -1197,8 +1060,7 @@ def _stub(jm: JittedMethod, timed: bool, namespace: dict, table: list,
 #: names a handler template may use for its uop's fields, bound once per
 #: pc by the factory (which also binds ``instr``, ``mypc``, ``nxt`` and
 #: the cache-line ``shift``).
-_OPERANDS = ("dst", "a", "b", "c", "imm", "target", "fieldname", "cls",
-             "args", "method", "abort_id")
+_OPERANDS = ("dst", "a", "b", "c", "imm", "target", "fieldname", "cls")
 
 #: per-call locals a handler loads from its frame, when its body uses them.
 _FRAME_LOCALS = (("T", "fr.timing"), ("mach", "fr.machine"),
@@ -1217,8 +1079,6 @@ _HANDLER_NS = {
     "_wi": wrap_int,
     "_gdiv": guest_div,
     "_gmod": guest_mod,
-    "_te": trap_error,
-    "_cmp": compare,
 }
 
 #: compiled factories, one per shape, shared by every method and machine
@@ -1236,8 +1096,6 @@ def _shape(instr):
         return op, instr.imm is None
     if op is MOp.STORELOCK:
         return op, instr.imm == 1
-    if op is MOp.RET:
-        return op, instr.a is None
     return op
 
 
@@ -1275,8 +1133,21 @@ def _factory_source(instr) -> str:
     return "\n".join(out) + "\n"
 
 
+def _stepped(instr, mypc, shift):
+    """The factory of every stepped uop: its handler retires it on the
+    reference loop."""
+
+    def h_step(fr):
+        return fr.machine._step(fr, mypc)
+
+    return h_step
+
+
 def _factory(instr):
-    """The cached factory of ``instr``'s shape, compiled on first use."""
+    """The cached factory of ``instr``'s shape, compiled on first use
+    (:func:`_stepped` for a stepped uop, which has no template)."""
+    if instr.op in _STEPPED:
+        return _stepped
     key = _shape(instr)
     mk = _FACTORIES.get(key)
     if mk is None:
@@ -1289,11 +1160,13 @@ def _factory(instr):
 
 
 def handler_source(compiled: CompiledMethod) -> str:
-    """The factory source of every handler shape ``compiled`` uses, in
-    order of first appearance (deterministic; pinned by the golden-source
-    test)."""
+    """The factory source of every templated handler shape ``compiled``
+    uses, in order of first appearance (deterministic; pinned by the
+    golden-source test).  Stepped uops have none."""
     seen, parts = set(), [f"# handlers: {compiled.name}"]
     for instr in compiled.instrs:
+        if instr.op in _STEPPED:
+            continue
         key = _shape(instr)
         if key not in seen:
             seen.add(key)

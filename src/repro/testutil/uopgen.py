@@ -29,6 +29,13 @@ agree byte-for-byte on the outcome, the :func:`stats_fingerprint`, the
 heap fingerprint and, for timed runs, the timing model's full state
 (:func:`run_uop_case` returns all four; the battery in
 ``tests/test_templatejit.py`` compares them across tiers).
+
+:func:`step_snapshots` checks the same contract at every point where a
+fast tier hands a uop to the reference loop (``Machine._step``, on a
+bail or for a uop with no template): the frame, the region, the counters
+and the timing state there must equal the reference loop's when it
+fetches the uop at the same retired-uop count — the deoptimization
+invariant.
 """
 
 from __future__ import annotations
@@ -50,8 +57,10 @@ __all__ = [
     "UopCase",
     "branchy_case",
     "fault_plan",
+    "frame_snapshot",
     "run_uop_case",
     "stats_fingerprint",
+    "step_snapshots",
     "timing_snapshot",
     "uop_case",
 ]
@@ -520,6 +529,92 @@ def stats_fingerprint(stats: ExecStats) -> tuple:
     )
 
 
+def _value(value):
+    """A register or slot value, comparable across runs: references (per-run
+    host objects) by their repr, class and deterministic heap address."""
+    return value if isinstance(value, (int, str, type(None))) else repr(value)
+
+
+def frame_snapshot(fr, pc: int) -> tuple:
+    """Everything a uop at ``pc`` can read before it retires: the
+    registers and spill slots, the in-flight region's uop counts, line
+    sets and store buffer, the :func:`stats_fingerprint` and, when timed,
+    the :func:`timing_snapshot`."""
+    region = fr.region
+    if region is not None:
+        region = (
+            region.uops, region.record.uops,
+            tuple(sorted(region.read_lines)),
+            tuple(sorted(region.write_lines)),
+            tuple((repr(target), key[1], slot, _value(value))
+                  for key, (target, slot, value)
+                  in region.store_buffer.items()),
+        )
+    return (
+        pc, tuple(map(_value, fr.regs)), tuple(map(_value, fr.spill)),
+        region, stats_fingerprint(fr.stats),
+        timing_snapshot(fr.timing) if fr.timing is not None else None,
+    )
+
+
+class _Fetches:
+    """The instruction array as the reference loop fetches it: each fetch
+    logs the frame's snapshot under the machine's retired-uop count."""
+
+    __slots__ = ("instrs", "fr", "log")
+
+    def __init__(self, instrs, fr, log: list) -> None:
+        self.instrs = instrs
+        self.fr = fr
+        self.log = log
+
+    def __getitem__(self, pc: int):
+        fr = self.fr
+        self.log.append((fr.machine.uops_executed, frame_snapshot(fr, pc)))
+        return self.instrs[pc]
+
+
+def _machine(case: UopCase, dispatch: str, timing: bool,
+             hw: HardwareConfig, faults: FaultPlan | None):
+    """A fresh machine and heap for one run of ``case``."""
+    heap = Heap()
+    machine = Machine(
+        case.program, heap, config=hw, stats=ExecStats(),
+        timing=TimingModel(hw) if timing else None, dispatch=dispatch,
+        fault_injector=FaultInjector(faults) if faults is not None else None,
+    )
+    return machine, heap
+
+
+def step_snapshots(case: UopCase, dispatch: str, timing: bool = False,
+                   hw: HardwareConfig = BASELINE_4WIDE,
+                   faults: FaultPlan | None = None) -> list:
+    """Run ``case`` as :func:`run_uop_case` does and return
+    ``(uops_executed, frame_snapshot)`` pairs, in order: one per fetch
+    of the reference loop on the ``interpretive`` tier, one per
+    ``Machine._step`` entry on a fast tier.  The outcome is
+    :func:`run_uop_case`'s to compare."""
+    machine, heap = _machine(case, dispatch, timing, hw, faults)
+    log: list = []
+    if dispatch == "interpretive":
+        run = machine._run
+        machine._run = lambda fr, pc, instrs: run(
+            fr, pc, _Fetches(instrs, fr, log))
+    else:
+        step = machine._step
+
+        def recorded_step(fr, pc):
+            log.append((machine.uops_executed, frame_snapshot(fr, pc)))
+            return step(fr, pc)
+
+        machine._step = recorded_step
+    try:
+        machine.execute(case.compiled, case.make_args(heap))
+    except Exception:  # noqa: BLE001 - any outcome; only the log matters
+        pass
+    return log
+
+
 def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
                  hw: HardwareConfig = BASELINE_4WIDE,
                  faults: FaultPlan | None = None):
@@ -534,14 +629,8 @@ def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
     when untimed).  ``faults`` attaches a fresh injector for that plan
     (which keeps ``auto`` on the handler table).
     """
-    heap = Heap()
-    stats = ExecStats()
-    model = TimingModel(hw) if timing else None
-    machine = Machine(
-        case.program, heap, config=hw, stats=stats, timing=model,
-        dispatch=dispatch,
-        fault_injector=FaultInjector(faults) if faults is not None else None,
-    )
+    machine, heap = _machine(case, dispatch, timing, hw, faults)
+    stats, model = machine.stats, machine.timing
     args = case.make_args(heap)
     try:
         value = machine.execute(case.compiled, args)

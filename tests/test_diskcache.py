@@ -302,15 +302,6 @@ class TestHotCache:
         counters = hot.counters()
         assert (counters["hot_hits"], counters["misses"]) == (0, 0)
 
-    def test_module_level_shared_instance(self, cache):
-        diskcache.clear_hot()
-        try:
-            assert diskcache.load_hot(("k",), disk=False) == (None, None)
-            diskcache.store_hot(("k",), "shared")
-            assert diskcache.load_hot(("k",), disk=False) == ("shared", "hot")
-        finally:
-            diskcache.clear_hot()
-
     def test_render_cache_report(self, cache):
         from repro.harness.report import render_cache
 

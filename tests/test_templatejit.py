@@ -20,6 +20,10 @@ counter flushes, moves a probe or drops a read-set insert fails here
 first.  Regenerate intentionally with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_templatejit.py
+
+The battery's seed windows start at ``DIFF_SEED_BASE`` (default 0), so a
+sweep can move them off the fixed seeds, as ``tests/test_differential.py``
+does with its own window.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.hw.config import BASELINE_4WIDE, OOO_2WIDE
-from repro.hw.isa import CompiledMethod, MInstr, MOp
+from repro.hw.isa import CompiledMethod, MInstr, MOp, machine_compare
 from repro.hw.machine import Machine
 from repro.hw.stats import ExecStats
 from repro.hw.templatejit import (
+    _STEPPED,
     MAX_RUN,
     fused_runs,
     get_jitted,
@@ -46,18 +51,30 @@ from repro.hw.templatejit import (
     jit_source,
 )
 from repro.hw.timing import TimingModel
+from repro.lang import ProgramBuilder
 from repro.obs.tracer import Tracer
-from repro.runtime.errors import VMError
-from repro.runtime.heap import Heap
+from repro.runtime.errors import MonitorStateError, VMError
+from repro.runtime.heap import GuestObject, Heap
 from repro.testutil.uopgen import (
     branchy_case,
     fault_plan,
     run_uop_case,
+    stats_fingerprint,
+    step_snapshots,
     timing_snapshot,
     uop_case,
 )
+from repro.vm import ATOMIC, TieredVM, VMOptions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+_SEED_BASE = int(os.environ.get("DIFF_SEED_BASE", "0"))
+
+
+def _seeds(count: int) -> range:
+    """The battery's window of ``count`` seeds, from ``DIFF_SEED_BASE``."""
+    return range(_SEED_BASE, _SEED_BASE + count)
+
 
 #: a regioned seed whose region commits under speculation (returns 1)
 #: and whose recovery sentinel is distinct (-1102) — the pair makes
@@ -80,6 +97,7 @@ JIT_HTM_MATRIX = [
                           spec_store_buffer_entries=2,
                           abort_delivery="setjmp"),
 ]
+JIT_HTM = {hw.name: hw for hw in JIT_HTM_MATRIX}
 
 
 def _assert_tiers_agree(seed: int, timing: bool = False,
@@ -102,17 +120,17 @@ class TestGenerativeEquivalence:
     """Satellite battery: random straight-line uop programs, three tiers,
     byte-identical outcome + stats + heap fingerprint (+ timing state)."""
 
-    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("seed", _seeds(60))
     def test_fixed_seeds_untimed(self, seed):
         _assert_tiers_agree(seed, timing=False)
 
-    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("seed", _seeds(30))
     def test_fixed_seeds_timed(self, seed):
         _assert_tiers_agree(seed, timing=True)
 
     @pytest.mark.parametrize("hw", JIT_HTM_MATRIX[1:], ids=lambda h: h.name)
     def test_fixed_seeds_tight_htm(self, hw):
-        for seed in range(20):
+        for seed in _seeds(20):
             _assert_tiers_agree(seed, timing=False, hw=hw)
 
     @pytest.mark.parametrize("hw", JIT_HTM_MATRIX[1:], ids=lambda h: h.name)
@@ -120,14 +138,14 @@ class TestGenerativeEquivalence:
         """Tight HTM shapes abort inside fused code: the timing state
         written back before ``_fast_abort`` must equal the per-uop
         model's at that point, or the abort's pipeline flush diverges."""
-        for seed in range(20):
+        for seed in _seeds(20):
             _assert_tiers_agree(seed, timing=True, hw=hw)
 
     def test_timed_battery_checks_cycles(self):
         """Timed runs carry the timing model's full state, so the
         battery compares cycle counts — not just ``ExecStats``."""
         cycles = set()
-        for seed in range(10):
+        for seed in _seeds(10):
             snapshot = run_uop_case(uop_case(seed), "auto", timing=True)[3]
             assert snapshot is not None
             cycles.add(snapshot[0])
@@ -147,7 +165,7 @@ class TestGenerativeEquivalence:
         traps, *and* host-level type errors — a drift toward all-fatal
         (or all-clean) programs would quietly hollow out the battery."""
         kinds = set()
-        for seed in range(200):
+        for seed in _seeds(200):
             outcome = run_uop_case(uop_case(seed), "auto")[0]
             kinds.add(outcome[0] if outcome[0] == "value" else outcome[1])
         assert "value" in kinds
@@ -166,22 +184,22 @@ class TestHandlerBattery:
     and store-buffer capacity shrinks — reads the counters a handler
     flushes, so its abort point is compared across tiers."""
 
-    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("seed", _seeds(60))
     def test_branchy_seeds_untimed(self, seed):
         _assert_tiers_agree(seed, timing=False, make=branchy_case)
 
-    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("seed", _seeds(30))
     def test_branchy_seeds_timed(self, seed):
         _assert_tiers_agree(seed, timing=True, make=branchy_case)
 
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("seed", _seeds(40))
     def test_fault_plans(self, seed):
         for make in (uop_case, branchy_case):
             for timing in (False, True):
                 _assert_tiers_agree(seed, timing=timing, make=make,
                                     faults=True)
 
-    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("seed", _seeds(30))
     def test_every_fault_offset(self, seed):
         """An assert injected at each region-relative offset in turn
         lands on every kind of uop a region retires — a taken branch
@@ -196,7 +214,7 @@ class TestHandlerBattery:
 
     @pytest.mark.parametrize("hw", JIT_HTM_MATRIX[1:], ids=lambda h: h.name)
     def test_branchy_tight_htm(self, hw):
-        for seed in range(15):
+        for seed in _seeds(15):
             _assert_tiers_agree(seed, timing=True, hw=hw, make=branchy_case)
             _assert_tiers_agree(seed, timing=False, hw=hw, make=branchy_case,
                                 faults=True)
@@ -212,11 +230,12 @@ class TestHandlerBattery:
         compare: taken back edges and forward branches, fired aborts,
         every unfusable uop, and every kind of injected fault."""
         seen = Counter()
-        for seed in range(150):
+        for seed in _seeds(150):
             case = branchy_case(seed)
             for plan in (None, fault_plan(seed)):
-                _, stats, _, _ = run_uop_case(case, "interpretive",
-                                              faults=plan)
+                outcome, stats, _, _ = run_uop_case(case, "interpretive",
+                                                    faults=plan)
+                seen["trap"] += outcome[:2] == ("raise", "GuestError")
                 summary = dict(stats[0])
                 for kind in ("faa_ops", "cas_ops", "ll_ops", "sc_ops"):
                     seen[kind] += summary[kind] > 0
@@ -231,9 +250,188 @@ class TestHandlerBattery:
             seen["jmp"] += MOp.JMP in ops
         for key in ("faa_ops", "cas_ops", "ll_ops", "sc_ops", "stores",
                     "branches>3", "committed", "abort_site", "storelock",
-                    "jmp", "assert", "exception", "conflict", "interrupt",
-                    "overflow", "capacity"):
+                    "jmp", "trap", "assert", "exception", "conflict",
+                    "interrupt", "overflow", "capacity"):
             assert seen[key] > 0, f"battery never reached {key}: {seen}"
+
+    def test_every_stepped_path_is_reached(self, monkeypatch):
+        """Every uop with no template, and every case a template hands to
+        the reference loop before it has any effect, is stepped from a
+        fast tier somewhere in the battery's inputs; each of those runs
+        still equals the interpretive loop's."""
+        from test_differential import _generate, _run_tiered
+        from test_forward_progress import TestPredecodeInvalidation
+        from test_htm_variants import (
+            TestFallbackLock,
+            run_program,
+            stride_store_program,
+        )
+
+        seen = Counter()
+        step = Machine._step
+
+        def recorded_step(machine, fr, pc):
+            seen[_step_kind(machine, fr, pc)] += 1
+            return step(machine, fr, pc)
+
+        monkeypatch.setattr(Machine, "_step", recorded_step)
+        fast = ("predecoded", "auto")
+        for seed in _seeds(60):
+            _assert_tiers_agree(seed, make=branchy_case)
+        for hw in (JIT_HTM["jit-lock-begin"], JIT_HTM["jit-setjmp"]):
+            for seed in _seeds(20):
+                for make in (uop_case, branchy_case):
+                    _assert_tiers_agree(seed, hw=hw, make=make, faults=True)
+            runs = [run_program(stride_store_program(), hw,
+                                fault_plan=FaultPlan.seeded(3),
+                                dispatch=dispatch)
+                    for dispatch in ("interpretive",) + fast]
+            assert len({(r[0], str(r[1].summary())) for r in runs}) == 1
+        # A fallback lock another thread holds fails every commit-instant
+        # validation; the escalation then fails fast.
+        outcomes = set()
+        for dispatch in ("interpretive",) + fast:
+            vm = TestFallbackLock()._forced_owner_vm("end", dispatch)
+            with pytest.raises(MonitorStateError) as raised:
+                vm.run("work", [24])
+            outcomes.add((str(raised.value),
+                          stats_fingerprint(vm.machine.stats),
+                          vm.machine.uops_executed))
+        assert len(outcomes) == 1
+        # A region patched to its recovery path.
+        outcomes = set()
+        for dispatch in ("interpretive", "predecoded"):
+            _, vm, result = TestPredecodeInvalidation()._patched_vm(dispatch)
+            vm.start_measurement()
+            again = vm.run("work", [100, 0])
+            outcomes.add((result, again, str(vm.end_measurement().summary())))
+        assert len(outcomes) == 1
+        # Calls: one static call that survives inlining, and a virtual
+        # call on a polymorphic receiver.
+        for dispatch in fast:
+            for run in (lambda d: _run_tiered(_generate(1), dispatch=d),
+                        lambda d: _run_polymorphic_call(d)):
+                got, want = run(dispatch), run("interpretive")
+                assert got[:2] == want[:2]
+                assert got[2].summary() == want[2].summary()
+
+        for kind in ((MOp.BR_TRAP, True, "taken"),
+                     (MOp.BR_TRAP, False, "taken"),
+                     (MOp.STORELOCK, True, "foreign enter"),
+                     (MOp.AREGION_END, True, "fallback held"),
+                     (MOp.AREGION_BEGIN, False, "pending cc"),
+                     (MOp.AREGION_BEGIN, False, "fallback held"),
+                     (MOp.AREGION_BEGIN, False, "disabled"),
+                     (MOp.RET, False, None),
+                     (MOp.CALLVM, False, None),
+                     (MOp.VCALLVM, False, None),
+                     (MOp.AREGION_ABORT, True, None)):
+            assert seen[kind] > 0, f"never stepped {kind}: {seen}"
+        for op in (MOp.FAA, MOp.CAS, MOp.LL, MOp.SC):
+            assert seen[op, False, None] + seen[op, True, None] > 0, (
+                f"never stepped {op.name}: {seen}")
+
+
+def _step_kind(machine, fr, pc: int) -> tuple:
+    """``(op, in a region, case)`` of a uop about to step the reference
+    loop; ``case`` names the cold case a template hands over, if any."""
+    instr = fr.compiled.instrs[pc]
+    op, inside, case = instr.op, fr.region is not None, None
+    if op is MOp.BR_TRAP:
+        b = fr.regs[instr.b] if instr.b is not None else None
+        try:
+            if machine_compare(instr.cond, fr.regs[instr.a], b):
+                case = "taken"
+        except (TypeError, VMError):
+            pass  # the reference raises the same error
+
+    elif op is MOp.STORELOCK and instr.imm == 1:
+        obj = fr.regs[instr.a]
+        if isinstance(obj, GuestObject) and obj.lock.held_by_other(fr.tid):
+            case = "foreign enter"
+    elif op is MOp.AREGION_BEGIN and not inside:
+        if fr.tid in machine._pending_cc:
+            case = "pending cc"
+        elif machine._fallback_holds:
+            case = "fallback held"
+        elif instr.imm in fr.compiled.disabled_regions:
+            case = "disabled"
+    elif (op is MOp.AREGION_END and inside
+          and machine._fallback_mode == "end"
+          and machine.fallback_lock.held_by_other(fr.tid)):
+        case = "fallback held"
+    return op, inside, case
+
+
+def _run_polymorphic_call(dispatch: str):
+    """Measure a loop whose one virtual call site sees two receiver
+    classes, so the inliner leaves the ``VCALLVM`` in place."""
+    pb = ProgramBuilder()
+    for name, k in (("A", 1), ("B", 2)):
+        pb.cls(name, fields=["v"])
+        get = pb.method("get", params=("this",), owner=name)
+        get.ret(get.add(get.getfield(get.param(0), "v"), get.const(k)))
+    m = pb.method("work", params=("n",))
+    n = m.param(0)
+    two = m.const(2)
+    receivers = m.newarr(two)
+    m.astore(receivers, m.const(0), m.new("A"))
+    m.astore(receivers, m.const(1), m.new("B"))
+    i, one, total = m.const(0), m.const(1), m.const(0)
+    m.label("head")
+    m.br("ge", i, n, "done")
+    receiver = m.aload(receivers, m.mod(i, two))
+    m.add(total, m.vcall(receiver, "get", ()), dst=total)
+    m.add(i, one, dst=i)
+    m.jmp("head")
+    m.label("done")
+    m.ret(total)
+    vm = TieredVM(pb.build(), compiler_config=ATOMIC,
+                  options=VMOptions(compile_threshold=1, dispatch=dispatch))
+    vm.warm_up("work", [[6]] * 3)
+    vm.compile_hot(min_invocations=1)
+    vm.start_measurement()
+    value = vm.run("work", [6])
+    return value, None, vm.end_measurement()
+
+
+class TestDeoptInvariant:
+    """Wherever a fast tier hands a uop to the reference loop — a bail,
+    or a uop with no template — the frame, the region, the counters and
+    the timing state equal the reference loop's when it fetches that
+    uop at the same retired-uop count (the deoptimization invariant of
+    Flückiger et al.)."""
+
+    @pytest.mark.parametrize("make,timing,faults,count", [
+        (uop_case, False, False, 60),
+        (uop_case, True, False, 30),
+        (branchy_case, False, False, 60),
+        (branchy_case, True, False, 30),
+        (uop_case, False, True, 40),
+        (uop_case, True, True, 40),
+        (branchy_case, False, True, 40),
+        (branchy_case, True, True, 40),
+    ], ids=["straight", "straight-timed", "branchy", "branchy-timed",
+            "straight-faults", "straight-faults-timed", "branchy-faults",
+            "branchy-faults-timed"])
+    def test_state_at_every_step_is_the_references(self, make, timing,
+                                                    faults, count):
+        steps = 0
+        for seed in _seeds(count):
+            case = make(seed)
+            plan = fault_plan(seed) if faults else None
+            reference = dict(step_snapshots(case, "interpretive", timing,
+                                            faults=plan))
+            for tier in ("predecoded", "auto"):
+                log = step_snapshots(case, tier, timing, faults=plan)
+                keys = [key for key, _ in log]
+                assert len(set(keys)) == len(keys)
+                for key, snapshot in log:
+                    assert snapshot == reference.get(key), (
+                        f"{make.__name__}({seed}) {tier}: state at the "
+                        f"step after {key} uops differs from the reference")
+                steps += len(log)
+        assert steps > 0
 
 
 # -- golden generated source -------------------------------------------------
@@ -290,7 +488,8 @@ def _golden_method() -> CompiledMethod:
 
 def _handler_extras() -> CompiledMethod:
     """One uop of every handler shape the golden method lacks: the
-    other control-flow shapes and every unfusable uop."""
+    other control-flow shapes and every unfusable uop (the stepped ones
+    emit no factory)."""
     instrs = [
         MInstr(MOp.CONST_CLASS, dst=0, cls="Node"),
         MInstr(MOp.JMP, target=2),
@@ -346,6 +545,8 @@ class TestGoldenSource:
         drops a probe, or applies an effect before a bail shows here."""
         source = "\n".join(handler_source(compiled) for compiled in
                            (_golden_method(), _handler_extras()))
+        for op in _STEPPED:
+            assert f"# shape: {op.name}" not in source
         path = GOLDEN_DIR / "templatejit_handlers.txt"
         if os.environ.get("REGEN_GOLDEN"):
             path.write_text(source)
