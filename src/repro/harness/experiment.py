@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from ..faults import FaultPlan
 from ..hw.config import BASELINE_4WIDE, HardwareConfig
 from ..hw.stats import ExecStats
+from ..hw.templatejit import clear_code_cache
 from ..vm.adaptive import AdaptiveController
 from ..vm.compiler import CompilerConfig
 from ..vm.vm import TieredVM, VMOptions, WarmState
@@ -112,9 +113,11 @@ _warm: dict[tuple, WarmState] = {}
 
 
 def clear_cache() -> None:
-    """Drop memoized results and warm-ups: the next cells run cold."""
+    """Drop memoized results, warm-ups and compiled fused runs: the next
+    cells run cold."""
     _cache.clear()
     _warm.clear()
+    clear_code_cache()
 
 
 def warmed(workload: Workload, index: int) -> WarmState:

@@ -261,9 +261,10 @@ class Machine:
         one-time costs that otherwise land on the first activation —
         which, under the harness's measurement protocol, is *inside* the
         measured window.  The VM calls this at method-install time.
-        Fused runs themselves are host-compiled on their first execution
-        (see :mod:`repro.hw.templatejit`), so only code that actually
-        runs pays for ``compile()``.  Purely a warm-up: executing without
+        A fused run's function for one mode (outside or inside a region)
+        is host-compiled on the run's first entry in that mode (see
+        :mod:`repro.hw.templatejit`), so only code that actually runs
+        pays for ``compile()``.  Purely a warm-up: executing without
         it is observationally identical.
         """
         if self.dispatch == "interpretive":

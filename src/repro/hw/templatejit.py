@@ -28,14 +28,23 @@ templates only; a stepped uop's handler is one closure that calls
 
 **Fused mode: straight-line runs.**  :func:`fused_runs` partitions every
 basic block into runs of *fusable* uops (at most :data:`MAX_RUN` long),
-and each run becomes one function: registers resolved to list indexes,
-immediates/field names/branch targets baked in as constants, and the
-per-uop bookkeeping collapsed into batched counter flushes at the run's
-exit points (superinstruction fusion).  Each run is ``compile()``d on its
-*first execution*: the dispatch table starts out holding a stub per run
-that compiles the run, patches itself out of the table, and runs it.
-Handlers and fused tables live together on one :class:`JittedMethod`,
-cached on the :class:`~repro.hw.isa.CompiledMethod` and dropped by
+and each run becomes two functions, one for code outside a region
+(*plain*) and one for code inside one (*region*): registers resolved to
+list indexes, immediates/field names/branch targets baked in as
+constants, and the per-uop bookkeeping collapsed into batched counter
+flushes at the run's exit points (superinstruction fusion).  Each
+function is ``compile()``d on the run's *first entry in its mode*: the
+dispatch table starts out holding a stub per run that compiles the
+function of the mode it is entered in, patches it into the table, and
+runs it.  Each function's entry guard hands the other mode to the other
+function — a stub of its own until that mode's first entry — so a run
+entered in both modes runs fused in both.  Compiled code is cached for
+the process, keyed by a digest of its emitted source (:data:`_CODE`,
+dropped by :func:`clear_code_cache`): a method whose run emits the same
+source as one compiled before ``exec``s the cached code into its own
+namespace instead of compiling again.  Handlers and fused tables live
+together on one :class:`JittedMethod`, cached on the
+:class:`~repro.hw.isa.CompiledMethod` and dropped by
 ``disable_region``/recompile.
 
 The contract is strict observational equivalence with the reference:
@@ -74,8 +83,9 @@ between runs.  ``LOADLOCK`` — the SLE'd monitor-enter's
 single probing load — *is* fused: it is a pure read (read-set add +
 lock-owner probe) and sits on the hottest elided-monitor paths.
 
-**The timing model is folded in.**  Every fused run has two variants.
-The untimed one touches no timing state.  The timed one inlines the
+**The timing model is folded in.**  Every fused run has two timing
+variants, each with its plain and region function.  The untimed one
+touches no timing state.  The timed one inlines the
 :class:`~repro.hw.timing.TimingModel` scoreboard: each uop's static
 facts (:func:`~repro.hw.timing.uop_timing` — sources, execution class,
 latency, destination) and the machine's widths, window, mispredict
@@ -98,8 +108,10 @@ has to apply them.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
+from types import CodeType
 
 from ..runtime.heap import GuestArray, GuestObject
 from ..runtime.interpreter import guest_div, guest_mod, wrap_int
@@ -112,6 +124,7 @@ __all__ = [
     "MAX_RUN",
     "JitProfile",
     "JittedMethod",
+    "clear_code_cache",
     "fused_runs",
     "get_jitted",
     "handler_source",
@@ -220,11 +233,12 @@ class JittedMethod:
 
     :attr:`handlers` holds the handler-mode instantiation of each uop's
     template at its pc (a stepped uop's reference step).  :meth:`table`
-    returns a pc-indexed list of callables: the fused run function (or,
-    until its first execution, the stub that compiles it) at each
-    run-start pc, the handler everywhere else.  The machine's loop is
-    the same over either — ``pc = table[pc](fr)`` — so entering and
-    leaving fused code costs nothing beyond the table load.
+    returns a pc-indexed list of callables: at each run-start pc a fused
+    function of the run (the one compiled most recently, or, until the
+    run's first execution, the stub that compiles it), the handler
+    everywhere else.  The machine's loop is the same over either —
+    ``pc = table[pc](fr)`` — so entering and leaving fused code costs
+    nothing beyond the table load.
     """
 
     #: machine constants the fused source was specialised for.
@@ -953,54 +967,55 @@ def _timed_prologue(instrs: list, start: int, end: int,
     return out
 
 
+def _fn_name(start: int, timed: bool, regioned: bool) -> str:
+    """The name of one run's function for one timing variant and mode."""
+    return (f"_f{start}_{'t' if timed else 'u'}_"
+            f"{'region' if regioned else 'plain'}")
+
+
 def _emit_fn(compiled: CompiledMethod, start: int, end: int,
-             profile: JitProfile, timed: bool) -> list[str]:
+             profile: JitProfile, timed: bool, regioned: bool) -> list[str]:
+    """One run's function for one timing variant and one mode: the body
+    for code outside a region (``regioned`` false) or inside one.  Its
+    entry guard hands an activation in the other mode to the other
+    mode's function."""
     instrs = compiled.instrs
     ops = {instrs[i].op for i in range(start, end)}
-    uses_spill = bool(ops & _SPILLY)
-    uses_mem = bool(ops & _MEM_TRACK)
-
-    name = f"_f{start}_{'t' if timed else 'u'}"
-    out = [f"def {name}(fr):"]
-    pre = []
+    other = _fn_name(start, timed, not regioned)
+    out = [f"def {_fn_name(start, timed, regioned)}(fr):"]
+    if regioned:
+        pre = ["region = fr.region", "if region is None:"]
+    else:
+        pre = ["if fr.region is not None:"]
+    pre.append(f"    return {other}(fr)")
     if timed:
         pre += _timed_prologue(instrs, start, end, bool(ops & _BRANCHY))
     pre += ["mach = fr.machine", "st = fr.stats", "regs = fr.regs"]
-    if uses_spill:
+    if ops & _SPILLY:
         pre.append("spill = fr.spill")
         if timed:
             pre.append("sbase = fr.spill_base")
-    pre.append("region = fr.region")
-    out += ["    " + stmt for stmt in pre]
-
-    out.append("    if region is None:")
-    plain = _Body(False, timed, profile, 2)
-    for i in range(start, end):
-        plain.emit_uop(i, instrs[i])
-    if not plain.closed:
-        plain.finish(end)
-    out += plain.lines
-
-    if uses_mem:
-        out.append("    rl = region.read_lines")
-        out.append("    wl = region.write_lines")
-        out.append("    sb = region.store_buffer")
+    if regioned and ops & _MEM_TRACK:
+        pre += ["rl = region.read_lines", "wl = region.write_lines",
+                "sb = region.store_buffer"]
         if profile.fallback_begin:
-            out.append("    fbl = mach.fallback_lock")
-    region = _Body(True, timed, profile, 1)
+            pre.append("fbl = mach.fallback_lock")
+    out += ["    " + stmt for stmt in pre]
+    body = _Body(regioned, timed, profile, 1)
     for i in range(start, end):
-        region.emit_uop(i, instrs[i])
-    if not region.closed:
-        region.finish(end)
-    out += region.lines
+        body.emit_uop(i, instrs[i])
+    if not body.closed:
+        body.finish(end)
+    out += body.lines
     return out
 
 
 def jit_source(compiled: CompiledMethod, profile: JitProfile) -> str:
     """The full generated module source for ``compiled`` under
-    ``profile``, both variants interleaved per run (deterministic;
-    pinned by the golden-source test).  At run time each function is
-    compiled on its own, on first execution."""
+    ``profile``: every run's four functions (untimed then timed, each
+    plain then region), deterministic and pinned by the golden-source
+    test.  At run time each function is compiled on its own, on its
+    first entry in its mode."""
     runs = fused_runs(compiled)
     parts = [
         f"# template-jit: {compiled.name}",
@@ -1009,8 +1024,10 @@ def jit_source(compiled: CompiledMethod, profile: JitProfile) -> str:
     ]
     for start, end in runs:
         for timed in (False, True):
-            parts.append("")
-            parts.extend(_emit_fn(compiled, start, end, profile, timed))
+            for regioned in (False, True):
+                parts.append("")
+                parts.extend(_emit_fn(compiled, start, end, profile, timed,
+                                      regioned))
     return "\n".join(parts) + "\n"
 
 
@@ -1018,9 +1035,23 @@ def jit_source(compiled: CompiledMethod, profile: JitProfile) -> str:
 # Compilation and caching
 # ---------------------------------------------------------------------------
 
+#: compiled run functions, shared by every method and machine of the
+#: process: equal source is equal code, and each table ``exec``s it into
+#: its own namespace (its own ``H``).  Keyed by a 128-bit digest of the
+#: emitted source, so the source itself is not kept alive.  Dropped by
+#: :func:`clear_code_cache`; two threads racing on one source at worst
+#: both compile it.
+_CODE: dict[str, CodeType] = {}
+
+
+def clear_code_cache() -> None:
+    """Forget every compiled run: the next run entries compile cold."""
+    _CODE.clear()
+
+
 def _build_table(jm: JittedMethod, timed: bool) -> list:
     """One variant's pc-indexed dispatch table: the handlers, with a
-    compile-on-first-execution stub at each run start."""
+    compile-on-first-entry stub at each run start."""
     namespace = {
         "H": jm.handlers,
         "GuestObject": GuestObject,
@@ -1031,23 +1062,38 @@ def _build_table(jm: JittedMethod, timed: bool) -> list:
     }
     table = list(jm.handlers)
     for start, end in jm.runs:
-        table[start] = _stub(jm, timed, namespace, table, start, end)
+        for regioned in (False, True):
+            namespace[_fn_name(start, timed, regioned)] = _stub(
+                jm, timed, namespace, table, start, end, regioned)
+        # Either stub can be the entry: each hands the other mode over.
+        table[start] = namespace[_fn_name(start, timed, False)]
     return table
 
 
 def _stub(jm: JittedMethod, timed: bool, namespace: dict, table: list,
-          start: int, end: int):
-    """The table entry of a not-yet-compiled run: emits and compiles the
-    run, patches the table in place, and runs it."""
+          start: int, end: int, regioned: bool):
+    """One mode's function of a run, until its first entry in that mode:
+    it hands the other mode to the other mode's function (or stub);
+    otherwise it compiles its function (or takes the process's cached
+    code for the same source), installs it in the namespace and at the
+    run start, and runs it."""
+    name = _fn_name(start, timed, regioned)
+    other = _fn_name(start, timed, not regioned)
 
     def compile_and_run(fr):
-        compiled = jm._compiled
-        variant = "t" if timed else "u"
-        source = "\n".join(
-            _emit_fn(compiled, start, end, jm.profile, timed)) + "\n"
-        exec(compile(source, f"<jit:{compiled.name}:{start}:{variant}>",
-                     "exec"), namespace)
-        fn = table[start] = namespace[f"_f{start}_{variant}"]
+        if (fr.region is not None) != regioned:
+            return namespace[other](fr)
+        source = "\n".join(_emit_fn(jm._compiled, start, end, jm.profile,
+                                    timed, regioned)) + "\n"
+        digest = hashlib.blake2b(source.encode(), digest_size=16).hexdigest()
+        code = _CODE.get(digest)
+        if code is None:
+            # Named by content: the code serves every method whose run
+            # emits this source.
+            code = _CODE[digest] = compile(source, f"<jit:{name}:{digest}>",
+                                           "exec")
+        exec(code, namespace)
+        fn = table[start] = namespace[name]
         return fn(fr)
 
     return compile_and_run

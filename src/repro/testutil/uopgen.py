@@ -139,12 +139,18 @@ class _Gen:
     Operand picks draw from the matching shadow most of the time — a
     mistyped operand is usually *fatal* (host TypeError/VMError or a
     guest trap), so the wildcard rate directly sets expected program
-    depth.  At 8% per operand most programs run deep into the templates,
-    while across a battery of seeds every template's bail edge still
-    fires many times (branchy ``rich`` programs, whose joins already
-    stale the shadows, use 3%).  ``rich`` adds the uops fused code never contains
-    (lock-word stores, atomic RMW) and objects whose monitor another
-    thread owns.
+    depth.  Even at 8% per operand (3% for branchy ``rich`` programs,
+    whose joins already stale the shadows) most programs die early:
+    over :func:`uop_case` seeds 0–59 the reference loop fetches 456 of
+    the 1,499 static uops (a median of 6 dynamic uops per case) and
+    only 10 of the 60 cases return a value; the rest end in a guest
+    trap or a host ``TypeError``/``VMError``/``AttributeError``.
+    :func:`branchy_case` seeds 0–59 fetch 496 of 1,336 and 26 return a
+    value.  So the battery's strength is breadth — across its seeds
+    every template's bail edge fires many times — not depth: the uops
+    past the first handful of a case see little traffic.  ``rich`` adds
+    the uops fused code never contains (lock-word stores, atomic RMW)
+    and objects whose monitor another thread owns.
     """
 
     def __init__(self, rng: random.Random, regs: range,

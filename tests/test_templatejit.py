@@ -29,6 +29,7 @@ does with its own window.
 from __future__ import annotations
 
 import os
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -41,9 +42,12 @@ from repro.hw.config import BASELINE_4WIDE, OOO_2WIDE
 from repro.hw.isa import CompiledMethod, MInstr, MOp, machine_compare
 from repro.hw.machine import Machine
 from repro.hw.stats import ExecStats
+from repro.harness import experiment, figures
+from repro.hw import templatejit
 from repro.hw.templatejit import (
     _STEPPED,
     MAX_RUN,
+    clear_code_cache,
     fused_runs,
     get_jitted,
     handler_source,
@@ -648,7 +652,9 @@ class TestCacheEviction:
 
     def test_runs_compile_on_first_execution(self):
         """A table starts with a stub per run; executing the run
-        compiles it and patches the table in place."""
+        compiles the function of the mode it runs in (plain: the first
+        run starts the method, outside any region) and patches the
+        table in place."""
         case = uop_case(COMMITTING_REGION_SEED)
         heap = Heap()
         mach = Machine(case.program, heap, config=BASELINE_4WIDE,
@@ -661,8 +667,11 @@ class TestCacheEviction:
         assert stub.__name__ == "compile_and_run"
         mach.execute(case.compiled, case.make_args(heap))
         assert table[start] is not stub
-        assert table[start].__name__ == f"_f{start}_u"
-        # Runs that never executed stay uncompiled.
+        assert table[start].__name__ == f"_f{start}_u_plain"
+        # The mode that never ran, and runs that never executed, stay
+        # uncompiled.
+        namespace = table[start].__globals__
+        assert namespace[f"_f{start}_u_region"].__name__ == "compile_and_run"
         assert jm.table(True)[start].__name__ == "compile_and_run"
 
     def test_long_blocks_split_at_max_run(self):
@@ -694,17 +703,17 @@ def _long_block() -> CompiledMethod:
 
 
 def _run_timed(compiled: CompiledMethod, dispatch: str,
-               pending: str | None = None):
-    """Run ``compiled`` timed on a fresh machine whose model already
-    retired a few uops (and, if ``pending`` names a model flag, has
-    that event pending); returns value, stats and model snapshot."""
-    timing = TimingModel(BASELINE_4WIDE)
+               pending: str | None = None, hw=BASELINE_4WIDE):
+    """Run ``compiled`` timed on a fresh ``hw`` machine whose model
+    already retired a few uops (and, if ``pending`` names a model flag,
+    has that event pending); returns value, stats and model snapshot."""
+    timing = TimingModel(hw)
     for _ in range(3):
         timing.uop(MInstr(MOp.MUL, dst=0, a=0, b=0), None)
     if pending is not None:
         setattr(timing, pending, True)
     stats = ExecStats()
-    mach = Machine(uop_case(0).program, Heap(), config=BASELINE_4WIDE,
+    mach = Machine(uop_case(0).program, Heap(), config=hw,
                    stats=stats, timing=timing, dispatch=dispatch)
     value = mach.execute(compiled, [])
     return value, stats.summary(), timing_snapshot(timing)
@@ -786,6 +795,163 @@ class TestTimedFusion:
         mach.timing = TimingModel(twin)
         assert mach.timing.config == BASELINE_4WIDE
         mach.timing = None
+
+
+# -- per-mode run functions and the process code cache ------------------------
+
+def _two_mode_block(region_first: bool) -> CompiledMethod:
+    """One fused run (array load, add, store, accumulate, branch) entered
+    twice: first outside a region and then inside one, or, with
+    ``region_first``, the reverse.  Register 7 holds a 2-element array."""
+    M = MInstr
+    if region_first:
+        instrs = [
+            M(MOp.CONST, dst=0, imm=1),
+            M(MOp.CONST, dst=6, imm=0),
+            M(MOp.AREGION_BEGIN, imm=1, target=12),
+            # pc 3: the run — in the region, then after it
+            M(MOp.LOADA, dst=10, a=7, b=6),
+            M(MOp.ADD, dst=10, a=10, b=0),
+            M(MOp.STOREA, a=7, b=6, c=10),
+            M(MOp.ADD, dst=3, a=3, b=10),
+            M(MOp.BR, cond="ne", a=6, target=11),
+            M(MOp.CONST, dst=6, imm=1),
+            M(MOp.AREGION_END),
+            M(MOp.JMP, target=3),
+            M(MOp.RET, a=3),
+            # pc 12: abort recovery
+            M(MOp.RET, a=0),
+        ]
+        begin = 2
+    else:
+        instrs = [
+            M(MOp.CONST, dst=0, imm=1),
+            M(MOp.CONST, dst=6, imm=0),
+            # pc 2: the run — before the region, then in it
+            M(MOp.LOADA, dst=10, a=7, b=6),
+            M(MOp.ADD, dst=10, a=10, b=0),
+            M(MOp.STOREA, a=7, b=6, c=10),
+            M(MOp.ADD, dst=3, a=3, b=10),
+            M(MOp.BR, cond="ne", a=6, target=10),
+            M(MOp.CONST, dst=6, imm=1),
+            M(MOp.AREGION_BEGIN, imm=1, target=12),
+            M(MOp.JMP, target=2),
+            M(MOp.AREGION_END),
+            M(MOp.RET, a=3),
+            # pc 12: abort recovery
+            M(MOp.RET, a=0),
+        ]
+        begin = 8
+    compiled = CompiledMethod(
+        name="two_mode", num_params=1, instrs=instrs, num_regs=12,
+        region_entries={1: begin}, uses_regions=True)
+    compiled.param_locations = (("r", 7),)
+    return compiled
+
+
+def _run_two_mode(compiled: CompiledMethod, dispatch: str, timing: bool):
+    """Two activations of a :func:`_two_mode_block` on one fresh machine:
+    values, stats, heap fingerprint and the model's snapshot."""
+    heap = Heap()
+    array = heap.new_array(2)
+    model = TimingModel(BASELINE_4WIDE) if timing else None
+    stats = ExecStats()
+    mach = Machine(uop_case(0).program, heap, config=BASELINE_4WIDE,
+                   stats=stats, timing=model, dispatch=dispatch)
+    values = [mach.execute(compiled, [array]) for _ in range(2)]
+    return (values, stats.summary(), heap.fingerprint(),
+            model and timing_snapshot(model))
+
+
+def _record_compiles(monkeypatch) -> list:
+    """Record the ``(filename, source)`` of every fused-run compile, from
+    an empty code cache on."""
+    compiles = []
+
+    def recording(source, filename, mode):
+        if filename.startswith("<jit:"):
+            compiles.append((filename, source))
+        return compile(source, filename, mode)
+
+    clear_code_cache()
+    monkeypatch.setattr(templatejit, "compile", recording, raising=False)
+    return compiles
+
+
+class TestRunModes:
+    @pytest.mark.parametrize("timing", [False, True])
+    @pytest.mark.parametrize("region_first", [False, True])
+    def test_run_entered_in_both_modes(self, monkeypatch, region_first,
+                                       timing):
+        """Each mode's function compiles once, on the run's first entry
+        in that mode, and the entry guard of either hands the other mode
+        over: the run stays fused in both, and every observable equals
+        the reference loop's."""
+        compiled = _two_mode_block(region_first)
+        # The method's two leading constants are a run of their own.
+        (lead, _), (start, _) = fused_runs(compiled)
+        assert lead == 0
+        compiles = _record_compiles(monkeypatch)
+        got = _run_two_mode(compiled, "auto", timing)
+        assert got == _run_two_mode(_two_mode_block(region_first),
+                                    "interpretive", timing)
+        assert got[0] == [2, 4]
+        summary = got[1]
+        assert summary["regions"] == 2 and summary["abort_rate"] == 0.0
+        variant = "t" if timing else "u"
+        modes = ("region", "plain") if region_first else ("plain", "region")
+        names = [f"_f{start}_{variant}_{mode}" for mode in modes]
+        assert [filename.split(":")[1] for filename, _ in compiles] == [
+            f"_f0_{variant}_plain", *names]
+        namespace = compiled._jitted.table(timing)[start].__globals__
+        assert [namespace[name].__name__ for name in names] == names
+
+    def test_equal_runs_share_code_per_profile(self, monkeypatch):
+        """Distinct methods with equal instructions, on machines with
+        equal profiles, compile each run once between them; another
+        profile compiles again, and so does a cleared cache."""
+        compiles = _record_compiles(monkeypatch)
+        first, second = _long_block(), _long_block()
+        base = _run_timed(first, "auto")
+        runs = len(fused_runs(first))
+        assert len(compiles) == runs
+        assert _run_timed(second, "auto") == base
+        assert len(compiles) == runs
+        assert second._jitted is not first._jitted
+        assert second._jitted.profile == first._jitted.profile
+        # The run sources do not depend on the method's name.
+        renamed = _long_block()
+        renamed.name = "other_method"
+        _run_timed(renamed, "auto")
+        assert len(compiles) == runs
+        # Another profile (here, the fetch width) bakes other constants.
+        narrow = _long_block()
+        _run_timed(narrow, "auto", hw=OOO_2WIDE)
+        assert narrow._jitted.profile != first._jitted.profile
+        assert len(compiles) == 2 * runs
+        # A cleared cache compiles cold.
+        experiment.clear_cache()
+        assert not templatejit._CODE
+        assert _run_timed(_long_block(), "auto") == base
+        assert len(compiles) == 3 * runs
+        # Shared code is named for its content, not for a method.
+        assert all(filename.count(":") == 2 and "long_block" not in filename
+                   for filename, _ in compiles)
+
+    def test_cold_round_compiles_each_source_once(self, monkeypatch):
+        """A cold figure round compiles each distinct run source once,
+        and every compiled source holds one mode's body only."""
+        experiment.clear_cache()
+        compiles = _record_compiles(monkeypatch)
+        figures.figure7(["hsqldb"])
+        sources = [source for _, source in compiles]
+        assert sources
+        assert len(sources) == len(set(sources))
+        for source in sources:
+            [name] = re.findall(r"^def (\w+)\(", source, re.MULTILINE)
+            assert name.endswith(("_plain", "_region"))
+            if name.endswith("_plain"):
+                assert "region." not in source
 
 
 # -- fallback gating ----------------------------------------------------------
