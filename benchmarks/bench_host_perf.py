@@ -3,16 +3,20 @@
 
 Times representative workload cells — the paper's marker-delimited
 measurement sweeps on compiled code, which is exactly what the fast
-dispatch tiers accelerate — under all three dispatch strategies
-(interpretive, pre-decoded, template-jit) in the same process, asserts
-they produce byte-identical ``ExecStats`` summaries, cycle counts and
-guest results, and emits ``BENCH_host.json``.  Each VM first runs one
-unmeasured priming sweep (template-jit runs compile on first
-execution), so every number is a steady-state sweep::
+dispatch tiers accelerate — on all three dispatch paths in the same
+process: the interpretive reference loop (``dispatch="interpretive"``),
+the pre-decoded handler table (``dispatch="auto"`` with
+``fault_plan=FaultPlan.none()``: an attached fault injector selects it,
+as in every fault-injected cell) and template-jit fused code
+(``dispatch="auto"``, no fault injector).  It asserts they produce
+byte-identical ``ExecStats`` summaries, cycle counts and guest results,
+and emits ``BENCH_host.json``.  Each VM first runs one unmeasured
+priming sweep (template-jit runs compile on first execution), so every
+number is a steady-state sweep::
 
-    {"<bench>": {"wall_s": ...,            # pre-decoded, best of N repeats
+    {"<bench>": {"wall_s": ...,            # handler table, best of N
                  "baseline_wall_s": ...,   # interpretive dispatch, same run
-                 "uops_per_s": ...,        # retired uops / pre-decoded wall
+                 "uops_per_s": ...,        # retired uops / handler wall
                  "speedup_vs_baseline": ...,
                  "jit_wall_s": ...,        # template-jit, best of N repeats
                  "jit_uops_per_s": ...,
@@ -24,7 +28,7 @@ Usage:
         [--min-timed-jit-speedup X]
 
 ``--check`` compares the fresh measurements against a previously emitted
-file and exits non-zero if any cell's pre-decoded or jit wall time
+file and exits non-zero if any cell's handler-table or jit wall time
 regressed more than 25% — the CI perf-smoke gate.  ``--min-jit-speedup``
 additionally fails unless the *best* untimed cell's jit speedup over
 interpretive reaches the given floor (the template-jit acceptance gate;
@@ -45,6 +49,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.faults import FaultPlan                       # noqa: E402
 from repro.runtime import GuestError                     # noqa: E402
 from repro.testutil.genprog import GenConfig, ProgramGenerator  # noqa: E402
 from repro.vm import ATOMIC_AGGRESSIVE, TieredVM, VMOptions     # noqa: E402
@@ -82,11 +87,12 @@ def _sweep(vm, call):
     return wall, outcomes, vm.end_measurement()
 
 
-def _measured_sweep(name: str, timing: bool, dispatch: str):
+def _measured_sweep(name: str, timing: bool, dispatch: str,
+                    fault_plan=None):
     """Warm + compile, prime, then wall-clock a steady measurement sweep.
 
     Fused runs are host-compiled on their first execution, so every VM
-    (under every dispatch mode alike) first runs one unmeasured priming
+    (on every dispatch path alike) first runs one unmeasured priming
     sweep; the measured sweep is the steady state.  Returns (wall
     seconds, uops retired, outcome digest).  The digest — guest results
     plus every measured sample's ``ExecStats.summary()``, cycle count
@@ -102,6 +108,7 @@ def _measured_sweep(name: str, timing: bool, dispatch: str):
             compiler_config=ATOMIC_AGGRESSIVE,
             options=VMOptions(enable_timing=timing, compile_threshold=3,
                               dispatch=dispatch),
+            fault_plan=fault_plan,
         )
         vm.warm_up(workload.entry, [list(a) for a in sample.warm_args])
         vm.compile_hot(min_invocations=1)
@@ -118,7 +125,7 @@ def _measured_sweep(name: str, timing: bool, dispatch: str):
     return wall, uops, digest
 
 
-def _differential_sweep(dispatch: str):
+def _differential_sweep(dispatch: str, fault_plan=None):
     """The cross-tier differential matrix cell: seeded generated guests,
     profiled with one argument and measured with another."""
     wall = 0.0
@@ -132,6 +139,7 @@ def _differential_sweep(dispatch: str):
             program, ATOMIC_AGGRESSIVE,
             options=VMOptions(enable_timing=False, compile_threshold=1,
                               dispatch=dispatch),
+            fault_plan=fault_plan,
         )
         vm.warm_up("main", [[1]] * 3)
         vm.compile_hot(min_invocations=1)
@@ -168,13 +176,15 @@ def _time_cell(run, repeats: int):
 def run_suite(repeats: int) -> dict:
     results: dict[str, dict] = {}
     cells = [
-        (bench, lambda d, n=name, t=timing: _measured_sweep(n, t, d))
+        (bench,
+         lambda d, p=None, n=name, t=timing: _measured_sweep(n, t, d, p))
         for bench, name, timing in WORKLOAD_CELLS
     ]
     cells.append(("differential_sweep", _differential_sweep))
     for bench, cell in cells:
+        # an injector with no fault armed selects the handler table
         fast_wall, fast_uops, fast_digest = _time_cell(
-            lambda: cell("predecoded"), repeats)
+            lambda: cell("auto", FaultPlan.none()), repeats)
         # "auto" with no fault injector is the template-jit tier
         jit_wall, jit_uops, jit_digest = _time_cell(
             lambda: cell("auto"), repeats)
@@ -182,7 +192,7 @@ def run_suite(repeats: int) -> dict:
             lambda: cell("interpretive"), repeats)
         if fast_digest != slow_digest:
             raise AssertionError(
-                f"{bench}: pre-decoded dispatch diverged from interpretive "
+                f"{bench}: the handler table diverged from interpretive "
                 "dispatch — the fast path is NOT observationally inert"
             )
         if jit_digest != slow_digest:
@@ -199,7 +209,7 @@ def run_suite(repeats: int) -> dict:
             "jit_uops_per_s": round(jit_uops / jit_wall),
             "jit_speedup_vs_baseline": round(slow_wall / jit_wall, 2),
         }
-        print(f"{bench:>20}: pre {fast_wall:.3f}s "
+        print(f"{bench:>20}: handlers {fast_wall:.3f}s "
               f"({results[bench]['speedup_vs_baseline']:.2f}x)  "
               f"jit {jit_wall:.3f}s "
               f"({results[bench]['jit_speedup_vs_baseline']:.2f}x)  "
@@ -215,7 +225,7 @@ def check_regression(fresh: dict, baseline_path: Path) -> int:
         base = baseline.get(bench)
         if base is None:
             continue
-        for key, label in (("wall_s", "pre-decoded"),
+        for key, label in (("wall_s", "handlers"),
                            ("jit_wall_s", "jit")):
             if key not in base:
                 continue

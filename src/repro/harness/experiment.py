@@ -178,7 +178,6 @@ def run_workload(
     fault_plan: FaultPlan | None = None,
     use_cache: bool = True,
     tracer=None,
-    dispatch: str = "auto",
     disk_cache: bool | None = None,
 ) -> RunResult:
     """Run every sample of ``workload`` under the given configuration.
@@ -191,12 +190,6 @@ def run_workload(
     from a private copy of its samples' memoized warm-up (:func:`warmed`),
     whatever ``use_cache`` says: warm-up reads no configuration, so
     sharing it cannot change a result.
-
-    ``dispatch`` selects the machine's uop dispatch tier (see
-    :class:`repro.hw.machine.Machine`).  Every tier is observationally
-    identical, so it is not part of the memo key: a memoised cell is
-    returned whatever tier is asked for, and tests that compare tiers
-    pass ``use_cache=False``.
 
     ``disk_cache`` additionally consults/updates the on-disk result cache
     (:mod:`repro.harness.diskcache`, content-hash keyed so any source
@@ -237,11 +230,7 @@ def run_workload(
             warm,
             compiler_config=config,
             hw_config=hw_config,
-            options=VMOptions(
-                enable_timing=timing,
-                compile_threshold=3,
-                dispatch=dispatch,
-            ),
+            options=VMOptions(enable_timing=timing, compile_threshold=3),
             fault_plan=fault_plan,
             tracer=tracer,
             # the warm-up VM validated this program's original

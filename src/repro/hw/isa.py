@@ -238,15 +238,9 @@ class CompiledMethod:
         *does* at the region's ``aregion_begin``, so any dispatch form
         built from the old code is stale; this is the one
         sanctioned patch point and it drops that cache atomically with
-        the patch.
+        the patch (it rebuilds lazily on the next fast-path activation).
         """
         self.disabled_regions.add(region_id)
-        self.invalidate_predecode()
-
-    def invalidate_predecode(self) -> None:
-        """Drop the cached dispatch form (handlers and fused functions);
-        it rebuilds lazily from the patched code on the next fast-path
-        activation."""
         self._jitted = None
 
 

@@ -51,7 +51,7 @@ CODE_BASE = 0x40_0000
 #: simulated address region for spill frames.
 SPILL_BASE = 0x2000_0000
 #: host dispatch tiers (:attr:`Machine.dispatch`).
-DISPATCH_MODES = ("auto", "predecoded", "interpretive")
+DISPATCH_MODES = ("auto", "interpretive")
 
 
 class ExecFrame:
@@ -172,21 +172,21 @@ class Machine:
             # machine's tracer, timestamped by its retired-uop counter.
             fault_injector.tracer = self.tracer
             fault_injector.clock = lambda: self.uops_executed
-        #: uop dispatch tier: "auto" (fused template-jit runs over the
-        #: handler table, or the handlers alone when a fault injector is
-        #: attached — its per-uop probes must stay live), "predecoded"
-        #: (the handler at every pc), or "interpretive" (always the
-        #: reference loop).  Both fast tiers are only taken with no tracer
-        #: and no scheduler attached, so traced and multi-threaded runs
-        #: see the instrumented loop unchanged.  Every tier is
-        #: observationally identical.
+        #: uop dispatch: "auto" or "interpretive" (always the reference
+        #: loop, the tests' oracle).  Under "auto" one rule picks the
+        #: path per activation: a scheduler runs the reference loop, an
+        #: attached fault injector the handler table (its per-uop probes
+        #: stay live), and every other machine, traced or not, the fused
+        #: template-jit table.  The tracer's emission sites all sit in
+        #: the region-lifecycle methods every path calls, so every path
+        #: is observationally identical, event stream included.
         if dispatch not in DISPATCH_MODES:
             raise VMError(f"unknown dispatch mode {dispatch!r}; "
                           f"expected one of {DISPATCH_MODES}")
         self.dispatch = dispatch
-        #: whether this machine runs fused template-jit code when the
-        #: fast path is reachable at all (see :mod:`repro.hw.templatejit`).
-        self._jit_tier = dispatch == "auto" and self.fault_injector is None
+        #: whether the fast path runs fused template-jit code rather than
+        #: the handler table (see :mod:`repro.hw.templatejit`).
+        self._jit_tier = fault_injector is None
         #: deterministic guest scheduler (attached by TieredVM.run_threads);
         #: None keeps the machine single-threaded and bit-identical to the
         #: pre-scheduler behaviour.
@@ -276,18 +276,16 @@ class Machine:
     def execute(self, compiled: CompiledMethod, args: list[Value]) -> Value:
         """Run one activation of ``compiled``.
 
-        The fast tiers are one loop over a pc-indexed table: a handler at
-        every pc, or (``auto``) a fused-run function at each run start so
-        straight-line spans retire without re-entering the loop.  Either
-        way the loop resumes at whatever pc the callee (or the abort
-        machinery) hands back.  They are only reached with the null
-        tracer and no scheduler, so nothing instrumented is skipped;
-        everything else runs the reference loop (:meth:`_run`).
+        The fast path is one loop over a pc-indexed table: a handler at
+        every pc when a fault injector is attached, otherwise a fused-run
+        function at each run start so straight-line spans retire without
+        re-entering the loop.  Either way the loop resumes at whatever pc
+        the callee (or the abort machinery) hands back.  A scheduler, or
+        ``dispatch="interpretive"``, runs the reference loop
+        (:meth:`_run`) instead.
         """
         fr = self._frame(compiled, args)
-        if (self.dispatch != "interpretive"
-                and self.sched is None
-                and not self.tracer.enabled):
+        if self.dispatch != "interpretive" and self.sched is None:
             jm = get_jitted(compiled, self)
             table = (jm.table(fr.timing is not None) if self._jit_tier
                      else jm.handlers)

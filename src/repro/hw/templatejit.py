@@ -69,13 +69,16 @@ deoptimization-to-reference discipline).  So every slow path — counters,
 traps, aborts, errors — is exact by construction.
 
 **Retirement checks only where they can fire.**  Under the JIT's
-admission profile (no scheduler, no tracer, no fault injector) the
-probe's verdict can only change when a uop grows the region's read/write
-line sets or store buffer.  Fused code therefore emits the
-(profile-specialised) check only after the memory-tracking uops —
+admission profile (no scheduler, no fault injector) the probe's verdict
+can only change when a uop grows the region's read/write line sets or
+store buffer.  Fused code therefore emits the (profile-specialised)
+check only after the memory-tracking uops —
 CLASSOF/LOADF/STOREF/LOADA/STOREA/LOADLEN/LOADLOCK — in the region body,
 and the checks it emits mirror ``_hw_condition``'s order and
-detail-register writes exactly.
+detail-register writes exactly.  A tracer may be attached: every
+emission sits in the ``Machine`` region-lifecycle methods, which fused
+code calls with its counters flushed, so the event stream is the
+reference loop's.
 
 **Unfusable uops split runs.**  Lock-word stores, region begin/end and
 the stepped uops never enter fused code; they retire on their handlers
@@ -245,8 +248,8 @@ class JittedMethod:
     profile: JitProfile
     #: fused spans ``(start, end)`` over the instruction array.
     runs: list = field(default_factory=list)
-    #: pc-indexed handlers (the ``predecoded`` tier, and the fused runs'
-    #: bail target).
+    #: pc-indexed handlers (the table a fault-injected machine runs, and
+    #: the fused runs' bail target).
     handlers: list = field(default_factory=list, repr=False, compare=False)
     #: the code object the runs were cut from.
     _compiled: CompiledMethod | None = field(
@@ -1242,7 +1245,7 @@ def jit_compile(compiled: CompiledMethod, machine) -> JittedMethod:
 
 def get_jitted(compiled: CompiledMethod, machine) -> JittedMethod:
     """Return the cached dispatch form, rebuilding when the cache is
-    stale (dropped by ``disable_region``/``invalidate_predecode``) or
+    stale (dropped by ``disable_region``) or
     built for a different machine profile."""
     jm = compiled._jitted
     profile = machine._jit_profile

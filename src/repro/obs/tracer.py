@@ -17,6 +17,11 @@ Overhead contract: tracing must never perturb the reproduction.
   no emission reads the PRNGs, the heap, or any counter that feeds back
   into execution, so enabling tracing is observationally invisible
   (enforced end-to-end by ``tests/test_differential.py``).
+- A tracer picks no dispatch path: traced machines run fused code too.
+  Every machine-side emission sits in a region-lifecycle method, or a
+  reference step, that the fast paths reach at the reference loop's
+  points with counters flushed, so the stream is the reference loop's
+  (enforced by the traced cross-tier tests).
 - The ring is bounded (``capacity`` events, oldest dropped first) and
   flags truncation rather than growing without bound.
 """

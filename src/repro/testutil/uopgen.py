@@ -581,13 +581,14 @@ class _Fetches:
 
 
 def _machine(case: UopCase, dispatch: str, timing: bool,
-             hw: HardwareConfig, faults: FaultPlan | None):
+             hw: HardwareConfig, faults: FaultPlan | None, tracer=None):
     """A fresh machine and heap for one run of ``case``."""
     heap = Heap()
     machine = Machine(
         case.program, heap, config=hw, stats=ExecStats(),
         timing=TimingModel(hw) if timing else None, dispatch=dispatch,
         fault_injector=FaultInjector(faults) if faults is not None else None,
+        tracer=tracer,
     )
     return machine, heap
 
@@ -623,7 +624,7 @@ def step_snapshots(case: UopCase, dispatch: str, timing: bool = False,
 
 def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
                  hw: HardwareConfig = BASELINE_4WIDE,
-                 faults: FaultPlan | None = None):
+                 faults: FaultPlan | None = None, tracer=None):
     """Run ``case`` on a fresh machine/heap under one dispatch tier.
 
     Returns ``(outcome, stats, heap_fingerprint, timing)`` where
@@ -633,9 +634,11 @@ def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
     agree on those too — ``stats`` is the :func:`stats_fingerprint`, and
     ``timing`` is the model's :func:`timing_snapshot` after the run (None
     when untimed).  ``faults`` attaches a fresh injector for that plan
-    (which keeps ``auto`` on the handler table).
+    (which keeps ``auto`` on the handler table; ``FaultPlan.none()``
+    selects that table with no fault armed).  ``tracer`` (a
+    :class:`~repro.obs.Tracer`) records the run's events for the caller.
     """
-    machine, heap = _machine(case, dispatch, timing, hw, faults)
+    machine, heap = _machine(case, dispatch, timing, hw, faults, tracer)
     stats, model = machine.stats, machine.timing
     args = case.make_args(heap)
     try:

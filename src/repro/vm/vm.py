@@ -43,10 +43,10 @@ class VMOptions:
     compile_threshold: int = 10
     enable_timing: bool = True
     auto_compile: bool = True
-    #: machine dispatch tier: "auto" (template-jit, or the handlers when
-    #: a fault injector is attached), "predecoded", or "interpretive"
-    #: (always the instrumented slow loop).  A host-speed knob only; see
-    #: :class:`repro.hw.machine.Machine`.
+    #: machine dispatch: "auto" (template-jit, the handlers when a fault
+    #: injector is attached, the reference loop under a scheduler) or
+    #: "interpretive" (always the reference loop, the tests' oracle).  A
+    #: host-speed knob only; see :class:`repro.hw.machine.Machine`.
     dispatch: str = "auto"
 
 

@@ -22,11 +22,15 @@ environment variables move it (defaults cover seeds 0..49).
 from __future__ import annotations
 
 import os
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.atomic import form_regions
-from repro.harness import run_workload
+from repro.faults import FaultPlan
+from repro.harness import experiment, run_workload
+from repro.harness.parallel import HARDWARE_CONFIGS
 from repro.hw import BASELINE_4WIDE, CacheConfig
 from repro.obs import Tracer
 from repro.opt import optimize
@@ -53,7 +57,8 @@ def _generate(seed: int):
     ).generate()
 
 
-def _run_tiered(program, tracer=None, timing=True, dispatch="auto", hw=None):
+def _run_tiered(program, tracer=None, timing=True, dispatch="auto", hw=None,
+                fault_plan=None):
     """Full tiered execution: warm-up, compile, measure one call."""
     kwargs = {} if hw is None else {"hw_config": hw}
     vm = TieredVM(
@@ -61,6 +66,7 @@ def _run_tiered(program, tracer=None, timing=True, dispatch="auto", hw=None):
         ATOMIC_AGGRESSIVE,
         options=VMOptions(enable_timing=timing, compile_threshold=1,
                           dispatch=dispatch),
+        fault_plan=fault_plan,
         tracer=tracer,
         **kwargs,
     )
@@ -150,11 +156,13 @@ class TestTracingChangesNothing:
         assert "tier_compile" in kinds
 
 
-#: the host fast tiers under differential test, by the dispatch mode that
-#: selects each: the pre-decoded arrays and the template-jit fused
-#: functions ("auto" with no fault injector attached) riding the same
-#: invalidation discipline.
-FAST_DISPATCHES = ["predecoded", pytest.param("auto", id="jit")]
+#: the host fast tiers under differential test, by the fault plan that
+#: selects each under ``dispatch="auto"``: an attached injector with
+#: ``FaultPlan.none()`` runs the pre-decoded handler table (the test id
+#: the sweep has always used for that cell), no injector the
+#: template-jit fused functions, traced or not.
+FAST_TIERS = [pytest.param(FaultPlan.none(), id="predecoded"),
+              pytest.param(None, id="jit")]
 
 
 class TestDispatchEquivalence:
@@ -162,40 +170,39 @@ class TestDispatchEquivalence:
     outcomes, ``ExecStats.summary()`` dicts, and traced event streams
     versus the interpretive loop, seed by seed."""
 
-    @pytest.mark.parametrize("dispatch", FAST_DISPATCHES)
+    @pytest.mark.parametrize("plan", FAST_TIERS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fast_path_byte_identical(self, seed, dispatch):
+    def test_fast_path_byte_identical(self, seed, plan):
         """Timed run: same outcome and stats summary — including every
         cycle-level counter the timing model feeds — both dispatch ways."""
-        fast = _run_tiered(_generate(seed), dispatch=dispatch)
+        fast = _run_tiered(_generate(seed), fault_plan=plan)
         slow = _run_tiered(_generate(seed), dispatch="interpretive")
         assert (fast[0], fast[1]) == (slow[0], slow[1]), (
-            f"seed {seed}: {dispatch} dispatch disagrees on the outcome"
+            f"seed {seed}: fast tier ({plan}) disagrees on the outcome"
         )
         assert fast[2].summary() == slow[2].summary(), (
-            f"seed {seed}: {dispatch} dispatch disagrees on ExecStats"
+            f"seed {seed}: fast tier ({plan}) disagrees on ExecStats"
         )
 
-    @pytest.mark.parametrize("dispatch", FAST_DISPATCHES)
+    @pytest.mark.parametrize("plan", FAST_TIERS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fast_path_byte_identical_functional(self, seed, dispatch):
+    def test_fast_path_byte_identical_functional(self, seed, plan):
         """Untimed run: the functional-mode stats agree too."""
-        fast = _run_tiered(_generate(seed), timing=False,
-                           dispatch=dispatch)
+        fast = _run_tiered(_generate(seed), timing=False, fault_plan=plan)
         slow = _run_tiered(_generate(seed), timing=False,
                            dispatch="interpretive")
         assert (fast[0], fast[1]) == (slow[0], slow[1])
         assert fast[2].summary() == slow[2].summary()
 
-    @pytest.mark.parametrize("dispatch", FAST_DISPATCHES)
+    @pytest.mark.parametrize("plan", FAST_TIERS)
     @pytest.mark.parametrize("seed", SEEDS[:10])
-    def test_traced_event_streams_identical(self, seed, dispatch):
-        """With a live tracer both modes must emit bit-identical event
-        streams (the fast tiers yield to the instrumented loop rather
-        than skip emission sites)."""
+    def test_traced_event_streams_identical(self, seed, plan):
+        """With a live tracer the fast tier itself runs — traced runs
+        take the same tables as untraced ones — and emits an event
+        stream bit-identical to the reference loop's."""
         fast_tracer = Tracer()
         fast = _run_tiered(_generate(seed), tracer=fast_tracer,
-                           dispatch=dispatch)
+                           fault_plan=plan)
         slow_tracer = Tracer()
         slow = _run_tiered(_generate(seed), tracer=slow_tracer,
                            dispatch="interpretive")
@@ -307,7 +314,7 @@ ATOMIC_CASES = _atomic_cases()
 
 
 def _run_atomic(build, warm_args, run_args, tracer=None, timing=True,
-                dispatch="auto", hw=None):
+                dispatch="auto", hw=None, fault_plan=None):
     """Tiered run of a contention worker: returns (value, heap fp, stats)."""
     kwargs = {} if hw is None else {"hw_config": hw}
     vm = TieredVM(
@@ -315,6 +322,7 @@ def _run_atomic(build, warm_args, run_args, tracer=None, timing=True,
         ATOMIC_AGGRESSIVE,
         options=VMOptions(enable_timing=timing, compile_threshold=1,
                           dispatch=dispatch),
+        fault_plan=fault_plan,
         tracer=tracer,
         **kwargs,
     )
@@ -333,16 +341,16 @@ class TestAtomicUopEquivalence:
     """The atomic primitives are execution-strategy invariant: every
     FAA/CAS/LL-SC/monitor program produces a byte-identical outcome (return
     value, heap fingerprint, ``ExecStats.summary()`` — which now carries
-    the atomic-uop counters) across the interpretive loop, the pre-decoded
-    fast path, tracing on/off, and every best-effort HTM shape."""
+    the atomic-uop counters) across the interpretive loop, both fast
+    tiers, tracing on/off, and every best-effort HTM shape."""
 
-    @pytest.mark.parametrize("dispatch", FAST_DISPATCHES)
+    @pytest.mark.parametrize("plan", FAST_TIERS)
     @pytest.mark.parametrize("name,build,warm,run",
                              ATOMIC_CASES,
                              ids=[c[0] for c in ATOMIC_CASES])
     def test_dispatch_modes_byte_identical(self, name, build, warm, run,
-                                           dispatch):
-        fast = _run_atomic(build, warm, run, dispatch=dispatch)
+                                           plan):
+        fast = _run_atomic(build, warm, run, fault_plan=plan)
         slow = _run_atomic(build, warm, run, dispatch="interpretive")
         assert fast[0] == slow[0], f"{name}: return values diverged"
         assert fast[1] == slow[1], f"{name}: heap fingerprints diverged"
@@ -432,8 +440,9 @@ class TestParallelSweepEquivalence:
 
 
 class TestCellIdentity:
-    """Host-only knobs do not identify a cell: one cell, one execution,
-    one cache entry, whatever dispatch tier asks for it."""
+    """Host-only knobs do not identify a cell: the memo key is the
+    modeled configuration, and a cell has no dispatch knob at all (the
+    machine picks its path from what is attached to it)."""
 
     def test_memo_key_is_the_modeled_configuration(self):
         import inspect
@@ -444,19 +453,18 @@ class TestCellIdentity:
             "workload_name", "compiler_name", "hardware_name", "timing",
             "force_monomorphic", "adaptive", "fault_plan",
         ]
+        assert "dispatch" not in inspect.signature(run_workload).parameters
 
-    def test_other_dispatch_tier_returns_the_memoised_cell(self):
-        from repro.harness import clear_cache
 
-        workload = get_workload("hsqldb")
-        clear_cache()
-        try:
-            first = run_workload(workload, ATOMIC_AGGRESSIVE, timing=False)
-            again = run_workload(workload, ATOMIC_AGGRESSIVE, timing=False,
-                                 dispatch="interpretive")
-        finally:
-            clear_cache()
-        assert again is first
+def _interpretive(monkeypatch) -> None:
+    """Make every VM ``run_workload`` builds run the reference loop: the
+    production cell with only the dispatch changed."""
+    monkeypatch.setattr(experiment, "VMOptions",
+                        partial(VMOptions, dispatch="interpretive"))
+
+
+def _cell_observables(result) -> list:
+    return [(s.guest_results, s.stats.summary()) for s in result.samples]
 
 
 class TestWorkloadFiguresUnchanged:
@@ -476,17 +484,45 @@ class TestWorkloadFiguresUnchanged:
             assert trace.guest_results == base.guest_results
             assert trace.stats.summary() == base.stats.summary()
 
-    @pytest.mark.parametrize("dispatch", FAST_DISPATCHES)
+    @pytest.mark.parametrize("plan", FAST_TIERS)
     @pytest.mark.parametrize("name", workload_names())
-    def test_stats_identical_fast_vs_interpretive(self, name, dispatch):
-        """Figure 7/8 inputs are byte-identical under every dispatch mode
+    def test_stats_identical_fast_vs_interpretive(self, name, plan,
+                                                  monkeypatch):
+        """Figure 7/8 inputs are byte-identical on every dispatch path
         — the published tables cannot depend on the host fast tiers."""
         workload = get_workload(name)
         fast = run_workload(workload, ATOMIC_AGGRESSIVE, use_cache=False,
-                            dispatch=dispatch)
+                            fault_plan=plan)
+        _interpretive(monkeypatch)
         slow = run_workload(workload, ATOMIC_AGGRESSIVE, use_cache=False,
-                            dispatch="interpretive")
+                            fault_plan=plan)
         assert len(fast.samples) == len(slow.samples)
-        for f, s in zip(fast.samples, slow.samples):
-            assert f.guest_results == s.guest_results
-            assert f.stats.summary() == s.stats.summary()
+        assert _cell_observables(fast) == _cell_observables(slow)
+
+    @pytest.mark.parametrize("plan", [FaultPlan.seeded(1), None],
+                             ids=["seeded-1", "no-plan"])
+    @pytest.mark.parametrize("hw", ["4wide", "4wide-htm-lock-begin"])
+    def test_traced_cell_matches_interpretive(self, hw, plan, monkeypatch):
+        """A traced cell runs the fast tables (the handler table under a
+        fault plan, fused code without one) and still reproduces the
+        reference loop's results, stats and full event stream — fault
+        arming, interrupts, retries and the fallback lock included."""
+        workload = get_workload("hsqldb")
+        workload = replace(workload, samples=workload.samples[:1])
+        hw_config = HARDWARE_CONFIGS[hw]
+        runs = []
+        for reference in (False, True):
+            if reference:
+                _interpretive(monkeypatch)
+            tracer = Tracer()
+            result = run_workload(workload, ATOMIC_AGGRESSIVE, hw_config,
+                                  fault_plan=plan, tracer=tracer)
+            assert not tracer.truncated
+            runs.append((_cell_observables(result), tracer.events))
+        assert runs[0] == runs[1]
+        kinds = {event.kind for event in runs[0][1]}
+        assert {"region_enter", "region_commit"} <= kinds
+        if plan is not None:
+            assert {"fault_armed", "interrupt", "region_abort",
+                    "region_retry"} <= kinds
+            assert ("fallback_lock" in kinds) == (hw != "4wide")

@@ -258,9 +258,9 @@ class TestProgressStateIsolation:
 
 
 class TestPredecodeInvalidation:
-    """The pre-decoded dispatch cache must never outlive a forward-progress
-    patch: ``disable_region`` invalidates it, and the rebuilt fast path
-    honours the suppression."""
+    """The dispatch cache (handlers and fused code) must never outlive a
+    forward-progress patch: ``disable_region`` invalidates it, and the
+    rebuilt fast path honours the suppression."""
 
     def _patched_vm(self, dispatch):
         program = region_loop_program()
@@ -280,7 +280,7 @@ class TestPredecodeInvalidation:
         return program, vm, result
 
     def test_disable_region_invalidates_predecode_cache(self):
-        program, vm, result = self._patched_vm("predecoded")
+        program, vm, result = self._patched_vm("auto")
         compiled = vm.compiled["work"].compiled
         assert result == expected(program, (100, 0))
         assert compiled.disabled_regions == {0}
@@ -302,13 +302,13 @@ class TestPredecodeInvalidation:
         """Post-patch behaviour is dispatch-invariant: the suppressed
         region suppresses identically either way."""
         outcomes = {}
-        for dispatch in ("predecoded", "interpretive"):
+        for dispatch in ("auto", "interpretive"):
             program, vm, result = self._patched_vm(dispatch)
             vm.start_measurement()
             again = vm.run("work", [100, 0])
             stats = vm.end_measurement()
             outcomes[dispatch] = (result, again, stats.summary())
-        assert outcomes["predecoded"] == outcomes["interpretive"]
+        assert outcomes["auto"] == outcomes["interpretive"]
 
     def test_adaptive_recompile_keeps_regions_quiet(self):
         """An AdaptiveController recompile after an assert storm must not
@@ -322,8 +322,9 @@ class TestPredecodeInvalidation:
         hw = BASELINE_4WIDE.scaled(region_fallback_threshold=None)
         vm = TieredVM(
             program, compiler_config=ATOMIC, hw_config=hw,
-            options=VMOptions(enable_timing=False, compile_threshold=3,
-                              dispatch="predecoded"),
+            options=VMOptions(enable_timing=False, compile_threshold=3),
+            # an injector with no fault armed: the handler table
+            fault_plan=FaultPlan.none(),
         )
         vm.warm_up("work", [[100, 0]] * 3)
         vm.compile_hot(min_invocations=1)

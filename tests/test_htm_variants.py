@@ -261,14 +261,14 @@ class TestAbortDelivery:
         assert handler_stats.setjmp_deliveries == 0
 
     def test_setjmp_dispatch_equivalence(self):
-        """The pre-decoded fast path mirrors setjmp delivery exactly."""
+        """The handler table (which a fault plan selects) mirrors setjmp
+        delivery exactly."""
         program = stride_store_program()
         hw = BASELINE_4WIDE.scaled(
             name="test-setjmp-disp", abort_delivery="setjmp",
         )
         plan = FaultPlan.storm("assert")
-        fast = run_program(program, hw, fault_plan=plan,
-                           dispatch="predecoded")
+        fast = run_program(program, hw, fault_plan=plan)
         slow = run_program(program, hw, fault_plan=plan,
                            dispatch="interpretive")
         assert fast[0] == slow[0]
@@ -276,12 +276,12 @@ class TestAbortDelivery:
 
 
 class TestFallbackLock:
-    def _forced_owner_vm(self, mode, dispatch="auto"):
+    def _forced_owner_vm(self, mode, dispatch="auto", fault_plan=None):
         program = stride_store_program()
         hw = BASELINE_4WIDE.scaled(
             name=f"test-lock-{mode}", fallback_lock_mode=mode,
         )
-        vm = make_vm(program, hw, dispatch=dispatch)
+        vm = make_vm(program, hw, fault_plan=fault_plan, dispatch=dispatch)
         vm.warm_up("work", [[200]] * 3)
         vm.compile_hot(min_invocations=1)
         vm.start_measurement()

@@ -2,16 +2,16 @@
 cache-eviction and fallback regressions.
 
 The fast tiers' contract is *observational inertness*: for any installed
-code, any heap, and any hardware shape, running on handlers
-(``dispatch="predecoded"``) or fused runs (``dispatch="auto"`` with no
-fault injector) must be byte-identical — outcome, stats, heap
-fingerprint and, for timed runs, the timing model's full state — to the
-instrumented interpretive loop.  The battery here attacks that contract
-with randomly generated straight-line and branchy uop programs
-(:mod:`repro.testutil.uopgen`), with and without seeded fault plans,
-whose operands deliberately wander off the templates' happy paths, so
-every bail edge re-lands on a handler and steps the reference loop
-mid-program.
+code, any heap, and any hardware shape, running on handlers (an attached
+fault injector, ``FaultPlan.none()`` when no fault is wanted) or fused
+runs (no fault injector, traced or not) must be byte-identical —
+outcome, stats, heap fingerprint, trace events and, for timed runs, the
+timing model's full state — to the instrumented interpretive loop.  The
+battery here attacks that contract with randomly generated
+straight-line and branchy uop programs (:mod:`repro.testutil.uopgen`),
+with and without seeded fault plans, whose operands deliberately wander
+off the templates' happy paths, so every bail edge re-lands on a handler
+and steps the reference loop mid-program.
 
 The golden tests pin the *generated host source* — the fused runs of a
 hand-built region that exercises every fused template, and the handler
@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector, FaultPlan
 from repro.hw.config import BASELINE_4WIDE, OOO_2WIDE
 from repro.hw.isa import CompiledMethod, MInstr, MOp, machine_compare
-from repro.hw.machine import Machine
+from repro.hw.machine import DISPATCH_MODES, Machine
 from repro.hw.stats import ExecStats
 from repro.harness import experiment, figures
 from repro.hw import templatejit
@@ -104,6 +105,18 @@ JIT_HTM_MATRIX = [
 JIT_HTM = {hw.name: hw for hw in JIT_HTM_MATRIX}
 
 
+#: the fast tiers by the fault plan that selects each under
+#: ``dispatch="auto"``: an injector with no fault armed runs the handler
+#: table, no injector the fused table.
+FAST_TIERS = {"handlers": FaultPlan.none(), "fused": None}
+
+
+def _fast_tiers(plan) -> dict:
+    """The fast tiers a case runs on under ``plan``: both with no plan,
+    the handler table alone under a real one."""
+    return FAST_TIERS if plan is None else {"handlers": plan}
+
+
 def _assert_tiers_agree(seed: int, timing: bool = False,
                         hw=BASELINE_4WIDE, make=uop_case,
                         faults: bool = False) -> None:
@@ -111,8 +124,9 @@ def _assert_tiers_agree(seed: int, timing: bool = False,
     plan = fault_plan(seed) if faults else None
     base = run_uop_case(case, "interpretive", timing=timing, hw=hw,
                         faults=plan)
-    for tier in ("predecoded", "auto"):
-        got = run_uop_case(case, tier, timing=timing, hw=hw, faults=plan)
+    for tier, tier_plan in _fast_tiers(plan).items():
+        got = run_uop_case(case, "auto", timing=timing, hw=hw,
+                           faults=tier_plan)
         assert got == base, (
             f"{make.__name__}({seed}) ({hw.name}, timed={timing}, "
             f"faults={faults}): {tier} diverged\n"
@@ -213,7 +227,7 @@ class TestHandlerBattery:
         for offset in range(1, 13):
             plan = FaultPlan.single("assert", offset=offset)
             base = run_uop_case(case, "interpretive", faults=plan)
-            got = run_uop_case(case, "predecoded", faults=plan)
+            got = run_uop_case(case, "auto", faults=plan)
             assert got == base, f"branchy_case({seed}), offset {offset}"
 
     @pytest.mark.parametrize("hw", JIT_HTM_MATRIX[1:], ids=lambda h: h.name)
@@ -279,7 +293,6 @@ class TestHandlerBattery:
             return step(machine, fr, pc)
 
         monkeypatch.setattr(Machine, "_step", recorded_step)
-        fast = ("predecoded", "auto")
         for seed in _seeds(60):
             _assert_tiers_agree(seed, make=branchy_case)
         for hw in (JIT_HTM["jit-lock-begin"], JIT_HTM["jit-setjmp"]):
@@ -289,13 +302,14 @@ class TestHandlerBattery:
             runs = [run_program(stride_store_program(), hw,
                                 fault_plan=FaultPlan.seeded(3),
                                 dispatch=dispatch)
-                    for dispatch in ("interpretive",) + fast]
+                    for dispatch in ("interpretive", "auto")]
             assert len({(r[0], str(r[1].summary())) for r in runs}) == 1
         # A fallback lock another thread holds fails every commit-instant
         # validation; the escalation then fails fast.
         outcomes = set()
-        for dispatch in ("interpretive",) + fast:
-            vm = TestFallbackLock()._forced_owner_vm("end", dispatch)
+        for dispatch, plan in (("interpretive", None),
+                               *(("auto", p) for p in FAST_TIERS.values())):
+            vm = TestFallbackLock()._forced_owner_vm("end", dispatch, plan)
             with pytest.raises(MonitorStateError) as raised:
                 vm.run("work", [24])
             outcomes.add((str(raised.value),
@@ -304,7 +318,7 @@ class TestHandlerBattery:
         assert len(outcomes) == 1
         # A region patched to its recovery path.
         outcomes = set()
-        for dispatch in ("interpretive", "predecoded"):
+        for dispatch in ("interpretive", "auto"):
             _, vm, result = TestPredecodeInvalidation()._patched_vm(dispatch)
             vm.start_measurement()
             again = vm.run("work", [100, 0])
@@ -312,10 +326,11 @@ class TestHandlerBattery:
         assert len(outcomes) == 1
         # Calls: one static call that survives inlining, and a virtual
         # call on a polymorphic receiver.
-        for dispatch in fast:
-            for run in (lambda d: _run_tiered(_generate(1), dispatch=d),
-                        lambda d: _run_polymorphic_call(d)):
-                got, want = run(dispatch), run("interpretive")
+        for plan in FAST_TIERS.values():
+            for run in (partial(_run_tiered, _generate(1)),
+                        _run_polymorphic_call):
+                got = run(fault_plan=plan)
+                want = run(dispatch="interpretive")
                 assert got[:2] == want[:2]
                 assert got[2].summary() == want[2].summary()
 
@@ -367,7 +382,7 @@ def _step_kind(machine, fr, pc: int) -> tuple:
     return op, inside, case
 
 
-def _run_polymorphic_call(dispatch: str):
+def _run_polymorphic_call(dispatch: str = "auto", fault_plan=None):
     """Measure a loop whose one virtual call site sees two receiver
     classes, so the inliner leaves the ``VCALLVM`` in place."""
     pb = ProgramBuilder()
@@ -391,12 +406,58 @@ def _run_polymorphic_call(dispatch: str):
     m.label("done")
     m.ret(total)
     vm = TieredVM(pb.build(), compiler_config=ATOMIC,
-                  options=VMOptions(compile_threshold=1, dispatch=dispatch))
+                  options=VMOptions(compile_threshold=1, dispatch=dispatch),
+                  fault_plan=fault_plan)
     vm.warm_up("work", [[6]] * 3)
     vm.compile_hot(min_invocations=1)
     vm.start_measurement()
     value = vm.run("work", [6])
     return value, None, vm.end_measurement()
+
+
+#: the region-relative storm kinds, one per seed in turn.
+_STORMS = ("conflict", "assert", "exception", "overflow", "capacity")
+
+
+class TestTracedBattery:
+    """A tracer picks no dispatch path: traced fused code (no plan) and
+    the traced handler table (a storm plan) emit the reference loop's
+    event stream, byte for byte.  Each case runs twice on one code
+    object, and every other seed escalates on its first abort, so the
+    second activation enters a region patched to its fallback: the
+    battery reaches retry, fallback, suppressed-region, capacity and
+    fallback-lock events that the workloads do not."""
+
+    @pytest.mark.parametrize("timing", [False, True],
+                             ids=["untimed", "timed"])
+    def test_event_streams_match_interpretive(self, timing, monkeypatch):
+        compiles = _record_compiles(monkeypatch)
+        kinds = Counter()
+        for make in (uop_case, branchy_case):
+            for seed in _seeds(60):
+                hw = JIT_HTM_MATRIX[seed % len(JIT_HTM_MATRIX)]
+                if seed % 2:
+                    hw = hw.scaled(name=f"{hw.name}-escalating",
+                                   region_retry_budget=0,
+                                   region_fallback_threshold=1)
+                for plan in (None, FaultPlan.storm(_STORMS[seed % 5])):
+                    runs = []
+                    for dispatch in ("interpretive", "auto"):
+                        case, tracer = make(seed), Tracer()
+                        outcomes = [
+                            run_uop_case(case, dispatch, timing, hw=hw,
+                                         faults=plan, tracer=tracer)
+                            for _ in range(2)]
+                        runs.append((outcomes, tracer.events))
+                    assert runs[1] == runs[0], (
+                        f"{make.__name__}({seed}) on {hw.name}, plan "
+                        f"{plan}: auto diverged from interpretive")
+                    kinds.update(event.kind for event in runs[0][1])
+        assert compiles, "no fused code ran"
+        for kind in ("region_commit", "region_abort", "region_retry",
+                     "region_fallback", "region_suppressed",
+                     "region_capacity", "fallback_lock", "fault_armed"):
+            assert kinds[kind] > 0, f"battery never traced {kind}: {kinds}"
 
 
 class TestDeoptInvariant:
@@ -426,8 +487,8 @@ class TestDeoptInvariant:
             plan = fault_plan(seed) if faults else None
             reference = dict(step_snapshots(case, "interpretive", timing,
                                             faults=plan))
-            for tier in ("predecoded", "auto"):
-                log = step_snapshots(case, tier, timing, faults=plan)
+            for tier, tier_plan in _fast_tiers(plan).items():
+                log = step_snapshots(case, "auto", timing, faults=tier_plan)
                 keys = [key for key, _ in log]
                 assert len(set(keys)) == len(keys)
                 for key, snapshot in log:
@@ -605,15 +666,16 @@ class TestCacheEviction:
 
     def test_invalidate_predecode_drops_both_caches(self):
         """The handler table and the fused tables share one cache slot,
-        and one invalidation drops both."""
+        and one invalidation (``disable_region``) drops both."""
         case = uop_case(COMMITTING_REGION_SEED)
-        run_uop_case(case, "predecoded")
+        run_uop_case(case, "auto", faults=FaultPlan.none())
         jm = case.compiled._jitted
         assert jm is not None and jm.handlers
+        assert jm._tables == [None, None]  # the handler table only
         run_uop_case(case, "auto")
         assert case.compiled._jitted is jm
         assert jm._tables[0] is not None
-        case.compiled.invalidate_predecode()
+        case.compiled.disable_region(1)
         assert case.compiled._jitted is None
 
     def test_profile_change_rebuilds_fused_code(self):
@@ -766,13 +828,16 @@ class TestTimedFusion:
         compiled.param_locations = (("r", 7),)
         assert any(instrs[end - 1].op is B for _, end in fused_runs(compiled))
         results = []
-        for dispatch in ("interpretive", "predecoded", "auto"):
+        for dispatch, plan in (("interpretive", None),
+                               *(("auto", p) for p in FAST_TIERS.values())):
             heap = Heap()
             array = heap.new_array(8)
             timing = TimingModel(BASELINE_4WIDE)
             stats = ExecStats()
             mach = Machine(uop_case(0).program, heap, config=BASELINE_4WIDE,
-                           stats=stats, timing=timing, dispatch=dispatch)
+                           stats=stats, timing=timing, dispatch=dispatch,
+                           fault_injector=(FaultInjector(plan)
+                                           if plan is not None else None))
             value = mach.execute(compiled, [array])
             results.append((value, stats.summary(), heap.fingerprint(),
                             timing_snapshot(timing)))
@@ -963,9 +1028,14 @@ class TestJitGating:
                        stats=ExecStats(), **kw)
 
     def test_auto_dispatch_takes_the_fused_tier(self):
+        """One rule picks the path: a fault injector selects the handler
+        table, anything else — a tracer included — the fused one."""
+        assert DISPATCH_MODES == ("auto", "interpretive")
         assert self._machine(dispatch="auto")._jit_tier
-        assert not self._machine(dispatch="predecoded")._jit_tier
-        assert not self._machine(dispatch="interpretive")._jit_tier
+        assert self._machine(dispatch="auto", tracer=Tracer())._jit_tier
+        assert not self._machine(
+            dispatch="auto",
+            fault_injector=FaultInjector(FaultPlan.none()))._jit_tier
 
     @pytest.mark.parametrize("mode", ["jit", "fast"])
     def test_retired_dispatch_spellings_are_rejected(self, mode):
@@ -974,29 +1044,29 @@ class TestJitGating:
 
     def test_fault_injector_disables_fused_tier(self):
         """Per-uop fault probes must stay live: an auto-dispatch machine
-        carrying a fault injector takes the pre-decoded tier."""
+        carrying a fault injector takes the handler table."""
         mach = self._machine(dispatch="auto",
                              fault_injector=FaultInjector(FaultPlan()))
         assert not mach._jit_tier
 
-    def test_traced_run_bypasses_fused_tier_byte_identically(self):
-        """A tracer re-routes execution to the instrumented loop; the
-        emitted events and the outcome must match a machine that never
-        had a fast tier at all."""
-        seed = COMMITTING_REGION_SEED
+    @pytest.mark.parametrize("timing", [False, True],
+                             ids=["untimed", "timed"])
+    def test_traced_run_takes_fused_tier_byte_identically(self, timing,
+                                                          monkeypatch):
+        """A tracer does not re-route execution: a traced machine runs
+        fused code, and its outcome, stats, timing state and full event
+        stream match the reference loop's."""
         results = []
         for dispatch in ("auto", "interpretive"):
-            case = uop_case(seed)
-            heap = Heap()
-            stats = ExecStats()
+            compiles = _record_compiles(monkeypatch)
             tracer = Tracer()
-            mach = Machine(case.program, heap, config=BASELINE_4WIDE,
-                           stats=stats, dispatch=dispatch, tracer=tracer)
-            value = mach.execute(case.compiled, case.make_args(heap))
-            results.append((value, stats.summary(), heap.fingerprint(),
-                            [e.kind for e in tracer.events]))
+            results.append(run_uop_case(
+                uop_case(COMMITTING_REGION_SEED), dispatch, timing,
+                tracer=tracer) + (tracer.events,))
+            assert bool(compiles) == (dispatch == "auto")
         assert results[0] == results[1]
-        assert "region_commit" in results[0][3]
+        assert results[0][0] == ("value", 1)
+        assert "region_commit" in {e.kind for e in results[0][4]}
 
     def test_prepare_builds_active_tier_cache(self):
         case = uop_case(COMMITTING_REGION_SEED)
