@@ -76,14 +76,6 @@ class FormationResult:
     uninlined: list[str] = field(default_factory=list)
     phis_repaired: int = 0
 
-    def assert_site_for(self, abort_id: int):
-        for region in self.regions:
-            for site in region.asserts:
-                if site.abort_id == abort_id:
-                    return site
-        return None
-
-
 def form_regions(
     graph: Graph,
     inline_result: InlineResult | None = None,

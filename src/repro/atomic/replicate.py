@@ -422,14 +422,6 @@ class _RegionBuilder:
             info.exit_stubs.append(stub)
         self.pending_back_edges = []
 
-    def chain_back_edge_to(self, next_entry: Block) -> None:
-        """Unrolling: route the pending back edge into the next body copy
-        (no commit in between — the copies share one atomic region)."""
-        (stub, _values), = self.pending_back_edges
-        self.graph.set_terminator(stub, Node(Kind.JUMP), [])
-        self.graph._link(stub, next_entry)
-        self.pending_back_edges = []
-
     def back_edge_seed_map(self) -> dict[int, Node]:
         """Seed map for the next unrolled copy: begin-phi -> value carried
         by the (single) back edge of the current copy."""

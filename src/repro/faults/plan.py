@@ -17,7 +17,7 @@ The runtime half lives in :mod:`repro.faults.injector`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def derive_seed(seed: int, stream: str) -> int:
@@ -205,12 +205,6 @@ class FaultPlan:
         )
 
     # -- properties ---------------------------------------------------------
-    @property
-    def is_empty(self) -> bool:
-        return (not self.events
-                and self.interrupt_interval is None
-                and self.seed is None)
-
     def describe(self) -> str:
         parts = []
         if self.events:

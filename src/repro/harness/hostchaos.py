@@ -108,10 +108,6 @@ class HostFaultPlan:
             return "error"
         return None
 
-    def total_rate(self) -> float:
-        return self.kill_rate + self.hang_rate + self.error_rate
-
-
 class ChaoticCell:
     """Picklable wrapper enacting the plan's fault before running ``fn``.
 
@@ -154,18 +150,6 @@ def run_host_chaos(items, fn, plan: HostFaultPlan,
     if tracer is not None:
         kwargs["tracer"] = tracer
     return run_supervised(items, chaotic, **kwargs)
-
-
-def assert_matches_serial(outcome: SweepOutcome, items, fn) -> None:
-    """The headline invariant: supervised == clean serial, byte for byte."""
-    outcome.raise_on_failure()
-    expected = [fn(item) for item in items]
-    if pickle.dumps(outcome.results) != pickle.dumps(expected):
-        raise AssertionError(
-            "supervised sweep diverged from clean serial run:\n"
-            f"  supervised: {outcome.results!r}\n"
-            f"  serial:     {expected!r}"
-        )
 
 
 def corrupt_cache_entries(cache_dir: str | os.PathLike, seed: int,

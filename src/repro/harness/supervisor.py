@@ -50,8 +50,9 @@ sweep server, one batch at a time) pays worker start-up once.
 Lifecycle is observable end to end: ``cell_retry`` / ``cell_timeout`` /
 ``pool_rebuild`` / ``quarantine`` / ``degrade_serial`` trace events
 (timestamped by the supervisor's own deterministic event sequence
-number), the same counters in a :class:`repro.obs.Metrics` registry on
-the outcome, and :func:`repro.harness.report.render_supervisor`.
+number), each counted once in a :class:`SweepOutcome` field, which
+:meth:`SweepOutcome.manifest` and
+:func:`repro.harness.report.render_supervisor` read.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..obs import NULL_TRACER, Metrics
+from ..obs import NULL_TRACER
 
 #: patchable sleep so tests can run retry ladders without wall delay.
 _sleep = time.sleep
@@ -149,7 +150,6 @@ class SweepOutcome:
     timeouts: int
     pool_rebuilds: int
     degraded_serial: bool
-    metrics: Metrics
 
     @property
     def ok(self) -> bool:
@@ -351,7 +351,6 @@ class _Sweep:
         self.done = [False] * n
         self.attempts = [0] * n
         self.failures: list[CellFailure] = []
-        self.metrics = Metrics()
         self.journal = (
             Journal(self.config.journal_path)
             if self.config.journal_path is not None else None
@@ -374,7 +373,6 @@ class _Sweep:
         self.results[index] = result
         self.done[index] = True
         self.completed += 1
-        self.metrics.inc("supervisor.cells_completed")
         if self.journal is not None:
             self.journal.append(self.keys[index], result)
 
@@ -384,7 +382,6 @@ class _Sweep:
         config = self.config
         if kind == "timeout":
             self.timeouts += 1
-            self.metrics.inc("supervisor.cell_timeout")
             if self.tracer.enabled:
                 self.tracer.cell_timeout(
                     self._tick(), index, key=self.keys[index],
@@ -396,7 +393,6 @@ class _Sweep:
                 index=index, key=self.keys[index],
                 attempts=self.attempts[index], kind=kind, error=error,
             ))
-            self.metrics.inc("supervisor.quarantine")
             if self.tracer.enabled:
                 self.tracer.quarantine(
                     self._tick(), index, key=self.keys[index],
@@ -404,7 +400,6 @@ class _Sweep:
                 )
             return "quarantined"
         self.retries += 1
-        self.metrics.inc("supervisor.cell_retry")
         delay = 0.0
         if backoff:
             delay = min(
@@ -448,13 +443,11 @@ class _Sweep:
         owner = self.owner
         owner.close()
         self.pool_rebuilds += 1
-        self.metrics.inc("supervisor.pool_rebuild")
         if self.tracer.enabled:
             self.tracer.pool_rebuild(
                 self._tick(), rebuilds=self.pool_rebuilds, reason=reason)
         if self.pool_rebuilds > self.config.max_pool_rebuilds:
             self.degraded = True
-            self.metrics.inc("supervisor.degrade_serial")
             if self.tracer.enabled:
                 self.tracer.degrade_serial(
                     self._tick(), rebuilds=self.pool_rebuilds)
@@ -564,7 +557,6 @@ class _Sweep:
 
     # -- entry -------------------------------------------------------------
     def run(self) -> SweepOutcome:
-        self.metrics.set("supervisor.cells_total", len(self.items))
         if self.journal is not None:
             journaled = self.journal.load()
             for index, key in enumerate(self.keys):
@@ -572,7 +564,6 @@ class _Sweep:
                     self.results[index] = journaled[key]
                     self.done[index] = True
                     self.resumed += 1
-            self.metrics.set("supervisor.cells_resumed", self.resumed)
         pending = [i for i in range(len(self.items)) if not self.done[i]]
         if self.owner.workers <= 1:
             self._run_serial(pending)
@@ -587,7 +578,6 @@ class _Sweep:
             timeouts=self.timeouts,
             pool_rebuilds=self.pool_rebuilds,
             degraded_serial=self.degraded,
-            metrics=self.metrics,
         )
 
 

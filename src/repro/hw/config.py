@@ -23,11 +23,6 @@ class CacheConfig:
     def num_sets(self) -> int:
         return self.size_bytes // (self.line_bytes * self.ways)
 
-    @property
-    def num_lines(self) -> int:
-        return self.size_bytes // self.line_bytes
-
-
 @dataclass(frozen=True)
 class HardwareConfig:
     """Processor parameters.  Defaults reproduce Table 1 of the paper."""

@@ -220,8 +220,7 @@ class CompiledMethod:
     #: recompilation carries it over to the new code object (the VM copies
     #: the surviving region ids across), so a region that exhausted its
     #: abort budget never speculates again.  Patch through
-    #: :meth:`disable_region` so the dispatch cache is invalidated
-    #: alongside the patch.
+    #: :meth:`disable_region`.
     disabled_regions: set = field(default_factory=set)
     #: cached dispatch form — handlers and fused runs
     #: (:func:`repro.hw.templatejit.jit_compile`); not part of value
@@ -234,14 +233,12 @@ class CompiledMethod:
     def disable_region(self, region_id: int) -> None:
         """Patch ``region_id`` to its permanent non-speculative fallback.
 
-        Mutating :attr:`disabled_regions` changes what the installed code
-        *does* at the region's ``aregion_begin``, so any dispatch form
-        built from the old code is stale; this is the one
-        sanctioned patch point and it drops that cache atomically with
-        the patch (it rebuilds lazily on the next fast-path activation).
+        The dispatch form stays valid: no handler table or fused run is
+        built from :attr:`disabled_regions`.  The ``aregion_begin``
+        handler reads the set on every entry, and fused runs never hold
+        an ``aregion_begin``.
         """
         self.disabled_regions.add(region_id)
-        self._jitted = None
 
 
 def machine_compare(cond: str, a, b) -> bool:

@@ -98,7 +98,11 @@ class _OneStep:
 
 @dataclass
 class _RegionState:
-    """Live state of an in-flight atomic region."""
+    """Live state of an in-flight atomic region.
+
+    ``uops`` is the region's one uop count: every tier adds its retired
+    uops here, and :meth:`Machine._commit` / :meth:`Machine._do_abort`
+    copy it into ``record`` before anything reads the record."""
 
     region_id: int
     alt_pc: int
@@ -368,7 +372,6 @@ class Machine:
             stats.uops_retired += 1
             if region is not None:
                 region.uops += 1
-                region.record.uops += 1
             mem_address = None
             branch_taken: bool | None = None
 
@@ -900,6 +903,7 @@ class Machine:
                 if lock.owner is None and lock.waiters:
                     sched.wake_all(lock)
         record = region.record
+        record.uops = region.uops
         record.committed = True
         record.lines_read = len(region.read_lines)
         record.lines_written = len(region.write_lines)
@@ -1063,6 +1067,7 @@ class Machine:
         guarantee of §3/§5.
         """
         record = region.record
+        record.uops = region.uops
         record.committed = False
         record.abort_reason = reason
         record.abort_pc = abort_pc

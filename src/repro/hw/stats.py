@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 
 @dataclass
 class RegionExecution:
-    """Statistics for one dynamic atomic-region execution."""
+    """Statistics for one dynamic atomic-region execution.
+
+    Filled in when the region commits or aborts (``uops`` is copied from
+    the in-flight region's count then); nothing reads it while the
+    region is in flight."""
 
     region_key: tuple  # (method name, region id)
     uops: int = 0
@@ -159,13 +163,6 @@ class ExecStats:
         if not self.region_sizes:
             return 0.0
         return sum(self.region_sizes) / len(self.region_sizes)
-
-    def region_line_quantile(self, q: float) -> int:
-        if not self.region_lines:
-            return 0
-        ordered = sorted(self.region_lines)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
 
     def summary(self) -> dict:
         return {

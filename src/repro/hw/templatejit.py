@@ -44,8 +44,9 @@ dropped by :func:`clear_code_cache`): a method whose run emits the same
 source as one compiled before ``exec``s the cached code into its own
 namespace instead of compiling again.  Handlers and fused tables live
 together on one :class:`JittedMethod`, cached on the
-:class:`~repro.hw.isa.CompiledMethod` and dropped by
-``disable_region``/recompile.
+:class:`~repro.hw.isa.CompiledMethod`; a recompile makes a new code
+object, and ``disable_region`` keeps the cache (the ``aregion_begin``
+handler reads the patch on every entry).
 
 The contract is strict observational equivalence with the reference:
 byte-identical :class:`ExecStats`, identical timing-model state (cycle
@@ -357,7 +358,6 @@ class _Body:
             out.append(f"st.uops_retired += {u}")
             if self.regioned:
                 out.append(f"region.uops += {u}")
-                out.append(f"region.record.uops += {u}")
         if l:
             out.append(f"st.loads += {l}")
         if s:
@@ -1226,8 +1226,8 @@ def handler_source(compiled: CompiledMethod) -> str:
 
 def jit_compile(compiled: CompiledMethod, machine) -> JittedMethod:
     """Build the dispatch form of ``compiled`` for ``machine``'s profile
-    and install it on the code object (the one cache slot
-    ``disable_region``/recompile drop).  Handlers are instantiated now —
+    and install it on the code object (its one cache slot; a
+    recompile makes a new code object).  Handlers are instantiated now —
     a key, a lookup and a factory call per pc; variant tables are built
     on first :meth:`JittedMethod.table` call; runs compile on first
     execution."""
@@ -1244,9 +1244,8 @@ def jit_compile(compiled: CompiledMethod, machine) -> JittedMethod:
 
 
 def get_jitted(compiled: CompiledMethod, machine) -> JittedMethod:
-    """Return the cached dispatch form, rebuilding when the cache is
-    stale (dropped by ``disable_region``) or
-    built for a different machine profile."""
+    """Return the cached dispatch form, building it when there is none
+    yet or it was built for a different machine profile."""
     jm = compiled._jitted
     profile = machine._jit_profile
     if jm is None or (jm.profile is not profile and jm.profile != profile):

@@ -34,18 +34,6 @@ class Loop:
             cursor = cursor.parent
         return depth
 
-    def contains_block(self, block: Block) -> bool:
-        return block.id in self.blocks
-
-    def exit_edges(self) -> list[tuple[Block, int, Block]]:
-        """Edges (src, succ_index, dst) leaving the loop."""
-        out = []
-        for block in self.block_list:
-            for index, succ in enumerate(block.succs):
-                if succ.id not in self.blocks:
-                    out.append((block, index, succ))
-        return out
-
     def preheader_candidates(self) -> list[Block]:
         """Predecessors of the header from outside the loop."""
         return [

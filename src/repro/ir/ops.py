@@ -199,24 +199,6 @@ class Node:
     def is_value(self) -> bool:
         return self.kind in VALUE_KINDS
 
-    def is_pure(self) -> bool:
-        return self.kind in PURE_KINDS
-
-    def is_check(self) -> bool:
-        return self.kind in CHECK_KINDS
-
-    def is_terminator(self) -> bool:
-        return self.kind in TERMINATOR_KINDS
-
-    def is_const(self) -> bool:
-        return self.kind is Kind.CONST
-
-    def is_null(self) -> bool:
-        return self.kind is Kind.CONST_NULL
-
-    def replace_operand(self, old: "Node", new: "Node") -> None:
-        self.operands = [new if op is old else op for op in self.operands]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = ""
         if self.attrs:

@@ -150,11 +150,6 @@ class MethodBuilder:
     def shr(self, a: Reg, b: Reg, dst: Reg | None = None) -> Reg:
         return self._binop(Op.SHR, a, b, dst)
 
-    def addi(self, a: Reg, imm: int, dst: Reg | None = None) -> Reg:
-        """Convenience: dst <- a + imm (emits CONST + ADD)."""
-        tmp = self.const(imm)
-        return self.add(a, tmp, dst)
-
     # -- control flow -----------------------------------------------------
     def jmp(self, label: str) -> None:
         self._emit(Instr(Op.JMP), label=label)
@@ -163,11 +158,6 @@ class MethodBuilder:
         if cond not in CONDITIONS:
             raise ValueError(f"bad condition {cond!r}")
         self._emit(Instr(Op.BR, cond=cond, a=a, b=b), label=label)
-
-    def br_null(self, a: Reg, label: str) -> None:
-        """Branch to ``label`` when ``a`` is the null reference."""
-        null = self.const_null()
-        self.br("eq", a, null, label)
 
     def ret(self, value: Reg | None = None) -> None:
         self._emit(Instr(Op.RET, a=value))
@@ -211,11 +201,6 @@ class MethodBuilder:
         dst = dst if dst is not None else self.fresh()
         self._emit(Instr(Op.FAA, dst=dst, a=obj, b=delta, fieldname=fieldname))
         return dst
-
-    def fai(self, obj: Reg, fieldname: str, dst: Reg | None = None) -> Reg:
-        """Fetch-and-increment: FAA with delta 1 (builder sugar)."""
-        one = self.const(1)
-        return self.faa(obj, fieldname, one, dst=dst)
 
     def cas(self, obj: Reg, fieldname: str, expected: Reg, new: Reg,
             dst: Reg | None = None) -> Reg:

@@ -6,8 +6,9 @@ Three pieces (DESIGN.md §8):
   enter/commit/abort, context switches, tier transitions, fault
   injections) in a bounded ring buffer, timestamped by deterministic
   hardware counters so the same seed reproduces the same stream;
-- :class:`Metrics` — a counter/histogram registry that projects (and is
-  tested equal to) :class:`~repro.hw.stats.ExecStats` aggregation;
+- :class:`Metrics` — name-addressed counters for host-side events that
+  have no other home (the sweep server's); execution counters live in
+  :class:`~repro.hw.stats.ExecStats` only;
 - :func:`to_chrome_trace` / :func:`dump_chrome_trace` — Chrome
   trace-event JSON, loadable in Perfetto, validated by
   :func:`validate_chrome_trace`.
@@ -24,14 +25,12 @@ from .export import (
     to_chrome_trace,
     validate_chrome_trace,
 )
-from .metrics import DEFAULT_BOUNDS, Histogram, Metrics
+from .metrics import Metrics
 from .tracer import EVENT_KINDS, NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 __all__ = [
     "ALLOWED_PHASES",
-    "DEFAULT_BOUNDS",
     "EVENT_KINDS",
-    "Histogram",
     "Metrics",
     "NULL_TRACER",
     "NullTracer",

@@ -1,212 +1,28 @@
-"""Metrics registry: named counters and histograms over one execution.
+"""Metrics registry: name-addressed counters for host-side events.
 
-:class:`~repro.hw.stats.ExecStats` stays the machine-facing hot-path
-aggregator (plain attribute increments; every figure keeps reading it).
-:class:`Metrics` is the observability projection of the same data — a
-uniform name → counter / name → histogram registry that exporters and
-dashboards can walk without knowing the stats dataclass — and
-:meth:`Metrics.from_stats` is the bridge.  ``tests/test_obs.py`` pins the
-subsumption contract: ``Metrics.from_stats(stats).summary()`` is equal to
-``stats.summary()`` for any execution, so nothing the figures report can
-drift between the two views.
+Execution counters live in :class:`~repro.hw.stats.ExecStats` only
+(``ExecStats.summary()`` is their name-addressed view), and a sweep's
+lifecycle counts live in :class:`~repro.harness.supervisor.SweepOutcome`
+fields.  :class:`Metrics` holds the counters that have no other home:
+the sweep server's request, dedup, eviction and failure counts.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import Counter
 
 
-class Histogram:
-    """A bucketed distribution that also keeps the raw observations.
-
-    The raw list is what :class:`~repro.hw.stats.ExecStats` keeps for
-    region sizes/footprints (its quantiles are exact, and region counts per
-    run are small); the bucket counts give exporters a fixed-size view.
-    """
-
-    __slots__ = ("bounds", "bucket_counts", "values")
-
-    def __init__(self, bounds: tuple[int, ...]) -> None:
-        if list(bounds) != sorted(bounds):
-            raise ValueError(f"histogram bounds must be sorted: {bounds}")
-        self.bounds = tuple(bounds)
-        self.bucket_counts = [0] * (len(bounds) + 1)
-        self.values: list = []
-
-    def observe(self, value) -> None:
-        self.values.append(value)
-        self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self):
-        return sum(self.values)
-
-    @property
-    def mean(self) -> float:
-        if not self.values:
-            return 0.0
-        return self.total / len(self.values)
-
-    def quantile(self, q: float):
-        """Exact quantile, same convention as ``ExecStats.region_line_quantile``."""
-        if not self.values:
-            return 0
-        ordered = sorted(self.values)
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "buckets": {
-                f"le_{bound}": count
-                for bound, count in zip(self.bounds, self.bucket_counts)
-            } | {"inf": self.bucket_counts[-1]},
-        }
-
-
-#: default bucket bounds for region-size / footprint histograms (uops and
-#: cache lines share the small-heavy shape of §6.2's distributions).
-DEFAULT_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
-
-
 class Metrics:
-    """Name-addressed counters and histograms."""
+    """Name-addressed counters."""
 
     def __init__(self) -> None:
         self.counters: Counter = Counter()
-        self.histograms: dict[str, Histogram] = {}
 
-    # -- recording ---------------------------------------------------------
     def inc(self, name: str, n=1) -> None:
         self.counters[name] += n
 
     def set(self, name: str, value) -> None:
         self.counters[name] = value
 
-    def observe(self, name: str, value,
-                bounds: tuple[int, ...] = DEFAULT_BOUNDS) -> None:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram(bounds)
-        histogram.observe(value)
-
-    # -- reading -----------------------------------------------------------
     def counter(self, name: str):
         return self.counters.get(name, 0)
-
-    def histogram(self, name: str) -> Histogram:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram(DEFAULT_BOUNDS)
-        return histogram
-
-    def _ratio(self, num: str, den: str) -> float:
-        d = self.counters.get(den, 0)
-        return self.counters.get(num, 0) / d if d else 0.0
-
-    def merge(self, other: "Metrics") -> None:
-        """Accumulate another registry into this one (counters add,
-        histogram observations replay).  The sweep supervisor emits one
-        registry per supervised sweep; callers aggregating a session of
-        sweeps merge them here."""
-        for name, value in other.counters.items():
-            self.counters[name] += value
-        for name, histogram in other.histograms.items():
-            for value in histogram.values:
-                self.observe(name, value, histogram.bounds)
-
-    # -- the ExecStats bridge ----------------------------------------------
-    @classmethod
-    def from_stats(cls, stats) -> "Metrics":
-        """Project an :class:`~repro.hw.stats.ExecStats` into the registry."""
-        metrics = cls()
-        counters = metrics.counters
-        for name in (
-            "uops_retired", "uops_in_regions", "interpreter_bytecodes",
-            "cycles", "regions_entered", "regions_committed",
-            "regions_aborted", "conflict_retries", "backoff_cycles",
-            "regions_suppressed", "real_conflict_aborts",
-            "injected_conflict_aborts", "contended_acquisitions",
-            "context_switches", "loads", "stores", "branches", "mispredicts",
-            "monitor_ops", "sle_elisions", "capacity_aborts",
-            "fallback_lock_acquisitions", "fallback_lock_waits",
-            "setjmp_deliveries", "faa_ops", "cas_ops", "cas_failures",
-            "ll_ops", "sc_ops", "sc_failures",
-        ):
-            counters[name] = getattr(stats, name)
-        counters["unique_regions"] = len(stats.unique_regions)
-        counters["region_fallbacks"] = sum(stats.region_fallbacks.values())
-        counters["threads"] = max(len(stats.uops_by_thread), 1)
-        for reason, count in stats.abort_reasons.items():
-            counters[f"aborts.reason.{reason}"] = count
-        for tid, uops in stats.uops_by_thread.items():
-            counters[f"uops.thread.{tid}"] = uops
-        for size in stats.region_sizes:
-            metrics.observe("region.size_uops", size)
-        for lines in stats.region_lines:
-            metrics.observe("region.footprint_lines", lines)
-        return metrics
-
-    # -- derived metrics (mirror the ExecStats properties) -------------------
-    @property
-    def coverage(self) -> float:
-        return self._ratio("uops_in_regions", "uops_retired")
-
-    @property
-    def abort_rate(self) -> float:
-        return self._ratio("regions_aborted", "regions_entered")
-
-    @property
-    def aborts_per_kuop(self) -> float:
-        return 1000.0 * self._ratio("regions_aborted", "uops_retired")
-
-    def summary(self) -> dict:
-        """The same dict as ``ExecStats.summary()`` (the subsumption contract)."""
-        return {
-            "uops": self.counter("uops_retired"),
-            "cycles": self.counter("cycles"),
-            "coverage": round(self.coverage, 4),
-            "regions": self.counter("regions_entered"),
-            "unique_regions": self.counter("unique_regions"),
-            "mean_region_size": round(
-                self.histogram("region.size_uops").mean, 1),
-            "abort_rate": round(self.abort_rate, 5),
-            "aborts_per_kuop": round(self.aborts_per_kuop, 5),
-            "mispredict_rate": round(self._ratio("mispredicts", "branches"), 5),
-            "conflict_retries": self.counter("conflict_retries"),
-            "region_fallbacks": self.counter("region_fallbacks"),
-            "regions_suppressed": self.counter("regions_suppressed"),
-            "real_conflict_aborts": self.counter("real_conflict_aborts"),
-            "injected_conflict_aborts": self.counter("injected_conflict_aborts"),
-            "contended_acquisitions": self.counter("contended_acquisitions"),
-            "context_switches": self.counter("context_switches"),
-            "threads": self.counter("threads"),
-            "capacity_aborts": self.counter("capacity_aborts"),
-            "fallback_lock_acquisitions": self.counter(
-                "fallback_lock_acquisitions"),
-            "fallback_lock_waits": self.counter("fallback_lock_waits"),
-            "setjmp_deliveries": self.counter("setjmp_deliveries"),
-            "faa_ops": self.counter("faa_ops"),
-            "cas_ops": self.counter("cas_ops"),
-            "cas_failures": self.counter("cas_failures"),
-            "ll_ops": self.counter("ll_ops"),
-            "sc_ops": self.counter("sc_ops"),
-            "sc_failures": self.counter("sc_failures"),
-        }
-
-    def snapshot(self) -> dict:
-        """Full registry dump: every counter and histogram by name."""
-        return {
-            "counters": dict(self.counters),
-            "histograms": {
-                name: histogram.snapshot()
-                for name, histogram in sorted(self.histograms.items())
-            },
-        }

@@ -44,10 +44,6 @@ class BranchProfile:
         """The taken edge is cold: rarely or never followed."""
         return self.total > 0 and self.bias_taken() < threshold
 
-    def is_cold_not_taken(self, threshold: float = COLD_EDGE_BIAS) -> bool:
-        return self.total > 0 and (1.0 - self.bias_taken()) < threshold
-
-
 @dataclass
 class CallSiteProfile:
     """Receiver-class histogram for one virtual call site."""
@@ -64,10 +60,6 @@ class CallSiteProfile:
             return None, 0.0
         name, count = self.receivers.most_common(1)[0]
         return name, count / self.total
-
-    def is_monomorphic(self, threshold: float = 0.999) -> bool:
-        name, share = self.dominant()
-        return name is not None and share >= threshold
 
     def appears_polymorphic(self) -> bool:
         """More than one receiver class was *ever* observed.

@@ -505,7 +505,6 @@ class SweepServer:
                     self._executor, self._compute_batch,
                     [job.cell for job in batch])
                 self.executions += len(batch)
-                self.metrics.inc("service.cells_computed", len(batch))
                 for job, outcome in zip(batch, outcomes):
                     self._finish(job, outcome)
                 self._broadcast_progress()

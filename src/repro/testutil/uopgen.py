@@ -543,13 +543,13 @@ def _value(value):
 
 def frame_snapshot(fr, pc: int) -> tuple:
     """Everything a uop at ``pc`` can read before it retires: the
-    registers and spill slots, the in-flight region's uop counts, line
+    registers and spill slots, the in-flight region's uop count, line
     sets and store buffer, the :func:`stats_fingerprint` and, when timed,
     the :func:`timing_snapshot`."""
     region = fr.region
     if region is not None:
         region = (
-            region.uops, region.record.uops,
+            region.uops,
             tuple(sorted(region.read_lines)),
             tuple(sorted(region.write_lines)),
             tuple((repr(target), key[1], slot, _value(value))

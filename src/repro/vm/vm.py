@@ -42,7 +42,6 @@ from .compiler import CompilationRecord, CompilerConfig, NO_ATOMIC, compile_meth
 class VMOptions:
     compile_threshold: int = 10
     enable_timing: bool = True
-    auto_compile: bool = True
     #: machine dispatch: "auto" (template-jit, the handlers when a fault
     #: injector is attached, the reference loop under a scheduler) or
     #: "interpretive" (always the reference loop, the tests' oracle).  A
@@ -136,6 +135,8 @@ class TieredVM:
         #: per-method branch pcs barred from assert conversion (§7 adaptive).
         self.blocked_asserts: dict[str, set[int]] = {}
         self._measuring = False
+        #: True while :meth:`warm_up` runs: no method compiles.
+        self._warming = False
         self._interp_bytecodes_at_start = 0
         self.compilations = 0
 
@@ -153,7 +154,7 @@ class TieredVM:
         if record is not None:
             return self.machine.execute(record.compiled, args)
         if (
-            self.options.auto_compile
+            not self._warming
             and self.profiles.method(qualified).invocations
             >= self.options.compile_threshold
         ):
@@ -286,13 +287,12 @@ class TieredVM:
         of any configuration.
         """
         method = self.program.resolve_static(entry)
-        previous = self.options.auto_compile
-        self.options.auto_compile = False
+        self._warming = True
         try:
             for args in args_list:
                 self.interpreter.invoke(method, list(args))
         finally:
-            self.options.auto_compile = previous
+            self._warming = False
         return WarmState(
             self.program, self.heap, self.profiles,
             self.interpreter.bytecodes_executed,

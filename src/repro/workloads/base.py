@@ -106,17 +106,3 @@ class ThreadedWorkload:
     @property
     def threads(self) -> int:
         return len(self.thread_args)
-
-
-def checksum_method(pb, fields=()):
-    """Helper used by several workloads: a tiny pure static method that the
-    inliner happily inlines, modeling small leaf classlib calls."""
-    h = pb.method("mix", params=("a", "b"))
-    a, b = h.param(0), h.param(1)
-    c13 = h.const(13)
-    t = h.mul(a, c13)
-    t2 = h.xor(t, b)
-    c7 = h.const(7)
-    out = h.add(t2, c7)
-    h.ret(out)
-    return h

@@ -258,9 +258,9 @@ class TestProgressStateIsolation:
 
 
 class TestPredecodeInvalidation:
-    """The dispatch cache (handlers and fused code) must never outlive a
-    forward-progress patch: ``disable_region`` invalidates it, and the
-    rebuilt fast path honours the suppression."""
+    """The dispatch cache (handlers and fused code) honours a
+    forward-progress patch without being rebuilt: ``disable_region``
+    keeps it, and the fast path suppresses the patched region."""
 
     def _patched_vm(self, dispatch):
         program = region_loop_program()
@@ -279,24 +279,25 @@ class TestPredecodeInvalidation:
         vm.end_measurement()
         return program, vm, result
 
-    def test_disable_region_invalidates_predecode_cache(self):
+    def test_disable_region_keeps_dispatch_form(self):
         program, vm, result = self._patched_vm("auto")
         compiled = vm.compiled["work"].compiled
         assert result == expected(program, (100, 0))
         assert compiled.disabled_regions == {0}
         # The fast path executed this method, then the storm escalated to
-        # a patch: disable_region must have dropped the handler table.
-        assert compiled._jitted is None
+        # a patch: the dispatch form built before the patch stays.
+        jm = compiled._jitted
+        assert jm is not None
 
-        # The next fast-path run rebuilds the cache against the patched
-        # region table: no region entries, correct result.
+        # The next fast-path run reuses it and honours the patched region
+        # table: no region entries, correct result.
         vm.start_measurement()
         again = vm.run("work", [100, 0])
         stats = vm.end_measurement()
         assert again == result
         assert stats.regions_entered == 0
         assert stats.regions_suppressed > 0
-        assert compiled._jitted is not None
+        assert compiled._jitted is jm
 
     def test_patched_fast_and_slow_paths_agree(self):
         """Post-patch behaviour is dispatch-invariant: the suppressed

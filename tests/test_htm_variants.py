@@ -407,9 +407,7 @@ class TestVariantChaosMatrix:
     def test_matrix_fires_capacity_aborts(self):
         """The sweep genuinely exercises the new reason: under the Rock
         shape the seeded capacity faults produce "capacity" aborts that
-        are visible in ExecStats and the metrics projection."""
-        from repro.obs import Metrics
-
+        are visible in ExecStats."""
         plan_factory = lambda seed: FaultPlan.seeded(  # noqa: E731
             seed, capacity_rate=0.3)
         hw = next(hw for hw in self.VARIANTS
@@ -421,9 +419,3 @@ class TestVariantChaosMatrix:
         report.raise_on_failure()
         total = sum(check.stats.capacity_aborts for check in report.checks)
         assert total > 0
-        for check in report.checks:
-            metrics = Metrics.from_stats(check.stats)
-            assert metrics.counter("capacity_aborts") == (
-                check.stats.capacity_aborts
-            )
-            assert metrics.summary() == check.stats.summary()

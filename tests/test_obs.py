@@ -1,5 +1,5 @@
 """Observability subsystem tests: tracer semantics, Chrome export schema,
-metrics subsumption, failure dumps, and the text timeline.
+failure dumps, and the text timeline.
 
 The contracts pinned here:
 
@@ -7,8 +7,6 @@ The contracts pinned here:
 - the ring buffer bounds memory and *flags* truncation instead of growing;
 - exported Chrome traces satisfy :func:`repro.obs.validate_chrome_trace`
   (required fields, known phases, balanced B/E slices when untruncated);
-- ``Metrics.from_stats(stats).summary() == stats.summary()`` for any
-  execution — the registry subsumes ``ExecStats`` without changing a figure;
 - a failing chaos / concurrency-chaos check dumps a schema-valid Chrome
   trace containing the aborting region's enter/abort pair;
 - scheduler context-switch events mirror ``sched.trace`` one-for-one.
@@ -21,12 +19,9 @@ import pytest
 from repro.faults import FaultPlan
 from repro.harness import render_timeline, run_chaos, run_concurrency_chaos, run_workload
 from repro.harness import chaos as chaos_mod
-from repro.hw.stats import ExecStats, RegionExecution
 from repro.obs import (
     ALLOWED_PHASES,
     EVENT_KINDS,
-    Histogram,
-    Metrics,
     NULL_TRACER,
     TraceEvent,
     Tracer,
@@ -220,70 +215,6 @@ class TestChromeExport:
         with pytest.raises(ValueError, match="unbalanced"):
             validate_chrome_trace(to_chrome_trace(lone_enter, truncated=False))
         validate_chrome_trace(to_chrome_trace(lone_enter, truncated=True))
-
-
-class TestMetrics:
-    def _synthetic_stats(self):
-        stats = ExecStats()
-        stats.uops_retired = 10_000
-        stats.cycles = 2_500.0
-        stats.branches = 800
-        stats.mispredicts = 40
-        stats.conflict_retries = 3
-        stats.regions_suppressed = 1
-        stats.context_switches = 5
-        stats.uops_by_thread[0] = 6_000
-        stats.uops_by_thread[1] = 4_000
-        for i in range(6):
-            stats.note_region(RegionExecution(
-                region_key=("M.f", 0), uops=20 + i, lines_read=2,
-                lines_written=1 + i % 2, committed=True,
-            ))
-        stats.note_region(RegionExecution(
-            region_key=("M.g", 1), committed=False, abort_reason="assert",
-            abort_pc=7,
-        ))
-        stats.note_region(RegionExecution(
-            region_key=("M.g", 1), committed=False, abort_reason="conflict",
-        ))
-        stats.note_fallback(("M.g", 1))
-        stats.uops_in_regions = sum(stats.region_sizes)
-        return stats
-
-    def test_subsumes_execstats_summary(self):
-        stats = self._synthetic_stats()
-        metrics = Metrics.from_stats(stats)
-        assert metrics.summary() == stats.summary()
-        assert metrics.counter("aborts.reason.assert") == 1
-        assert metrics.counter("aborts.reason.conflict") == 1
-        assert metrics.counter("uops.thread.1") == 4_000
-
-    def test_subsumes_real_run(self, traced_run):
-        _tracer, result = traced_run
-        for sample in result.samples:
-            metrics = Metrics.from_stats(sample.stats)
-            assert metrics.summary() == sample.stats.summary()
-            assert (metrics.histogram("region.footprint_lines").quantile(0.5)
-                    == sample.stats.region_line_quantile(0.5))
-            assert (metrics.histogram("region.footprint_lines").quantile(0.95)
-                    == sample.stats.region_line_quantile(0.95))
-
-    def test_empty_stats_summaries_agree(self):
-        stats = ExecStats()
-        assert Metrics.from_stats(stats).summary() == stats.summary()
-
-    def test_histogram_buckets(self):
-        histogram = Histogram((2, 4, 8))
-        for value in (1, 2, 3, 9, 100):
-            histogram.observe(value)
-        assert histogram.count == 5
-        assert sum(histogram.bucket_counts) == 5
-        snap = histogram.snapshot()
-        assert snap["buckets"]["le_2"] == 2   # values 1, 2
-        assert snap["buckets"]["inf"] == 2    # values 9, 100
-        assert histogram.mean == pytest.approx(23.0)
-        with pytest.raises(ValueError):
-            Histogram((4, 2))
 
 
 class TestFailureDumps:

@@ -111,12 +111,13 @@ class TestCleanSweep:
         assert outcome.ok
         assert tracer.events == []
 
-    def test_metrics_registry_populated(self):
+    def test_outcome_counts_populated(self):
         outcome = run_supervised(
             list(range(5)), _square, config=_config(workers=1))
-        assert outcome.metrics.counter("supervisor.cells_total") == 5
-        assert outcome.metrics.counter("supervisor.cells_completed") == 5
-        assert outcome.metrics.counter("supervisor.cell_retry") == 0
+        assert len(outcome.results) == 5
+        assert outcome.completed == 5 and outcome.resumed == 0
+        assert outcome.retries == outcome.timeouts == 0
+        assert outcome.manifest()["cells"] == 5
 
 
 class TestRetryLadder:
@@ -253,7 +254,6 @@ class TestJournal:
         assert resumed.ok
         assert resumed.resumed == 4 and resumed.completed == 4
         assert resumed.results == [x * x for x in items]
-        assert resumed.metrics.counter("supervisor.cells_resumed") == 4
 
     def test_resume_results_byte_identical(self, tmp_path):
         journal_path = tmp_path / "j.bin"
