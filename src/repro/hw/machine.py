@@ -53,6 +53,56 @@ SPILL_BASE = 0x2000_0000
 #: host dispatch tiers (:attr:`Machine.dispatch`).
 DISPATCH_MODES = ("auto", "interpretive")
 
+# The reference loop tests each uop against these module-level bindings,
+# in its own order, not against ``MOp.X``: on Python 3.11 an enum member
+# lookup is a call through ``EnumType.__getattr__`` (~200 ns) and a global
+# load a few ns, and a call or a return is the loop's ~40th test.
+_CONST = MOp.CONST
+_CONST_NULL = MOp.CONST_NULL
+_CONST_CLASS = MOp.CONST_CLASS
+_MOV = MOp.MOV
+_ADD = MOp.ADD
+_SUB = MOp.SUB
+_MUL = MOp.MUL
+_DIV = MOp.DIV
+_MOD = MOp.MOD
+_AND = MOp.AND
+_OR = MOp.OR
+_XOR = MOp.XOR
+_SHL = MOp.SHL
+_SHR = MOp.SHR
+_CLASSOF = MOp.CLASSOF
+_LOADF = MOp.LOADF
+_STOREF = MOp.STOREF
+_LOADA = MOp.LOADA
+_STOREA = MOp.STOREA
+_LOADLEN = MOp.LOADLEN
+_LOADLOCK = MOp.LOADLOCK
+_STORELOCK = MOp.STORELOCK
+_LOADSPILL = MOp.LOADSPILL
+_STORESPILL = MOp.STORESPILL
+_LOADG = MOp.LOADG
+_FAA = MOp.FAA
+_CAS = MOp.CAS
+_LL = MOp.LL
+_SC = MOp.SC
+_NEWOBJ = MOp.NEWOBJ
+_NEWARR = MOp.NEWARR
+_BR = MOp.BR
+_JMP = MOp.JMP
+_BR_TRAP = MOp.BR_TRAP
+_BR_ABORT = MOp.BR_ABORT
+_AREGION_BEGIN = MOp.AREGION_BEGIN
+_AREGION_END = MOp.AREGION_END
+_AREGION_ABORT = MOp.AREGION_ABORT
+_CALLVM = MOp.CALLVM
+_VCALLVM = MOp.VCALLVM
+_RET = MOp.RET
+#: the uops ``_tick`` counts as loads: a tuple, since a ``frozenset``
+#: probe hashes through ``Enum.__hash__``.
+_LOAD_UOPS = (_LOADF, _LOADA, _LOADLEN, _LOADLOCK, _LOADSPILL, _LOADG,
+              _CLASSOF)
+
 
 class ExecFrame:
     """Mutable per-activation state, shared by the reference loop and
@@ -376,35 +426,35 @@ class Machine:
             branch_taken: bool | None = None
 
             try:
-                if op is MOp.CONST:
+                if op is _CONST:
                     regs[instr.dst] = instr.imm
-                elif op is MOp.CONST_NULL:
+                elif op is _CONST_NULL:
                     regs[instr.dst] = None
-                elif op is MOp.CONST_CLASS:
+                elif op is _CONST_CLASS:
                     regs[instr.dst] = instr.cls
-                elif op is MOp.MOV:
+                elif op is _MOV:
                     regs[instr.dst] = regs[instr.a]
-                elif op is MOp.ADD:
+                elif op is _ADD:
                     regs[instr.dst] = wrap_int(regs[instr.a] + regs[instr.b])
-                elif op is MOp.SUB:
+                elif op is _SUB:
                     regs[instr.dst] = wrap_int(regs[instr.a] - regs[instr.b])
-                elif op is MOp.MUL:
+                elif op is _MUL:
                     regs[instr.dst] = wrap_int(regs[instr.a] * regs[instr.b])
-                elif op is MOp.DIV:
+                elif op is _DIV:
                     regs[instr.dst] = guest_div(regs[instr.a], regs[instr.b])
-                elif op is MOp.MOD:
+                elif op is _MOD:
                     regs[instr.dst] = guest_mod(regs[instr.a], regs[instr.b])
-                elif op is MOp.AND:
+                elif op is _AND:
                     regs[instr.dst] = wrap_int(regs[instr.a] & regs[instr.b])
-                elif op is MOp.OR:
+                elif op is _OR:
                     regs[instr.dst] = wrap_int(regs[instr.a] | regs[instr.b])
-                elif op is MOp.XOR:
+                elif op is _XOR:
                     regs[instr.dst] = wrap_int(regs[instr.a] ^ regs[instr.b])
-                elif op is MOp.SHL:
+                elif op is _SHL:
                     regs[instr.dst] = wrap_int(regs[instr.a] << (regs[instr.b] & 63))
-                elif op is MOp.SHR:
+                elif op is _SHR:
                     regs[instr.dst] = wrap_int(regs[instr.a] >> (regs[instr.b] & 63))
-                elif op is MOp.CLASSOF:
+                elif op is _CLASSOF:
                     ref = regs[instr.a]
                     if ref is None:
                         raise NullPointerError("classof null")
@@ -413,20 +463,20 @@ class Machine:
                     )
                     mem_address = ref.base
                     self._track_read(region, ref.base)
-                elif op is MOp.LOADF:
+                elif op is _LOADF:
                     obj = self._require(regs[instr.a], GuestObject)
                     slot = obj.field_index[instr.fieldname]
                     mem_address = obj.base + 16 + slot * 8
                     self._track_read(region, mem_address)
                     regs[instr.dst] = self._read_field(region, obj, slot)
-                elif op is MOp.STOREF:
+                elif op is _STOREF:
                     obj = self._require(regs[instr.a], GuestObject)
                     slot = obj.field_index[instr.fieldname]
                     mem_address = obj.base + 16 + slot * 8
                     self._write(region, obj, slot, regs[instr.b], mem_address,
                                 tid)
                     stats.stores += 1
-                elif op is MOp.LOADA:
+                elif op is _LOADA:
                     arr = self._require(regs[instr.a], GuestArray)
                     index = regs[instr.b]
                     if not 0 <= index < len(arr.values):
@@ -434,7 +484,7 @@ class Machine:
                     mem_address = arr.element_address(index)
                     self._track_read(region, mem_address)
                     regs[instr.dst] = self._read_array(region, arr, index)
-                elif op is MOp.STOREA:
+                elif op is _STOREA:
                     arr = self._require(regs[instr.a], GuestArray)
                     index = regs[instr.b]
                     if not 0 <= index < len(arr.values):
@@ -443,18 +493,18 @@ class Machine:
                     self._write(region, arr, index, regs[instr.c], mem_address,
                                 tid)
                     stats.stores += 1
-                elif op is MOp.LOADLEN:
+                elif op is _LOADLEN:
                     arr = self._require(regs[instr.a], GuestArray)
                     mem_address = arr.length_address()
                     self._track_read(region, mem_address)
                     regs[instr.dst] = arr.length
-                elif op is MOp.LOADLOCK:
+                elif op is _LOADLOCK:
                     obj = self._require(regs[instr.a], GuestObject)
                     mem_address = obj.lock_address()
                     self._track_read(region, mem_address)
                     regs[instr.dst] = 1 if obj.lock.held_by_other(tid) else 0
                     stats.monitor_ops += 1
-                elif op is MOp.STORELOCK:
+                elif op is _STORELOCK:
                     obj = self._require(regs[instr.a], GuestObject)
                     lock = obj.lock
                     mem_address = obj.lock_address()
@@ -500,17 +550,17 @@ class Machine:
                                 sched.wake_all(lock)
                             sched.note_store(mem_address)
                     stats.stores += 1
-                elif op is MOp.LOADSPILL:
+                elif op is _LOADSPILL:
                     regs[instr.dst] = spill[instr.imm]
                     mem_address = spill_base + instr.imm * 8
-                elif op is MOp.STORESPILL:
+                elif op is _STORESPILL:
                     spill[instr.imm] = regs[instr.a]
                     mem_address = spill_base + instr.imm * 8
                     stats.stores += 1
-                elif op is MOp.LOADG:
+                elif op is _LOADG:
                     regs[instr.dst] = 0  # yield flag never set in samples
                     mem_address = instr.imm
-                elif op is MOp.FAA:
+                elif op is _FAA:
                     obj = self._require(regs[instr.a], GuestObject)
                     slot = obj.field_index[instr.fieldname]
                     mem_address = obj.base + 16 + slot * 8
@@ -522,7 +572,7 @@ class Machine:
                     regs[instr.dst] = old
                     stats.stores += 1
                     stats.faa_ops += 1
-                elif op is MOp.CAS:
+                elif op is _CAS:
                     obj = self._require(regs[instr.a], GuestObject)
                     slot = obj.field_index[instr.fieldname]
                     mem_address = obj.base + 16 + slot * 8
@@ -537,7 +587,7 @@ class Machine:
                         stats.stores += 1
                     else:
                         stats.cas_failures += 1
-                elif op is MOp.LL:
+                elif op is _LL:
                     obj = self._require(regs[instr.a], GuestObject)
                     slot = obj.field_index[instr.fieldname]
                     mem_address = obj.base + 16 + slot * 8
@@ -545,7 +595,7 @@ class Machine:
                     regs[instr.dst] = self._read_field(region, obj, slot)
                     self.heap.set_reservation(tid, mem_address)
                     stats.ll_ops += 1
-                elif op is MOp.SC:
+                elif op is _SC:
                     obj = self._require(regs[instr.a], GuestObject)
                     slot = obj.field_index[instr.fieldname]
                     mem_address = obj.base + 16 + slot * 8
@@ -560,16 +610,16 @@ class Machine:
                         stats.stores += 1
                     else:
                         stats.sc_failures += 1
-                elif op is MOp.NEWOBJ:
+                elif op is _NEWOBJ:
                     layout = self.program.field_layout(instr.cls)
                     regs[instr.dst] = self.heap.new_object(instr.cls, layout)
                     if region is not None:
                         region.allocs.append(regs[instr.dst])
-                elif op is MOp.NEWARR:
+                elif op is _NEWARR:
                     regs[instr.dst] = self.heap.new_array(regs[instr.a])
                     if region is not None:
                         region.allocs.append(regs[instr.dst])
-                elif op is MOp.BR:
+                elif op is _BR:
                     taken = machine_compare(instr.cond, regs[instr.a],
                                              regs[instr.b] if instr.b is not None else None)
                     branch_taken = taken
@@ -585,11 +635,11 @@ class Machine:
                             if reason is not None:
                                 raise _RegionAbort(reason, pc)
                         continue
-                elif op is MOp.JMP:
+                elif op is _JMP:
                     self._tick(instr, mem_address, timing)
                     pc = instr.target
                     continue
-                elif op is MOp.BR_TRAP:
+                elif op is _BR_TRAP:
                     failed = machine_compare(
                         instr.cond, regs[instr.a],
                         regs[instr.b] if instr.b is not None else None,
@@ -601,7 +651,7 @@ class Machine:
                             stats.mispredicts += 1
                     if failed:
                         raise trap_error(instr)
-                elif op is MOp.BR_ABORT:
+                elif op is _BR_ABORT:
                     fired = machine_compare(
                         instr.cond, regs[instr.a],
                         regs[instr.b] if instr.b is not None else None,
@@ -615,7 +665,7 @@ class Machine:
                         self._tick(instr, mem_address, timing)
                         pc = instr.target
                         continue
-                elif op is MOp.AREGION_BEGIN:
+                elif op is _AREGION_BEGIN:
                     if region is not None:
                         raise VMError("nested aregion_begin")
                     if self._pending_cc:
@@ -650,7 +700,7 @@ class Machine:
                         compiled, instr, regs, spill, pc, tid)
                     if timing is not None:
                         timing.region_begin()
-                elif op is MOp.AREGION_END:
+                elif op is _AREGION_END:
                     if region is None:
                         raise VMError("aregion_end outside a region")
                     # Commit-instant check: the on_step above may have let
@@ -673,13 +723,13 @@ class Machine:
                     if timing is not None:
                         timing.region_end()
                     region = fr.region = None
-                elif op is MOp.AREGION_ABORT:
+                elif op is _AREGION_ABORT:
                     if region is None:
                         raise VMError("aregion_abort outside a region")
                     self._tick(instr, mem_address, timing)
                     raise _RegionAbort(instr.cls or "assert", pc,
                                        instr.abort_id)
-                elif op is MOp.CALLVM or op is MOp.VCALLVM:
+                elif op is _CALLVM or op is _VCALLVM:
                     if region is not None:
                         raise VMError("call inside an atomic region")
                     if self.dispatcher is None:
@@ -687,7 +737,7 @@ class Machine:
                     call_args = [
                         regs[r] if r >= 0 else spill[-r - 1] for r in instr.args
                     ]
-                    if op is MOp.CALLVM:
+                    if op is _CALLVM:
                         callee = self.program.resolve_static(instr.method)
                     else:
                         receiver = call_args[0]
@@ -699,7 +749,7 @@ class Machine:
                     if timing is not None:
                         timing.call_boundary()
                     regs[instr.dst] = self.dispatcher.invoke(callee, call_args)
-                elif op is MOp.RET:
+                elif op is _RET:
                     if region is not None:
                         raise VMError("return inside an atomic region")
                     if self._fallback_holds:
@@ -770,10 +820,7 @@ class Machine:
     def _tick(self, instr: MInstr, mem_address: int | None, timing) -> None:
         if timing is not None:
             timing.uop(instr, mem_address)
-        if mem_address is not None and instr.op in (
-            MOp.LOADF, MOp.LOADA, MOp.LOADLEN, MOp.LOADLOCK, MOp.LOADSPILL,
-            MOp.LOADG, MOp.CLASSOF,
-        ):
+        if mem_address is not None and instr.op in _LOAD_UOPS:
             self.stats.loads += 1
 
     # -- region mechanics ---------------------------------------------------

@@ -19,6 +19,7 @@ which is modeled in the compiler.
 
 from __future__ import annotations
 
+import copy
 from typing import Union
 
 from .errors import BoundsError, NullPointerError, VMError
@@ -30,6 +31,9 @@ WORD_BYTES = 8
 
 #: Guest values are 64-bit-ish integers or references (or None for null).
 Value = Union[int, "GuestObject", "GuestArray", None]
+
+#: types of the values an array can hold without holding a reference.
+_SCALAR_TYPES = frozenset({int, type(None)})
 
 
 class GuestObject:
@@ -112,6 +116,20 @@ class GuestArray:
 
     def size_bytes(self) -> int:
         return ARRAY_HEADER_BYTES + len(self.values) * WORD_BYTES
+
+    def __deepcopy__(self, memo: dict) -> "GuestArray":
+        """An array of ints and nulls copies as a list slice; one that
+        holds references goes through ``memo``, so an object reachable
+        twice is one object in the copy."""
+        new = GuestArray.__new__(GuestArray)
+        memo[id(self)] = new
+        values = self.values
+        if all(map(_SCALAR_TYPES.__contains__, map(type, values))):
+            new.values = values[:]
+        else:
+            new.values = copy.deepcopy(values, memo)
+        new.base = self.base
+        return new
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<array[{len(self.values)}]@{self.base:#x}>"

@@ -9,13 +9,22 @@ here.
 Calls dispatch through a pluggable ``dispatcher`` so the tiered VM
 (:mod:`repro.vm`) can substitute compiled code for hot callees; standalone,
 the interpreter dispatches to itself.
+
+Each method is decoded once per interpreter: every bytecode's opcode is
+resolved to its *handler*, a module-level function that applies the
+instruction to the activation's registers and returns the next pc (-1
+after a return).  The loop in :meth:`Interpreter.invoke` keeps what is per
+bytecode and not per opcode — the scheduler step, block counts, the
+counters and the fuel check — and calls the pc's handler, so it looks up
+no opcode and walks no chain of opcode tests.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+import operator
+from typing import Callable, Protocol
 
-from ..lang.bytecode import Instr, Method, Op, Program
+from ..lang.bytecode import Method, Op, Program
 from .errors import GuestArithmeticError, MonitorStateError, VMError
 from .heap import Heap, Value, require_array, require_object
 from .locks import MAIN_THREAD
@@ -24,13 +33,14 @@ from .sched import DEFAULT_LINE_SHIFT
 
 INT_BITS = 64
 _INT_MIN = -(1 << (INT_BITS - 1))
+_INT_MAX = ~_INT_MIN
 _INT_MASK = (1 << INT_BITS) - 1
 
 
 def wrap_int(value: int) -> int:
     """Wrap a Python int to signed 64-bit two's-complement."""
     value &= _INT_MASK
-    return value if value <= ~_INT_MIN else value - (1 << INT_BITS)
+    return value if value <= _INT_MAX else value - (1 << INT_BITS)
 
 
 def guest_div(a: int, b: int) -> int:
@@ -94,6 +104,26 @@ def block_leaders(method: Method) -> frozenset[int]:
     return frozenset(leaders)
 
 
+#: The code of one opcode: ``handler(interp, instr, pc, regs, prof, tid)``
+#: applies ``instr`` to the activation's registers and returns the next
+#: pc, or -1 after storing the return value in the extra last register.
+Handler = Callable[..., int]
+
+#: ``compare`` on two ints, per condition (``_br``'s fast path).
+_INT_COMPARE = {
+    "lt": operator.lt, "le": operator.le, "gt": operator.gt,
+    "ge": operator.ge, "eq": operator.eq, "ne": operator.ne,
+}
+
+#: binary arithmetic; its handler wraps the result to 64 bits.
+_BINARY = {
+    Op.ADD: operator.add, Op.SUB: operator.sub, Op.MUL: operator.mul,
+    Op.DIV: guest_div, Op.MOD: guest_mod, Op.AND: operator.and_,
+    Op.OR: operator.or_, Op.XOR: operator.xor,
+    Op.SHL: lambda x, y: x << (y & 63), Op.SHR: lambda x, y: x >> (y & 63),
+}
+
+
 class Interpreter:
     """Executes bytecode while recording profiles.
 
@@ -120,7 +150,8 @@ class Interpreter:
         #: deterministic guest scheduler (attached by TieredVM.run_threads);
         #: None keeps the interpreter single-threaded.
         self.sched = None
-        self._leader_cache: dict[int, frozenset[int]] = {}
+        #: id(method) -> (handlers, block leaders), built on first invocation.
+        self._decoded: dict[int, tuple[list[Handler], frozenset[int]]] = {}
 
     # -- entry points -------------------------------------------------------
     def run(self, entry: str | None = None, args: list[Value] | None = None) -> Value:
@@ -140,201 +171,255 @@ class Interpreter:
             )
         prof = self.profiles.method(method.qualified_name)
         prof.invocations += 1
-        leaders = self._leaders(method)
-
-        regs: list[Value] = [0] * max(method.num_regs, method.num_params)
-        regs[: len(args)] = args
         instrs = method.instrs
+        handlers, leaders = self._decode(method)
+
+        # One register past the frame receives the return value.
+        regs: list[Value] = [0] * (max(method.num_regs, method.num_params) + 1)
+        regs[: len(args)] = args
         pc = 0
         block_counts = prof.block_counts
+        fuel = self.fuel
         sched = self.sched
         # One activation runs on exactly one guest thread's host thread.
         tid = (sched.current.tid
                if sched is not None and sched.current is not None
                else MAIN_THREAD)
-        while True:
+        while pc >= 0:
             if sched is not None:
                 sched.on_step()
             if pc in leaders:
                 block_counts[pc] += 1
-            instr = instrs[pc]
+            handler = handlers[pc]
             self.bytecodes_executed += 1
             prof.bytecodes_executed += 1
-            if self.fuel is not None and self.bytecodes_executed > self.fuel:
+            if fuel is not None and self.bytecodes_executed > fuel:
                 raise VMError("interpreter fuel exhausted (guest loop?)")
-            op = instr.op
+            pc = handler(self, instrs[pc], pc, regs, prof, tid)
+        return regs[-1]
 
-            if op is Op.BR:
-                taken = compare(instr.cond, regs[instr.a], regs[instr.b])
-                bprof = prof.branch_at(pc)
-                if taken:
-                    bprof.taken += 1
-                    pc = instr.target
-                else:
-                    bprof.not_taken += 1
-                    pc += 1
-                continue
-            if op is Op.JMP:
-                pc = instr.target
-                continue
-            if op is Op.RET:
-                return regs[instr.a] if instr.a is not None else None
-
-            if op is Op.CONST:
-                regs[instr.dst] = instr.imm
-            elif op is Op.CONST_NULL:
-                regs[instr.dst] = None
-            elif op is Op.MOV:
-                regs[instr.dst] = regs[instr.a]
-            elif op is Op.ADD:
-                regs[instr.dst] = wrap_int(regs[instr.a] + regs[instr.b])
-            elif op is Op.SUB:
-                regs[instr.dst] = wrap_int(regs[instr.a] - regs[instr.b])
-            elif op is Op.MUL:
-                regs[instr.dst] = wrap_int(regs[instr.a] * regs[instr.b])
-            elif op is Op.DIV:
-                regs[instr.dst] = guest_div(regs[instr.a], regs[instr.b])
-            elif op is Op.MOD:
-                regs[instr.dst] = guest_mod(regs[instr.a], regs[instr.b])
-            elif op is Op.AND:
-                regs[instr.dst] = wrap_int(regs[instr.a] & regs[instr.b])
-            elif op is Op.OR:
-                regs[instr.dst] = wrap_int(regs[instr.a] | regs[instr.b])
-            elif op is Op.XOR:
-                regs[instr.dst] = wrap_int(regs[instr.a] ^ regs[instr.b])
-            elif op is Op.SHL:
-                regs[instr.dst] = wrap_int(regs[instr.a] << (regs[instr.b] & 63))
-            elif op is Op.SHR:
-                regs[instr.dst] = wrap_int(regs[instr.a] >> (regs[instr.b] & 63))
-            elif op is Op.NEW:
-                layout = self.program.field_layout(instr.cls)
-                regs[instr.dst] = self.heap.new_object(instr.cls, layout)
-            elif op is Op.NEWARR:
-                regs[instr.dst] = self.heap.new_array(regs[instr.a])
-            elif op is Op.GETF:
-                regs[instr.dst] = require_object(regs[instr.a]).get(instr.fieldname)
-            elif op is Op.PUTF:
-                obj = require_object(regs[instr.a])
-                obj.put(instr.fieldname, regs[instr.b])
-                if self.heap.reservations:
-                    self.heap.kill_reservations(
-                        tid, obj.field_address(instr.fieldname),
-                        sched.line_shift if sched is not None
-                        else DEFAULT_LINE_SHIFT)
-                if sched is not None and sched.logging:
-                    sched.note_store(obj.field_address(instr.fieldname))
-            elif op is Op.ALOAD:
-                regs[instr.dst] = require_array(regs[instr.a]).load(regs[instr.b])
-            elif op is Op.ASTORE:
-                arr = require_array(regs[instr.a])
-                arr.store(regs[instr.b], regs[instr.c])
-                if self.heap.reservations:
-                    self.heap.kill_reservations(
-                        tid, arr.element_address(regs[instr.b]),
-                        sched.line_shift if sched is not None
-                        else DEFAULT_LINE_SHIFT)
-                if sched is not None and sched.logging:
-                    sched.note_store(arr.element_address(regs[instr.b]))
-            elif op is Op.ALEN:
-                regs[instr.dst] = require_array(regs[instr.a]).length
-            elif op is Op.FAA:
-                # One bytecode, one on_step: indivisible under the
-                # cooperative scheduler, which is the whole point.
-                obj = require_object(regs[instr.a])
-                old = obj.get(instr.fieldname)
-                obj.put(instr.fieldname, wrap_int(old + regs[instr.b]))
-                regs[instr.dst] = old
-                address = obj.field_address(instr.fieldname)
-                if self.heap.reservations:
-                    self.heap.kill_reservations(
-                        tid, address,
-                        sched.line_shift if sched is not None
-                        else DEFAULT_LINE_SHIFT)
-                if sched is not None and sched.logging:
-                    sched.note_store(address)
-            elif op is Op.CAS:
-                obj = require_object(regs[instr.a])
-                current = obj.get(instr.fieldname)
-                ok = compare("eq", current, regs[instr.b])
-                regs[instr.dst] = 1 if ok else 0
-                if ok:
-                    obj.put(instr.fieldname, regs[instr.c])
-                    address = obj.field_address(instr.fieldname)
-                    if self.heap.reservations:
-                        self.heap.kill_reservations(
-                            tid, address,
-                            sched.line_shift if sched is not None
-                            else DEFAULT_LINE_SHIFT)
-                    if sched is not None and sched.logging:
-                        sched.note_store(address)
-            elif op is Op.LL:
-                obj = require_object(regs[instr.a])
-                regs[instr.dst] = obj.get(instr.fieldname)
-                self.heap.set_reservation(
-                    tid, obj.field_address(instr.fieldname))
-            elif op is Op.SC:
-                obj = require_object(regs[instr.a])
-                address = obj.field_address(instr.fieldname)
-                ok = self.heap.check_reservation(tid, address)
-                self.heap.clear_reservation(tid)
-                regs[instr.dst] = 1 if ok else 0
-                if ok:
-                    obj.put(instr.fieldname, regs[instr.b])
-                    if self.heap.reservations:
-                        self.heap.kill_reservations(
-                            tid, address,
-                            sched.line_shift if sched is not None
-                            else DEFAULT_LINE_SHIFT)
-                    if sched is not None and sched.logging:
-                        sched.note_store(address)
-            elif op is Op.CALL:
-                callee = self.program.resolve_static(instr.method)
-                call_args = [regs[r] for r in instr.args]
-                regs[instr.dst] = self.dispatcher.invoke(callee, call_args)
-            elif op is Op.VCALL:
-                receiver = require_object(regs[instr.a])
-                prof.call_site_at(pc).receivers[receiver.class_name] += 1
-                callee = self.program.resolve_virtual(receiver.class_name, instr.method)
-                call_args = [regs[r] for r in instr.args]
-                regs[instr.dst] = self.dispatcher.invoke(callee, call_args)
-            elif op is Op.MENTER:
-                obj = require_object(regs[instr.a])
-                lock = obj.lock
-                outcome = lock.enter(tid)
-                if outcome == "blocked":
-                    if sched is None:
-                        raise MonitorStateError(
-                            f"monitor owned by thread {lock.owner} contended "
-                            f"by thread {tid} with no scheduler attached"
-                        )
-                    # Park until the owner releases, then re-contend (Mesa).
-                    while outcome == "blocked":
-                        sched.block_on(lock)
-                        outcome = lock.enter(tid)
-                    lock.contended_acquisitions += 1
-                    sched.contended_acquisitions += 1
-                if sched is not None and sched.logging:
-                    sched.note_store(obj.lock_address())
-            elif op is Op.MEXIT:
-                obj = require_object(regs[instr.a])
-                obj.lock.exit(tid)
-                if sched is not None:
-                    if obj.lock.waiters:
-                        sched.wake_all(obj.lock)
-                    if sched.logging:
-                        sched.note_store(obj.lock_address())
-            elif op is Op.SAFEPOINT:
-                self.safepoints_polled += 1
-            elif op is Op.NOP:
-                pass
-            else:  # pragma: no cover - exhaustive over Op
-                raise VMError(f"unhandled opcode {op}")
-            pc += 1
-
-    # -- internals ------------------------------------------------------------
-    def _leaders(self, method: Method) -> frozenset[int]:
+    # -- decoding -------------------------------------------------------------
+    def _decode(self, method: Method) -> tuple[list[Handler], frozenset[int]]:
         key = id(method)
-        leaders = self._leader_cache.get(key)
-        if leaders is None:
-            leaders = self._leader_cache[key] = block_leaders(method)
-        return leaders
+        decoded = self._decoded.get(key)
+        if decoded is None:
+            handlers = [_HANDLERS[instr.op] for instr in method.instrs]
+            decoded = self._decoded[key] = (handlers, block_leaders(method))
+        return decoded
+
+    def _published(self, tid: int, address: int) -> None:
+        """A committed guest store: it kills other threads' LL/SC
+        reservations on its line and joins the scheduler's store log."""
+        sched = self.sched
+        if self.heap.reservations:
+            self.heap.kill_reservations(
+                tid, address,
+                sched.line_shift if sched is not None else DEFAULT_LINE_SHIFT)
+        if sched is not None and sched.logging:
+            sched.note_store(address)
+
+
+
+
+# -- handlers: (interpreter, instr, pc, regs, prof, tid) -> next pc -----------
+def _const(interp, instr, pc, regs, prof, tid):
+    regs[instr.dst] = instr.imm
+    return pc + 1
+
+
+def _const_null(interp, instr, pc, regs, prof, tid):
+    regs[instr.dst] = None
+    return pc + 1
+
+
+def _mov(interp, instr, pc, regs, prof, tid):
+    regs[instr.dst] = regs[instr.a]
+    return pc + 1
+
+
+def _binary(fn):
+    def handler(interp, instr, pc, regs, prof, tid):
+        value = fn(regs[instr.a], regs[instr.b])
+        regs[instr.dst] = (value if _INT_MIN <= value <= _INT_MAX
+                           else wrap_int(value))
+        return pc + 1
+    return handler
+
+
+def _jmp(interp, instr, pc, regs, prof, tid):
+    return instr.target
+
+
+def _br(interp, instr, pc, regs, prof, tid):
+    x, y = regs[instr.a], regs[instr.b]
+    on_ints = _INT_COMPARE.get(instr.cond)
+    if on_ints is not None and type(x) is int and type(y) is int:
+        taken = on_ints(x, y)
+    else:
+        taken = compare(instr.cond, x, y)
+    bprof = prof.branch_at(pc)
+    if taken:
+        bprof.taken += 1
+        return instr.target
+    bprof.not_taken += 1
+    return pc + 1
+
+
+def _ret(interp, instr, pc, regs, prof, tid):
+    regs[-1] = regs[instr.a] if instr.a is not None else None
+    return -1
+
+
+def _new(interp, instr, pc, regs, prof, tid):
+    layout = interp.program.field_layout(instr.cls)
+    regs[instr.dst] = interp.heap.new_object(instr.cls, layout)
+    return pc + 1
+
+
+def _newarr(interp, instr, pc, regs, prof, tid):
+    regs[instr.dst] = interp.heap.new_array(regs[instr.a])
+    return pc + 1
+
+
+def _getf(interp, instr, pc, regs, prof, tid):
+    regs[instr.dst] = require_object(regs[instr.a]).get(instr.fieldname)
+    return pc + 1
+
+
+def _putf(interp, instr, pc, regs, prof, tid):
+    obj = require_object(regs[instr.a])
+    obj.put(instr.fieldname, regs[instr.b])
+    if interp.heap.reservations or interp.sched is not None:
+        interp._published(tid, obj.field_address(instr.fieldname))
+    return pc + 1
+
+
+def _aload(interp, instr, pc, regs, prof, tid):
+    regs[instr.dst] = require_array(regs[instr.a]).load(regs[instr.b])
+    return pc + 1
+
+
+def _astore(interp, instr, pc, regs, prof, tid):
+    arr = require_array(regs[instr.a])
+    arr.store(regs[instr.b], regs[instr.c])
+    if interp.heap.reservations or interp.sched is not None:
+        interp._published(tid, arr.element_address(regs[instr.b]))
+    return pc + 1
+
+
+def _alen(interp, instr, pc, regs, prof, tid):
+    regs[instr.dst] = require_array(regs[instr.a]).length
+    return pc + 1
+
+
+def _faa(interp, instr, pc, regs, prof, tid):
+    # One bytecode, one on_step: indivisible under the cooperative
+    # scheduler, which is the whole point.
+    obj = require_object(regs[instr.a])
+    old = obj.get(instr.fieldname)
+    obj.put(instr.fieldname, wrap_int(old + regs[instr.b]))
+    regs[instr.dst] = old
+    interp._published(tid, obj.field_address(instr.fieldname))
+    return pc + 1
+
+
+def _cas(interp, instr, pc, regs, prof, tid):
+    obj = require_object(regs[instr.a])
+    ok = compare("eq", obj.get(instr.fieldname), regs[instr.b])
+    regs[instr.dst] = 1 if ok else 0
+    if ok:
+        obj.put(instr.fieldname, regs[instr.c])
+        interp._published(tid, obj.field_address(instr.fieldname))
+    return pc + 1
+
+
+def _ll(interp, instr, pc, regs, prof, tid):
+    obj = require_object(regs[instr.a])
+    regs[instr.dst] = obj.get(instr.fieldname)
+    interp.heap.set_reservation(tid, obj.field_address(instr.fieldname))
+    return pc + 1
+
+
+def _sc(interp, instr, pc, regs, prof, tid):
+    obj = require_object(regs[instr.a])
+    address = obj.field_address(instr.fieldname)
+    ok = interp.heap.check_reservation(tid, address)
+    interp.heap.clear_reservation(tid)
+    regs[instr.dst] = 1 if ok else 0
+    if ok:
+        obj.put(instr.fieldname, regs[instr.b])
+        interp._published(tid, address)
+    return pc + 1
+
+
+def _call(interp, instr, pc, regs, prof, tid):
+    callee = interp.program.resolve_static(instr.method)
+    call_args = [regs[r] for r in instr.args]
+    regs[instr.dst] = interp.dispatcher.invoke(callee, call_args)
+    return pc + 1
+
+
+def _vcall(interp, instr, pc, regs, prof, tid):
+    receiver = require_object(regs[instr.a])
+    prof.call_site_at(pc).receivers[receiver.class_name] += 1
+    callee = interp.program.resolve_virtual(receiver.class_name, instr.method)
+    call_args = [regs[r] for r in instr.args]
+    regs[instr.dst] = interp.dispatcher.invoke(callee, call_args)
+    return pc + 1
+
+
+def _menter(interp, instr, pc, regs, prof, tid):
+    obj = require_object(regs[instr.a])
+    lock = obj.lock
+    sched = interp.sched
+    outcome = lock.enter(tid)
+    if outcome == "blocked":
+        if sched is None:
+            raise MonitorStateError(
+                f"monitor owned by thread {lock.owner} contended "
+                f"by thread {tid} with no scheduler attached"
+            )
+        # Park until the owner releases, then re-contend (Mesa).
+        while outcome == "blocked":
+            sched.block_on(lock)
+            outcome = lock.enter(tid)
+        lock.contended_acquisitions += 1
+        sched.contended_acquisitions += 1
+    if sched is not None and sched.logging:
+        sched.note_store(obj.lock_address())
+    return pc + 1
+
+
+def _mexit(interp, instr, pc, regs, prof, tid):
+    obj = require_object(regs[instr.a])
+    obj.lock.exit(tid)
+    sched = interp.sched
+    if sched is not None:
+        if obj.lock.waiters:
+            sched.wake_all(obj.lock)
+        if sched.logging:
+            sched.note_store(obj.lock_address())
+    return pc + 1
+
+
+def _safepoint(interp, instr, pc, regs, prof, tid):
+    interp.safepoints_polled += 1
+    return pc + 1
+
+
+def _nop(interp, instr, pc, regs, prof, tid):
+    return pc + 1
+
+
+_HANDLERS: dict[Op, Handler] = {
+    Op.CONST: _const, Op.CONST_NULL: _const_null, Op.MOV: _mov,
+    **{op: _binary(fn) for op, fn in _BINARY.items()},
+    Op.JMP: _jmp, Op.BR: _br, Op.RET: _ret,
+    Op.NEW: _new, Op.NEWARR: _newarr,
+    Op.GETF: _getf, Op.PUTF: _putf,
+    Op.ALOAD: _aload, Op.ASTORE: _astore, Op.ALEN: _alen,
+    Op.FAA: _faa, Op.CAS: _cas, Op.LL: _ll, Op.SC: _sc,
+    Op.CALL: _call, Op.VCALL: _vcall,
+    Op.MENTER: _menter, Op.MEXIT: _mexit,
+    Op.SAFEPOINT: _safepoint, Op.NOP: _nop,
+}

@@ -70,7 +70,8 @@ class WarmState:
 
         One ``deepcopy`` call covers every field, so references between
         them (heap objects' field layouts are the program's) stay shared
-        within the copy.
+        within the copy.  Heap arrays of ints and nulls, nearly all of
+        the copied words, copy as list slices (``GuestArray.__deepcopy__``).
         """
         return copy.deepcopy(self)
 

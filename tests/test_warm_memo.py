@@ -16,9 +16,10 @@ from repro.faults import FaultPlan
 from repro.harness import experiment
 from repro.harness.experiment import clear_cache, run_workload, warmed
 from repro.harness.figures import adaptive_window
-from repro.runtime.heap import GuestObject
+from repro.lang.builder import ProgramBuilder
+from repro.runtime.heap import GuestObject, Heap
 from repro.service.protocol import payload_digest, result_payload
-from repro.vm import ATOMIC_AGGRESSIVE, NO_ATOMIC, TieredVM
+from repro.vm import ATOMIC_AGGRESSIVE, NO_ATOMIC, TieredVM, WarmState
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 
@@ -125,6 +126,47 @@ class TestSnapshotsAreIsolated:
                    if isinstance(x, GuestObject)]
         assert objects and all(id(x.field_index) in layouts
                                for x in objects)
+
+    def test_reference_arrays_copy_through_the_memo(self):
+        """Scalar arrays copy by slice; an array holding references
+        points at the copy's objects, one per original object."""
+        pb = ProgramBuilder()
+        pb.cls("Node", fields=["v", "next"])
+        m = pb.method("poke", params=("outer",))
+        outer_reg = m.param(0)
+        zero, two, three = m.const(0), m.const(2), m.const(3)
+        k = m.const(99)
+        m.astore(outer_reg, zero, k)
+        m.putfield(m.aload(outer_reg, two), "v", k)
+        m.astore(m.aload(outer_reg, three), zero, k)
+        m.ret(k)
+        program = pb.build()
+        heap = Heap()
+        node = heap.new_object("Node", program.field_layout("Node"))
+        inner = heap.new_array(3)
+        inner.values[:] = [7, None, 8]
+        outer = heap.new_array(5)
+        outer.values[:] = [1, None, node, inner, node]
+        node.put("next", inner)
+        state = WarmState(program, heap)
+        image = heap.fingerprint()
+
+        copied = state.copy()
+        node_c, inner_c, outer_c = copied.heap.allocations
+        assert node_c is not node and inner_c is not inner
+        assert outer_c.values == [1, None, node_c, inner_c, node_c]
+        assert outer_c.values[2] is outer_c.values[4] is node_c
+        assert outer_c.values[3] is inner_c and node_c.get("next") is inner_c
+        assert inner_c.values == [7, None, 8]
+        assert inner_c.values is not inner.values
+        assert node_c.field_index is copied.program.field_layout("Node")
+        assert copied.heap.fingerprint() == image
+
+        assert TieredVM(copied).run("poke", [outer_c]) == 99
+        assert heap.fingerprint() == image
+        assert (outer_c.values[0], node_c.get("v"), inner_c.values[0]) \
+            == (99, 99, 99)
+        assert (outer.values[0], node.get("v"), inner.values[0]) == (1, 0, 7)
 
     def test_clear_cache_empties_the_memo(self):
         run_workload(get_workload("hsqldb"), NO_ATOMIC, timing=False)
