@@ -20,23 +20,28 @@ number is a steady-state sweep::
                  "speedup_vs_baseline": ...,
                  "jit_wall_s": ...,        # template-jit, best of N repeats
                  "jit_uops_per_s": ...,
-                 "jit_speedup_vs_baseline": ...}}
+                 "jit_speedup_vs_baseline": ...,
+                 "jit_ref_uops_per_s": ...}}  # jit uops/s, host-rescaled
 
 Usage:
     python benchmarks/bench_host_perf.py [--output BENCH_host.json]
-        [--check BASELINE.json] [--repeats 3] [--min-jit-speedup X]
-        [--min-timed-jit-speedup X]
+        [--check BASELINE.json] [--repeats 3] [--min-jit-rate X]
+        [--min-timed-jit-rate X]
 
 ``--check`` compares the fresh measurements against a previously emitted
 file and exits non-zero if any cell's handler-table or jit wall time
-regressed more than 25% — the CI perf-smoke gate.  ``--min-jit-speedup``
-additionally fails unless the *best* untimed cell's jit speedup over
-interpretive reaches the given floor (the template-jit acceptance gate;
-the floor is deliberately below the ~10-12x measured on a quiet machine
-so shared-runner noise cannot flake it); ``--min-timed-jit-speedup`` is
-the same gate for the best timed cell, where the timing model is folded
-into the fused code.  Run standalone, not under
-pytest: the point is wall-clock, and pytest fixtures add noise.
+regressed more than 25% — the CI perf-smoke gate.  ``--min-jit-rate``
+additionally fails unless the *best* untimed cell's jit throughput,
+rescaled to the reference host speed of ``benchmarks/e2e/hostspeed.py``
+(``jit_ref_uops_per_s``), reaches the given floor in uops/s: the
+template-jit acceptance gate.  The rescaling divides by fixed host work
+that never touches the simulator, so the floor moves with neither the
+host's speed nor the interpretive loop's; it is set well below the
+quiet-machine measurement so shared-runner noise cannot flake it.
+``--min-timed-jit-rate`` is the same gate for the best timed cell,
+where the timing model is folded into the fused code.  Run standalone,
+not under pytest: the point is wall-clock, and pytest fixtures add
+noise.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+
+from hostspeed import HostSpeed                          # noqa: E402
 
 from repro.faults import FaultPlan                       # noqa: E402
 from repro.runtime import GuestError                     # noqa: E402
@@ -185,9 +193,12 @@ def run_suite(repeats: int) -> dict:
         # an injector with no fault armed selects the handler table
         fast_wall, fast_uops, fast_digest = _time_cell(
             lambda: cell("auto", FaultPlan.none()), repeats)
-        # "auto" with no fault injector is the template-jit tier
+        # "auto" with no fault injector is the template-jit tier; the
+        # host is calibrated on either side of its timing
+        speed = HostSpeed()
         jit_wall, jit_uops, jit_digest = _time_cell(
             lambda: cell("auto"), repeats)
+        slowdown = speed.step()
         slow_wall, _slow_uops, slow_digest = _time_cell(
             lambda: cell("interpretive"), repeats)
         if fast_digest != slow_digest:
@@ -208,13 +219,16 @@ def run_suite(repeats: int) -> dict:
             "jit_wall_s": round(jit_wall, 4),
             "jit_uops_per_s": round(jit_uops / jit_wall),
             "jit_speedup_vs_baseline": round(slow_wall / jit_wall, 2),
+            "jit_ref_uops_per_s": round(jit_uops * slowdown / jit_wall),
+            "calib_ms": round(speed.calib_ms(), 3),
         }
         print(f"{bench:>20}: handlers {fast_wall:.3f}s "
               f"({results[bench]['speedup_vs_baseline']:.2f}x)  "
               f"jit {jit_wall:.3f}s "
               f"({results[bench]['jit_speedup_vs_baseline']:.2f}x)  "
               f"interpretive {slow_wall:.3f}s  "
-              f"({results[bench]['jit_uops_per_s']:,} jit uops/s)")
+              f"({results[bench]['jit_uops_per_s']:,} jit uops/s, "
+              f"{results[bench]['jit_ref_uops_per_s']:,} rescaled)")
     return results
 
 
@@ -245,20 +259,20 @@ def check_regression(fresh: dict, baseline_path: Path) -> int:
 
 def check_jit_floor(fresh: dict, floor: float, timed: bool = False) -> int:
     """The template-jit acceptance gate: the best untimed (or, with
-    ``timed``, timed) cell must beat interpretive dispatch by at least
-    ``floor``x."""
+    ``timed``, timed) cell's host-rescaled jit throughput must reach
+    ``floor`` uops/s."""
     label = "timed" if timed else "untimed"
-    cells = {bench: entry["jit_speedup_vs_baseline"]
+    cells = {bench: entry["jit_ref_uops_per_s"]
              for bench, entry in fresh.items()
              if bench.endswith("_timed") == timed}
     best_bench = max(cells, key=cells.get)
     best = cells[best_bench]
     if best < floor:
-        print(f"JIT SPEEDUP GATE FAILED: best {label} cell {best_bench} "
-              f"reached {best:.2f}x vs interpretive (floor {floor:.1f}x)")
+        print(f"JIT RATE GATE FAILED: best {label} cell {best_bench} "
+              f"reached {best:,.0f} rescaled uops/s (floor {floor:,.0f})")
         return 1
-    print(f"jit gate ok: {label} {best_bench} at {best:.2f}x vs "
-          f"interpretive (floor {floor:.1f}x)")
+    print(f"jit gate ok: {label} {best_bench} at {best:,.0f} rescaled "
+          f"uops/s (floor {floor:,.0f})")
     return 0
 
 
@@ -272,14 +286,16 @@ def main() -> int:
                              "against this previously emitted file")
     parser.add_argument("--repeats", type=int, default=3,
                         help="wall-clock repetitions per cell (best-of)")
-    parser.add_argument("--min-jit-speedup", type=float, default=None,
+    parser.add_argument("--min-jit-rate", type=float, default=None,
                         metavar="X",
                         help="fail unless the best untimed cell's jit "
-                             "speedup over interpretive reaches X")
-    parser.add_argument("--min-timed-jit-speedup", type=float, default=None,
+                             "uops/s, rescaled to the reference host "
+                             "speed, reaches X")
+    parser.add_argument("--min-timed-jit-rate", type=float, default=None,
                         metavar="X",
                         help="fail unless the best timed cell's jit "
-                             "speedup over interpretive reaches X")
+                             "uops/s, rescaled to the reference host "
+                             "speed, reaches X")
     args = parser.parse_args()
 
     results = run_suite(args.repeats)
@@ -291,10 +307,10 @@ def main() -> int:
     status = 0
     if args.check:
         status = check_regression(results, Path(args.check))
-    if args.min_jit_speedup is not None:
-        status = check_jit_floor(results, args.min_jit_speedup) or status
-    if args.min_timed_jit_speedup is not None:
-        status = check_jit_floor(results, args.min_timed_jit_speedup,
+    if args.min_jit_rate is not None:
+        status = check_jit_floor(results, args.min_jit_rate) or status
+    if args.min_timed_jit_rate is not None:
+        status = check_jit_floor(results, args.min_timed_jit_rate,
                                  timed=True) or status
     return status
 

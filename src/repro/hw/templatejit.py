@@ -27,8 +27,10 @@ templates only; a stepped uop's handler is one closure that calls
 ``Machine._step``, and no factory source is emitted for it.
 
 **Fused mode: straight-line runs.**  :func:`fused_runs` partitions every
-basic block into runs of *fusable* uops (at most :data:`MAX_RUN` long),
-and each run becomes two functions, one for code outside a region
+basic block into runs of *fusable* uops (at most :data:`MAX_RUN` long;
+a lone fusable uop is a run of one), so every fusable uop is in exactly
+one run and handlers are entered only at unfusable uops and at bails.
+Each run becomes two functions, one for code outside a region
 (*plain*) and one for code inside one (*region*): registers resolved to
 list indexes, immediates/field names/branch targets baked in as
 constants, and the per-uop bookkeeping collapsed into batched counter
@@ -39,12 +41,13 @@ function of the mode it is entered in, patches it into the table, and
 runs it.  Each function's entry guard hands the other mode to the other
 function — a stub of its own until that mode's first entry — so a run
 entered in both modes runs fused in both.  Compiled code is cached for
-the process, keyed by a digest of its emitted source (:data:`_CODE`,
-dropped by :func:`clear_code_cache`): a method whose run emits the same
-source as one compiled before ``exec``s the cached code into its own
-namespace instead of compiling again.  Handlers and fused tables live
-together on one :class:`JittedMethod`, cached on the
-:class:`~repro.hw.isa.CompiledMethod`; a recompile makes a new code
+the process, keyed by everything the emitter reads (:func:`_code_key`:
+the run's span, mode, timing variant and profile and its uops' fields;
+:data:`_CODE`, dropped by :func:`clear_code_cache`): a method whose run
+would emit the same source as one compiled before ``exec``s the cached
+code into its own namespace, and no source is emitted for it.  Handlers
+and fused tables live together on one :class:`JittedMethod`, cached on
+the :class:`~repro.hw.isa.CompiledMethod`; a recompile makes a new code
 object, and ``disable_region`` keeps the cache (the ``aregion_begin``
 handler reads the patch on every entry).
 
@@ -83,9 +86,12 @@ reference loop's.
 
 **Unfusable uops split runs.**  Lock-word stores, region begin/end and
 the stepped uops never enter fused code; they retire on their handlers
-between runs.  ``LOADLOCK`` — the SLE'd monitor-enter's
-single probing load — *is* fused: it is a pure read (read-set add +
-lock-owner probe) and sits on the hottest elided-monitor paths.
+between runs.  The fusable uops between two of them — often a single
+phi-copy ``MOV``, loop-latch ``BR`` or ``JMP`` — form a run however
+short, so a timed one retires inline instead of calling the model.
+``LOADLOCK`` — the SLE'd monitor-enter's single probing load — *is*
+fused: it is a pure read (read-set add + lock-owner probe) and sits on
+the hottest elided-monitor paths.
 
 **The timing model is folded in.**  Every fused run has two timing
 variants, each with its plain and region function.  The untimed one
@@ -149,9 +155,6 @@ FUSABLE_MOPS = frozenset({
     MOp.NEWOBJ, MOp.NEWARR,
     MOp.BR, MOp.JMP, MOp.BR_TRAP, MOp.BR_ABORT,
 })
-
-#: a run must cover at least this many uops to be worth a fused function.
-MIN_RUN = 2
 
 #: longer fusable spans are cut into runs of at most this many uops, so
 #: one host-compile unit (and the code object it leaves behind) stays
@@ -269,13 +272,16 @@ class JittedMethod:
 
 
 def fused_runs(compiled: CompiledMethod) -> list[tuple[int, int]]:
-    """Fusable straight-line spans, one per ``(start, end)``.
+    """Fusable straight-line spans, one per ``(start, end)``: every
+    maximal span of fusable uops in a basic block, one uop long or more,
+    so each fusable pc is in exactly one run.
 
     Runs never cross basic-block boundaries (every branch target is a
     block leader, so control can only *enter* a fused function at its
     first uop) and never include an unfusable uop.  A maximal span
-    longer than :data:`MAX_RUN` is cut into consecutive runs; control
-    falls from one into the next through the dispatch loop.
+    longer than :data:`MAX_RUN` is cut into consecutive runs (the last
+    may be one uop); control falls from one into the next through the
+    dispatch loop.
     """
     instrs = compiled.instrs
     blocks, _ = _machine_blocks(instrs)
@@ -287,9 +293,8 @@ def fused_runs(compiled: CompiledMethod) -> list[tuple[int, int]]:
                 j = i
                 while j < end and instrs[j].op in FUSABLE_MOPS:
                     j += 1
-                for k in range(i, j, MAX_RUN):
-                    if min(j, k + MAX_RUN) - k >= MIN_RUN:
-                        runs.append((k, min(j, k + MAX_RUN)))
+                runs += [(k, min(j, k + MAX_RUN))
+                         for k in range(i, j, MAX_RUN)]
                 i = j
             else:
                 i += 1
@@ -1040,11 +1045,25 @@ def jit_source(compiled: CompiledMethod, profile: JitProfile) -> str:
 
 #: compiled run functions, shared by every method and machine of the
 #: process: equal source is equal code, and each table ``exec``s it into
-#: its own namespace (its own ``H``).  Keyed by a 128-bit digest of the
-#: emitted source, so the source itself is not kept alive.  Dropped by
-#: :func:`clear_code_cache`; two threads racing on one source at worst
-#: both compile it.
-_CODE: dict[str, CodeType] = {}
+#: its own namespace (its own ``H``).  Keyed by :func:`_code_key`, the
+#: emitter's whole input, so a hit installs without emitting and the
+#: source itself is not kept alive.  Dropped by :func:`clear_code_cache`;
+#: two threads racing on one run at worst both compile it.
+_CODE: dict[tuple, CodeType] = {}
+
+#: the uop fields :func:`_emit_fn` reads (``args`` through
+#: :func:`~repro.hw.timing.uop_timing`).
+_EMITTED_FIELDS = ("op", "dst", "a", "b", "c", "imm", "cond", "target",
+                   "fieldname", "cls", "args")
+
+
+def _code_key(compiled: CompiledMethod, start: int, end: int,
+              profile: JitProfile, timed: bool, regioned: bool) -> tuple:
+    """Everything :func:`_emit_fn` reads for one run function: equal keys
+    emit equal source."""
+    return (start, end, timed, regioned, profile,
+            *(tuple(getattr(instr, f) for f in _EMITTED_FIELDS)
+              for instr in compiled.instrs[start:end]))
 
 
 def clear_code_cache() -> None:
@@ -1077,24 +1096,27 @@ def _stub(jm: JittedMethod, timed: bool, namespace: dict, table: list,
           start: int, end: int, regioned: bool):
     """One mode's function of a run, until its first entry in that mode:
     it hands the other mode to the other mode's function (or stub);
-    otherwise it compiles its function (or takes the process's cached
-    code for the same source), installs it in the namespace and at the
-    run start, and runs it."""
+    otherwise it takes the process's cached code for the run (emitting
+    and compiling it only on a miss), installs it in the namespace and at
+    the run start, and runs it."""
     name = _fn_name(start, timed, regioned)
     other = _fn_name(start, timed, not regioned)
 
     def compile_and_run(fr):
         if (fr.region is not None) != regioned:
             return namespace[other](fr)
-        source = "\n".join(_emit_fn(jm._compiled, start, end, jm.profile,
-                                    timed, regioned)) + "\n"
-        digest = hashlib.blake2b(source.encode(), digest_size=16).hexdigest()
-        code = _CODE.get(digest)
+        compiled, profile = jm._compiled, jm.profile
+        key = _code_key(compiled, start, end, profile, timed, regioned)
+        code = _CODE.get(key)
         if code is None:
+            source = "\n".join(_emit_fn(compiled, start, end, profile,
+                                        timed, regioned)) + "\n"
+            digest = hashlib.blake2b(source.encode(),
+                                     digest_size=16).hexdigest()
             # Named by content: the code serves every method whose run
             # emits this source.
-            code = _CODE[digest] = compile(source, f"<jit:{name}:{digest}>",
-                                           "exec")
+            code = _CODE[key] = compile(source, f"<jit:{name}:{digest}>",
+                                        "exec")
         exec(code, namespace)
         fn = table[start] = namespace[name]
         return fn(fr)

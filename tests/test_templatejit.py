@@ -31,7 +31,9 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
+from dataclasses import replace
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -69,7 +71,8 @@ from repro.testutil.uopgen import (
     timing_snapshot,
     uop_case,
 )
-from repro.vm import ATOMIC, TieredVM, VMOptions
+from repro.vm import ATOMIC, ATOMIC_AGGRESSIVE, TieredVM, VMOptions
+from repro.workloads import get_workload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -504,7 +507,7 @@ class TestDeoptInvariant:
 def _golden_method() -> CompiledMethod:
     """A hand-built method exercising every fused template exactly once,
     split across an unfused boundary (the AREGION uops) so the source
-    shows both a plain run and a regioned run."""
+    shows both a plain run and a regioned run, plus a one-uop run."""
     instrs = [
         # run 1: plain straight-line code up to the region begin.
         MInstr(MOp.CONST, dst=0, imm=7),
@@ -521,7 +524,7 @@ def _golden_method() -> CompiledMethod:
         MInstr(MOp.SHL, dst=6, a=0, b=2),
         MInstr(MOp.SHR, dst=6, a=6, b=0),
         MInstr(MOp.BR_TRAP, cond="ge", a=6, b=None),
-        MInstr(MOp.AREGION_BEGIN, imm=1, target=27),
+        MInstr(MOp.AREGION_BEGIN, imm=1, target=28),
         # run 2: the speculative body — memory traffic of every kind.
         MInstr(MOp.NEWOBJ, dst=7, cls="Node"),
         MInstr(MOp.STOREF, a=7, b=0, fieldname="f0"),
@@ -535,7 +538,9 @@ def _golden_method() -> CompiledMethod:
         MInstr(MOp.LOADLOCK, dst=9, a=7),
         MInstr(MOp.CLASSOF, dst=9, a=7),
         MInstr(MOp.AREGION_END),
-        # pc 27: shared tail (also the abort recovery target).
+        # pc 27: a one-uop run (a phi copy), cut off by the leader below.
+        MInstr(MOp.MOV, dst=8, a=9),
+        # pc 28: shared tail (also the abort recovery target).
         MInstr(MOp.STORESPILL, a=8, imm=0),
         MInstr(MOp.LOADSPILL, dst=8, imm=0),
         MInstr(MOp.LOADG, dst=9, imm=0x7000),
@@ -954,9 +959,14 @@ class TestRunModes:
         over: the run stays fused in both, and every observable equals
         the reference loop's."""
         compiled = _two_mode_block(region_first)
-        # The method's two leading constants are a run of their own.
-        (lead, _), (start, _) = fused_runs(compiled)
-        assert lead == 0
+        # The method's two leading constants are a run of their own, and
+        # the constant after the branch and the back-edge jump are
+        # one-uop runs: the constant in the first mode, the jump in the
+        # second.
+        start = 3 if region_first else 2
+        assert fused_runs(compiled) == [(0, 2), (start, start + 5),
+                                        (start + 5, start + 6),
+                                        (start + 7, start + 8)]
         compiles = _record_compiles(monkeypatch)
         got = _run_two_mode(compiled, "auto", timing)
         assert got == _run_two_mode(_two_mode_block(region_first),
@@ -968,7 +978,9 @@ class TestRunModes:
         modes = ("region", "plain") if region_first else ("plain", "region")
         names = [f"_f{start}_{variant}_{mode}" for mode in modes]
         assert [filename.split(":")[1] for filename, _ in compiles] == [
-            f"_f0_{variant}_plain", *names]
+            f"_f0_{variant}_plain", names[0],
+            f"_f{start + 5}_{variant}_{modes[0]}",
+            f"_f{start + 7}_{variant}_{modes[1]}", names[1]]
         namespace = compiled._jitted.table(timing)[start].__globals__
         assert [namespace[name].__name__ for name in names] == names
 
@@ -1018,6 +1030,257 @@ class TestRunModes:
             assert name.endswith(("_plain", "_region"))
             if name.endswith("_plain"):
                 assert "region." not in source
+
+    def test_cold_round_emits_only_what_it_compiles(self, monkeypatch):
+        """A cold figure round emits a run's source only to compile it:
+        a code-cache hit installs without emitting, and the cache key is
+        the emitter's whole input, so equal keys emit equal source."""
+        experiment.clear_cache()
+        compiles = _record_compiles(monkeypatch)
+        emit, key = templatejit._emit_fn, templatejit._code_key
+        emitted, installs = [], []
+
+        def emitting(*args):
+            emitted.append(args)
+            return emit(*args)
+
+        def keying(*args):
+            installs.append(args)
+            return key(*args)
+
+        monkeypatch.setattr(templatejit, "_emit_fn", emitting)
+        monkeypatch.setattr(templatejit, "_code_key", keying)
+        figures.figure7(["hsqldb"])
+        figures.figure8(["hsqldb"])
+        assert len(emitted) == len(compiles) > 0
+        assert len(installs) > len(compiles)  # cache hits install too
+        sources: dict = {}
+        for args in installs:
+            source = emit(*args)
+            assert sources.setdefault(key(*args), source) == source
+        assert len(sources) == len(compiles)
+
+    def test_code_key_covers_what_the_emitter_reads(self):
+        """Changing any uop field the emitter reads changes the code key
+        whenever it changes a run's source, so a cache hit can never
+        install another run's code."""
+        profile = TestGoldenSource()._profile()
+        key, emit = templatejit._code_key, templatejit._emit_fn
+        alternatives = {
+            "op": lambda v: MOp.MOV if v is not MOp.MOV else MOp.CONST,
+            "dst": lambda v: 5, "a": lambda v: 5, "b": lambda v: 5,
+            "c": lambda v: 5, "imm": lambda v: 3,
+            "cond": lambda v: "le" if v != "le" else "lt",
+            "target": lambda v: 2, "fieldname": lambda v: "f1",
+            "cls": lambda v: "Other", "args": lambda v: (4,),
+        }
+        assert set(alternatives) == set(templatejit._EMITTED_FIELDS)
+        changed = set()
+        for compiled in (_golden_method(), _lone_run_method("latch", True)):
+            for (start, end), timed, regioned in product(
+                    fused_runs(compiled), (False, True), (False, True)):
+                args = (start, end, profile, timed, regioned)
+                base_key = key(compiled, *args)
+                base_source = emit(compiled, *args)
+                for pc, name in product(range(start, end), alternatives):
+                    instrs = list(compiled.instrs)
+                    instrs[pc] = replace(instrs[pc], **{
+                        name: alternatives[name](getattr(instrs[pc], name))})
+                    other = replace(compiled, instrs=instrs)
+                    if emit(other, *args) != base_source:
+                        changed.add(name)
+                        assert key(other, *args) != base_key, name
+        assert changed == set(alternatives)
+
+
+# -- one-uop runs -------------------------------------------------------------
+
+#: the pc of the unfusable uop in front of every one-uop run below.
+_LONE_HEAD = 3
+
+#: one-uop run shapes: the body after the head, the pc of the shape's
+#: one-uop run, and the pc of the uop whose retirement leaves a
+#: mispredict pending in the armed runs (the uop in front of that run,
+#: or of the run it follows).
+_LONE_SHAPES = {
+    # a phi-copy MOV between the head and a monitor enter
+    "mov": ([MInstr(MOp.MOV, dst=1, a=0),
+             MInstr(MOp.STORELOCK, a=7, imm=1),
+             MInstr(MOp.STORELOCK, a=7, imm=-1)], 4, _LONE_HEAD),
+    # a loop whose latch branch follows a monitor exit
+    "latch": ([MInstr(MOp.ADD, dst=1, a=1, b=2),
+               MInstr(MOp.STORELOCK, a=7, imm=1),
+               MInstr(MOp.STORELOCK, a=7, imm=-1),
+               MInstr(MOp.BR, cond="lt", a=1, b=0, target=4)], 7, 6),
+    # a jump over a constant that never runs
+    "jmp": ([MInstr(MOp.JMP, target=6),
+             MInstr(MOp.CONST, dst=1, imm=99)], 4, _LONE_HEAD),
+    # a straight-line span one uop longer than MAX_RUN
+    "remainder": ([MInstr(MOp.ADD if k % 2 else MOp.MUL, dst=1, a=1, b=2)
+                   for k in range(MAX_RUN + 1)], 4 + MAX_RUN, _LONE_HEAD),
+}
+
+
+def _lone_run_method(shape: str, regioned: bool) -> CompiledMethod:
+    """Three constants (a trip count of 9 in register 0), a head, the
+    body of ``shape``, a tail and ``RET r1``.  The head and tail are
+    ``AREGION_BEGIN``/``AREGION_END`` when ``regioned``, else a monitor
+    enter and exit on the object in register 7 (the parameter), so the
+    body runs in the chosen mode between unfusable uops either way."""
+    M = MInstr
+    body = _LONE_SHAPES[shape][0]
+    tail = _LONE_HEAD + 1 + len(body)
+    if regioned:
+        head = M(MOp.AREGION_BEGIN, imm=1, target=tail + 2)
+        end = M(MOp.AREGION_END)
+    else:
+        head = M(MOp.STORELOCK, a=7, imm=1)
+        end = M(MOp.STORELOCK, a=7, imm=-1)
+    instrs = [M(MOp.CONST, dst=0, imm=9), M(MOp.CONST, dst=1, imm=1),
+              M(MOp.CONST, dst=2, imm=2), head,
+              *map(replace, body), end,
+              M(MOp.RET, a=1),
+              M(MOp.RET, a=2)]  # abort recovery
+    compiled = CompiledMethod(
+        name=f"lone_{shape}", num_params=1, instrs=instrs, num_regs=8,
+        region_entries={1: _LONE_HEAD} if regioned else {},
+        uses_regions=regioned)
+    compiled.param_locations = (("r", 7),)
+    return compiled
+
+
+class _ArmedModel(TimingModel):
+    """A timing model that leaves a mispredict pending when it retires
+    ``arm``, so whatever runs next is entered with the bubble pending:
+    the same point on every tier, since an unfusable uop always retires
+    through :meth:`TimingModel.uop`."""
+
+    arm = None
+
+    def uop(self, instr, mem_address):
+        super().uop(instr, mem_address)
+        if instr is self.arm:
+            self._pending_mispredict = True
+
+
+def _run_lone(shape: str, regioned: bool, dispatch: str, timing: bool,
+              armed: bool, plan=None):
+    """Run a :func:`_lone_run_method` on a fresh machine: value, stats
+    fingerprint, heap fingerprint and the model's snapshot."""
+    compiled = _lone_run_method(shape, regioned)
+    program = uop_case(0).program
+    heap = Heap()
+    obj = heap.new_object("Node", program.field_layout("Node"))
+    model = None
+    if timing:
+        model = _ArmedModel(BASELINE_4WIDE)
+        if armed:
+            model.arm = compiled.instrs[_LONE_SHAPES[shape][2]]
+    stats = ExecStats()
+    mach = Machine(program, heap, config=BASELINE_4WIDE, stats=stats,
+                   timing=model, dispatch=dispatch,
+                   fault_injector=(FaultInjector(plan)
+                                   if plan is not None else None))
+    value = mach.execute(compiled, [obj])
+    return (value, stats_fingerprint(stats), heap.fingerprint(),
+            model and timing_snapshot(model))
+
+
+class TestOneUopRuns:
+    @pytest.mark.parametrize("shape", sorted(_LONE_SHAPES))
+    def test_every_fusable_pc_is_in_one_run(self, shape):
+        """Every fusable uop starts or continues exactly one run, however
+        short its span: the handler table is entered only at unfusable
+        uops and at bails."""
+        lone = _LONE_SHAPES[shape][1]
+        for regioned in (False, True):
+            runs = fused_runs(_lone_run_method(shape, regioned))
+            assert (lone, lone + 1) in runs
+        for compiled in (_lone_run_method(shape, False),
+                         _lone_run_method(shape, True), _golden_method(),
+                         _two_mode_block(False), _long_block(),
+                         uop_case(7).compiled, branchy_case(7).compiled):
+            covered = Counter(pc for start, end in fused_runs(compiled)
+                              for pc in range(start, end))
+            fusable = {pc for pc, instr in enumerate(compiled.instrs)
+                       if instr.op in templatejit.FUSABLE_MOPS}
+            assert set(covered) == fusable and set(covered.values()) <= {1}
+            assert all(end - start <= MAX_RUN
+                       for start, end in fused_runs(compiled))
+
+    @pytest.mark.parametrize("timing,armed", [(False, False), (True, False),
+                                              (True, True)],
+                             ids=["untimed", "timed", "timed-pending"])
+    @pytest.mark.parametrize("regioned", [False, True],
+                             ids=["plain", "region"])
+    @pytest.mark.parametrize("shape", sorted(_LONE_SHAPES))
+    def test_matches_reference(self, monkeypatch, shape, regioned, timing,
+                               armed):
+        """A one-uop run, entered in either mode, timed or not, and with
+        a mispredict pending at entry, compiles and leaves the value,
+        stats, heap and timing model exactly as the reference loop does,
+        on the fused table and on the handler table."""
+        base = _run_lone(shape, regioned, "interpretive", timing, armed)
+        compiles = _record_compiles(monkeypatch)
+        for tier, plan in FAST_TIERS.items():
+            got = _run_lone(shape, regioned, "auto", timing, armed, plan)
+            assert got == base, f"{tier} diverged"
+        name = (f"_f{_LONE_SHAPES[shape][1]}_{'t' if timing else 'u'}_"
+                f"{'region' if regioned else 'plain'}")
+        assert name in {filename.split(":")[1] for filename, _ in compiles}
+        summary = dict(base[1][0])
+        assert summary["regions"] == int(regioned)
+        assert summary["abort_rate"] == 0.0
+        if armed:
+            # The armed bubble was applied: it is not left pending.
+            assert not base[3][8]
+
+    def test_warmed_timed_pass_enters_no_fusable_handler(self, monkeypatch):
+        """Over one warmed timed pass of the steady workloads, handlers
+        run only at unfusable uops: no handler of a fusable uop is
+        entered, since every fusable uop is in a run and these workloads
+        take no bail.  Counted by wrapping each method's handler list as
+        it is built, before any dispatch table copies it."""
+        entries: Counter = Counter()
+        build = templatejit.jit_compile
+
+        def counted(handler, fusable):
+            def h(fr):
+                entries[fusable] += 1
+                return handler(fr)
+            return h
+
+        def counting(compiled, machine):
+            jm = build(compiled, machine)
+            jm.handlers[:] = [
+                counted(h, instr.op in templatejit.FUSABLE_MOPS)
+                for h, instr in zip(jm.handlers, compiled.instrs)]
+            return jm
+
+        monkeypatch.setattr(templatejit, "jit_compile", counting)
+        vms = []
+        for bench in ("hsqldb", "xalan", "jython"):
+            workload = get_workload(bench)
+            for sample in workload.samples:
+                vm = TieredVM(workload.build(),
+                              compiler_config=ATOMIC_AGGRESSIVE,
+                              options=VMOptions(enable_timing=True,
+                                                compile_threshold=3))
+                vm.warm_up(workload.entry,
+                           [list(a) for a in sample.warm_args])
+                vm.compile_hot(min_invocations=1)
+                vms.append((vm, workload, sample))
+
+        def run_pass():
+            for vm, workload, sample in vms:
+                for args in sample.measure_args:
+                    vm.run(workload.entry, list(args))
+
+        run_pass()  # warming: compiles the runs the pass reaches
+        entries.clear()
+        run_pass()
+        assert entries[False] > 0  # region begin and end, at least
+        assert entries[True] == 0
 
 
 # -- fallback gating ----------------------------------------------------------
