@@ -1,27 +1,30 @@
 #!/usr/bin/env python3
-"""Host-performance trajectory: wall-clock the host dispatch tiers.
+"""Host-performance trajectory: wall-clock the host dispatch paths.
 
 Times representative workload cells — the paper's marker-delimited
 measurement sweeps on compiled code, which is exactly what the fast
-dispatch tiers accelerate — on all three dispatch paths in the same
+dispatch tier accelerates — on three dispatch paths in the same
 process: the interpretive reference loop (``dispatch="interpretive"``),
-the pre-decoded handler table (``dispatch="auto"`` with
-``fault_plan=FaultPlan.none()``: an attached fault injector selects it,
-as in every fault-injected cell) and template-jit fused code
-(``dispatch="auto"``, no fault injector).  It asserts they produce
-byte-identical ``ExecStats`` summaries, cycle counts and guest results,
-and emits ``BENCH_host.json``.  Each VM first runs one unmeasured
-priming sweep (template-jit runs compile on first execution), so every
-number is a steady-state sweep::
+fault-injected fused code (``dispatch="auto"`` with
+``fault_plan=FaultPlan.none()``: an attached fault injector selects the
+fused code whose region functions probe after every uop, as in every
+fault-injected cell) and template-jit fused code (``dispatch="auto"``,
+no fault injector).  It asserts they produce byte-identical
+``ExecStats`` summaries, cycle counts and guest results, and emits
+``BENCH_host.json``.  Each VM first runs one unmeasured priming sweep
+(template-jit runs compile on first execution), so every number is a
+steady-state sweep::
 
-    {"<bench>": {"wall_s": ...,            # handler table, best of N
+    {"<bench>": {"wall_s": ...,            # faulted fused code, best of N
                  "baseline_wall_s": ...,   # interpretive dispatch, same run
-                 "uops_per_s": ...,        # retired uops / handler wall
+                 "uops_per_s": ...,        # retired uops / faulted wall
                  "speedup_vs_baseline": ...,
                  "jit_wall_s": ...,        # template-jit, best of N repeats
                  "jit_uops_per_s": ...,
                  "jit_speedup_vs_baseline": ...,
-                 "jit_ref_uops_per_s": ...}}  # jit uops/s, host-rescaled
+                 "jit_ref_uops_per_s": ...,  # jit uops/s, host-rescaled
+                 "slowdown": ...,          # host slowdown over wall_s
+                 "jit_slowdown": ...}}     # host slowdown over jit_wall_s
 
 Usage:
     python benchmarks/bench_host_perf.py [--output BENCH_host.json]
@@ -29,8 +32,10 @@ Usage:
         [--min-timed-jit-rate X]
 
 ``--check`` compares the fresh measurements against a previously emitted
-file and exits non-zero if any cell's handler-table or jit wall time
-regressed more than 25% — the CI perf-smoke gate.  ``--min-jit-rate``
+file and exits non-zero if any cell's faulted or jit wall time,
+rescaled to the reference host speed (divided by the host slowdown
+measured around it), regressed more than 25% — the CI perf-smoke
+gate.  ``--min-jit-rate``
 additionally fails unless the *best* untimed cell's jit throughput,
 rescaled to the reference host speed of ``benchmarks/e2e/hostspeed.py``
 (``jit_ref_uops_per_s``), reaches the given floor in uops/s: the
@@ -190,12 +195,13 @@ def run_suite(repeats: int) -> dict:
     ]
     cells.append(("differential_sweep", _differential_sweep))
     for bench, cell in cells:
-        # an injector with no fault armed selects the handler table
+        # The host is calibrated on either side of each fast timing.
+        speed = HostSpeed()
+        # an injector with no fault armed selects faulted fused code
         fast_wall, fast_uops, fast_digest = _time_cell(
             lambda: cell("auto", FaultPlan.none()), repeats)
-        # "auto" with no fault injector is the template-jit tier; the
-        # host is calibrated on either side of its timing
-        speed = HostSpeed()
+        fast_slowdown = speed.step()
+        # "auto" with no fault injector is unfaulted fused code
         jit_wall, jit_uops, jit_digest = _time_cell(
             lambda: cell("auto"), repeats)
         slowdown = speed.step()
@@ -203,7 +209,7 @@ def run_suite(repeats: int) -> dict:
             lambda: cell("interpretive"), repeats)
         if fast_digest != slow_digest:
             raise AssertionError(
-                f"{bench}: the handler table diverged from interpretive "
+                f"{bench}: faulted fused code diverged from interpretive "
                 "dispatch — the fast path is NOT observationally inert"
             )
         if jit_digest != slow_digest:
@@ -220,9 +226,11 @@ def run_suite(repeats: int) -> dict:
             "jit_uops_per_s": round(jit_uops / jit_wall),
             "jit_speedup_vs_baseline": round(slow_wall / jit_wall, 2),
             "jit_ref_uops_per_s": round(jit_uops * slowdown / jit_wall),
+            "slowdown": round(fast_slowdown, 4),
+            "jit_slowdown": round(slowdown, 4),
             "calib_ms": round(speed.calib_ms(), 3),
         }
-        print(f"{bench:>20}: handlers {fast_wall:.3f}s "
+        print(f"{bench:>20}: faulted {fast_wall:.3f}s "
               f"({results[bench]['speedup_vs_baseline']:.2f}x)  "
               f"jit {jit_wall:.3f}s "
               f"({results[bench]['jit_speedup_vs_baseline']:.2f}x)  "
@@ -233,27 +241,33 @@ def run_suite(repeats: int) -> dict:
 
 
 def check_regression(fresh: dict, baseline_path: Path) -> int:
+    """Fail if a fresh wall time, divided by the host slowdown measured
+    around it (as :func:`check_jit_floor` rescales its rates), exceeds
+    the baseline's by more than :data:`REGRESSION_BUDGET`."""
     baseline = json.loads(baseline_path.read_text())
     failures = []
     for bench, entry in fresh.items():
         base = baseline.get(bench)
         if base is None:
             continue
-        for key, label in (("wall_s", "handlers"),
-                           ("jit_wall_s", "jit")):
+        for key, slowdown, label in (("wall_s", "slowdown", "faulted"),
+                                     ("jit_wall_s", "jit_slowdown", "jit")):
             if key not in base:
                 continue
             budget = base[key] * (1.0 + REGRESSION_BUDGET)
-            if entry[key] > budget:
+            rescaled = entry[key] / entry[slowdown]
+            if rescaled > budget:
                 failures.append(
-                    f"{bench} ({label}): {entry[key]:.3f}s vs baseline "
-                    f"{base[key]:.3f}s (>{REGRESSION_BUDGET:.0%} budget)"
+                    f"{bench} ({label}): {rescaled:.3f}s rescaled "
+                    f"({entry[key]:.3f}s at slowdown "
+                    f"{entry[slowdown]:.2f}) vs baseline {base[key]:.3f}s "
+                    f"(>{REGRESSION_BUDGET:.0%} budget)"
                 )
     if failures:
         print("PERF REGRESSION:", *failures, sep="\n  ")
         return 1
-    print(f"perf check ok: no cell regressed more than "
-          f"{REGRESSION_BUDGET:.0%} vs {baseline_path}")
+    print(f"perf check ok: no cell's rescaled wall time regressed more "
+          f"than {REGRESSION_BUDGET:.0%} vs {baseline_path}")
     return 0
 
 
@@ -282,8 +296,9 @@ def main() -> int:
                         help="write BENCH_host.json here "
                              "(default: repo root)")
     parser.add_argument("--check", default=None, metavar="BASELINE",
-                        help="fail if fast-path wall time regressed >25%% "
-                             "against this previously emitted file")
+                        help="fail if a fast path's host-rescaled wall "
+                             "time regressed >25%% against this "
+                             "previously emitted file")
     parser.add_argument("--repeats", type=int, default=3,
                         help="wall-clock repetitions per cell (best-of)")
     parser.add_argument("--min-jit-rate", type=float, default=None,

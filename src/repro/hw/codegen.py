@@ -22,7 +22,7 @@ compensation code.
 
 This module only produces code; executing a uop is the business of the
 reference loop in :mod:`repro.hw.machine` and of the templates in
-:mod:`repro.hw.templatejit` (handlers and fused runs).
+:mod:`repro.hw.templatejit` (fused runs).
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ class CompiledMethod:
     #: abort budget never speculates again.  Patch through
     #: :meth:`disable_region`.
     disabled_regions: set = field(default_factory=set)
-    #: cached dispatch form — handlers and fused runs
+    #: cached dispatch form — the fused runs and their dispatch tables
     #: (:func:`repro.hw.templatejit.jit_compile`); not part of value
     #: semantics.
     _jitted: object = field(default=None, repr=False, compare=False)
@@ -233,10 +233,9 @@ class CompiledMethod:
     def disable_region(self, region_id: int) -> None:
         """Patch ``region_id`` to its permanent non-speculative fallback.
 
-        The dispatch form stays valid: no handler table or fused run is
-        built from :attr:`disabled_regions`.  The ``aregion_begin``
-        handler reads the set on every entry, and fused runs never hold
-        an ``aregion_begin``.
+        The dispatch form stays valid: no fused run is built from
+        :attr:`disabled_regions`; the ``aregion_begin`` template that
+        ends a run reads the set on every entry.
         """
         self.disabled_regions.add(region_id)
 

@@ -106,7 +106,7 @@ _LOAD_UOPS = (_LOADF, _LOADA, _LOADLEN, _LOADLOCK, _LOADSPILL, _LOADG,
 
 class ExecFrame:
     """Mutable per-activation state, shared by the reference loop and
-    the handlers and fused runs of the fast tiers."""
+    the fused runs of the fast tier."""
 
     __slots__ = (
         "machine", "compiled", "regs", "spill", "spill_base", "code_base",
@@ -228,19 +228,16 @@ class Machine:
             fault_injector.clock = lambda: self.uops_executed
         #: uop dispatch: "auto" or "interpretive" (always the reference
         #: loop, the tests' oracle).  Under "auto" one rule picks the
-        #: path per activation: a scheduler runs the reference loop, an
-        #: attached fault injector the handler table (its per-uop probes
-        #: stay live), and every other machine, traced or not, the fused
-        #: template-jit table.  The tracer's emission sites all sit in
-        #: the region-lifecycle methods every path calls, so every path
-        #: is observationally identical, event stream included.
+        #: path per activation: a scheduler runs the reference loop, and
+        #: every other machine — traced, fault-injected or neither — the
+        #: fused template-jit table (a fault injector's probes are baked
+        #: into its profile).  The tracer's emission sites all sit in the
+        #: region-lifecycle methods every path calls, so every path is
+        #: observationally identical, event stream included.
         if dispatch not in DISPATCH_MODES:
             raise VMError(f"unknown dispatch mode {dispatch!r}; "
                           f"expected one of {DISPATCH_MODES}")
         self.dispatch = dispatch
-        #: whether the fast path runs fused template-jit code rather than
-        #: the handler table (see :mod:`repro.hw.templatejit`).
-        self._jit_tier = fault_injector is None
         #: deterministic guest scheduler (attached by TieredVM.run_threads);
         #: None keeps the machine single-threaded and bit-identical to the
         #: pre-scheduler behaviour.
@@ -309,10 +306,10 @@ class Machine:
         self._timing = timing
 
     def prepare(self, compiled: CompiledMethod) -> None:
-        """Eagerly build the dispatch caches this machine's tier will use.
+        """Eagerly build the dispatch table this machine will use.
 
-        The handler table and the template-jit dispatch table are
-        one-time costs that otherwise land on the first activation —
+        The template-jit dispatch table is a one-time cost that
+        otherwise lands on the first activation —
         which, under the harness's measurement protocol, is *inside* the
         measured window.  The VM calls this at method-install time.
         A fused run's function for one mode (outside or inside a region)
@@ -321,28 +318,23 @@ class Machine:
         pays for ``compile()``.  Purely a warm-up: executing without
         it is observationally identical.
         """
-        if self.dispatch == "interpretive":
-            return
-        jm = get_jitted(compiled, self)
-        if self._jit_tier:
-            jm.table(self.timing is not None)
+        if self.dispatch != "interpretive":
+            get_jitted(compiled, self).table(self.timing is not None)
 
     def execute(self, compiled: CompiledMethod, args: list[Value]) -> Value:
         """Run one activation of ``compiled``.
 
-        The fast path is one loop over a pc-indexed table: a handler at
-        every pc when a fault injector is attached, otherwise a fused-run
-        function at each run start so straight-line spans retire without
-        re-entering the loop.  Either way the loop resumes at whatever pc
-        the callee (or the abort machinery) hands back.  A scheduler, or
+        The fast path is one loop over a pc-indexed table: a fused-run
+        function at each run start, so straight-line spans retire without
+        re-entering the loop, and a closure that steps the reference loop
+        everywhere else.  The loop resumes at whatever pc the callee (or
+        the abort machinery) hands back.  A scheduler, or
         ``dispatch="interpretive"``, runs the reference loop
         (:meth:`_run`) instead.
         """
         fr = self._frame(compiled, args)
         if self.dispatch != "interpretive" and self.sched is None:
-            jm = get_jitted(compiled, self)
-            table = (jm.table(fr.timing is not None) if self._jit_tier
-                     else jm.handlers)
+            table = get_jitted(compiled, self).table(fr.timing is not None)
             pc = 0
             while pc >= 0:
                 pc = table[pc](fr)
@@ -387,11 +379,11 @@ class Machine:
 
     def _step(self, fr: ExecFrame, pc: int) -> int:
         """Retire the one uop at ``pc`` on the reference loop: the slow
-        path of every templated handler, entered before the handler has
-        applied any effect, and the whole handler of a stepped uop (see
-        :mod:`repro.hw.templatejit`).  All the uop does, a taken trap's
-        pending mispredict included, is the reference's.  Returns the
-        next pc (-1 after a return)."""
+        path of every template, entered before fused code has applied
+        any of the uop's effects, and the dispatch-table entry of every
+        pc that starts no fused run (see :mod:`repro.hw.templatejit`).
+        All the uop does, a taken trap's pending mispredict included, is
+        the reference's.  Returns the next pc (-1 after a return)."""
         try:
             fr.ret = self._run(fr, pc, _OneStep(fr.compiled.instrs))
         except _Stepped as stop:
@@ -402,7 +394,7 @@ class Machine:
         """The interpretive reference loop, from ``pc`` until a return
         (or, over a :class:`_OneStep`, for one uop).  The in-flight
         region lives in a local; every change to it is mirrored into
-        ``fr.region``, so a single step hands it back to the handlers."""
+        ``fr.region``, so a single step hands it back to fused code."""
         compiled = fr.compiled
         regs = fr.regs
         spill = fr.spill
@@ -791,9 +783,10 @@ class Machine:
                     )
                     region = fr.region = None
 
-    # -- fast dispatch tiers ------------------------------------------------
+    # -- fast dispatch tier -------------------------------------------------
     def _fast_abort(self, fr: ExecFrame, reason: str, next_pc: int) -> int:
-        """Retirement-check abort from a handler; returns the resume pc."""
+        """Retirement-check abort from fused code; returns the resume
+        pc."""
         pc = self._do_abort(
             fr.compiled, fr.region, reason, fr.code_base + next_pc, None,
             fr.regs, fr.spill,

@@ -1,62 +1,51 @@
 """Template JIT: the one fast-path definition of every hot uop.
 
 Each hot uop's semantics are written once, as a template in
-:class:`_Body`, and instantiated in two modes.  The uops production
-traffic barely retires — atomic RMW (``FAA``/``CAS``/``LL``/``SC``),
-calls, return and ``AREGION_ABORT`` — are *stepped*: they have no
-template, and their handler at every pc retires them on the interpretive
-reference loop in :mod:`repro.hw.machine`.  Apart from that loop,
-nothing else in the repo implements a uop.
+:class:`_Body`, and instantiated once, into fused runs.  The uops
+production traffic barely retires — atomic RMW (``FAA``/``CAS``/``LL``/
+``SC``), calls, return and ``AREGION_ABORT`` — are *stepped*: they have
+no template, and the dispatch table holds, at their pc, a one-line
+closure that retires them on the interpretive reference loop in
+:mod:`repro.hw.machine`.  Apart from that loop, nothing else in the repo
+implements a uop.
 
-**Handler mode: one uop per call.**  The pre-decoded handler at each pc
-comes from a *factory* per template shape — the op plus the static facts
-its template branches on (a branch's condition and whether it compares
-against zero, ``LOADG``'s missing address, a lock store's direction).  A
-shape's factory (``def _mk(instr, mypc, shift): ...; return h``) is
-emitted and ``compile()``d the first time any method needs it, then
-cached for the process; building the handler at a pc is a key, a lookup
-and a factory call that binds the uop's operands as closure names.  A
-handler applies the uop, calls the timing model (``T.branch``/``T.uop``)
-when one is attached, counts the uop once, and then — inside a region —
-runs the full retirement probe ``Machine._hw_condition`` at exactly the
-reference loop's points (none after ``JMP`` or a fired ``BR_ABORT``; a
-taken ``BR`` probes at its target), so fault-injected runs, whose
-offsets and interrupts read those counters, stay exact.  Only
-``STORELOCK``, ``AREGION_BEGIN`` and ``AREGION_END`` have handler-mode
-templates only; a stepped uop's handler is one closure that calls
-``Machine._step``, and no factory source is emitted for it.
-
-**Fused mode: straight-line runs.**  :func:`fused_runs` partitions every
-basic block into runs of *fusable* uops (at most :data:`MAX_RUN` long;
-a lone fusable uop is a run of one), so every fusable uop is in exactly
-one run and handlers are entered only at unfusable uops and at bails.
-Each run becomes two functions, one for code outside a region
-(*plain*) and one for code inside one (*region*): registers resolved to
-list indexes, immediates/field names/branch targets baked in as
-constants, and the per-uop bookkeeping collapsed into batched counter
-flushes at the run's exit points (superinstruction fusion).  Each
-function is ``compile()``d on the run's *first entry in its mode*: the
-dispatch table starts out holding a stub per run that compiles the
-function of the mode it is entered in, patches it into the table, and
-runs it.  Each function's entry guard hands the other mode to the other
-function — a stub of its own until that mode's first entry — so a run
-entered in both modes runs fused in both.  Compiled code is cached for
-the process, keyed by everything the emitter reads (:func:`_code_key`:
-the run's span, mode, timing variant and profile and its uops' fields;
-:data:`_CODE`, dropped by :func:`clear_code_cache`): a method whose run
-would emit the same source as one compiled before ``exec``s the cached
-code into its own namespace, and no source is emitted for it.  Handlers
-and fused tables live together on one :class:`JittedMethod`, cached on
-the :class:`~repro.hw.isa.CompiledMethod`; a recompile makes a new code
-object, and ``disable_region`` keeps the cache (the ``aregion_begin``
-handler reads the patch on every entry).
+**Fused runs.**  :func:`fused_runs` partitions every basic block into
+runs of templated uops (at most :data:`MAX_RUN` long; a lone uop is a
+run of one), so every templated uop is in exactly one run.  A lock-word
+store (``STORELOCK``), ``AREGION_BEGIN`` and ``AREGION_END`` always end
+their run: they call the timing model dynamically (``T.uop``, and
+``T.region_begin``/``T.region_end``) after the run's timing write-back,
+and the begin and end switch the mode the next run is entered in.  Each
+run becomes two functions, one for code outside a region (*plain*) and
+one for code inside one (*region*): registers resolved to list indexes,
+immediates/field names/branch targets baked in as constants, and the
+per-uop bookkeeping collapsed into batched counter flushes at the run's
+exit points (superinstruction fusion).  Each function is ``compile()``d
+on the run's *first entry in its mode*: the dispatch table starts out
+holding a stub per run that compiles the function of the mode it is
+entered in, patches it into the table, and runs it.  Each function's
+entry guard hands the other mode to the other function — a stub of its
+own until that mode's first entry — so a run entered in both modes runs
+fused in both.  Compiled code is cached for the process, keyed by
+everything the emitter reads (:func:`_code_key`: the run's span, mode,
+timing variant and profile and its uops' fields; :data:`_CODE`, dropped
+by :func:`clear_code_cache`): a method whose run would emit the same
+source as one compiled before ``exec``s the cached code into its own
+namespace, and no source is emitted for it.  Every pc that starts no
+run holds the stepped closure; the dispatch loop enters one only at a
+stepped uop, after a bail, or where a conflict retry re-lands on a
+begin that ends a run.  The fused tables live on one
+:class:`JittedMethod`, cached on the
+:class:`~repro.hw.isa.CompiledMethod`; a recompile makes a new code
+object, and ``disable_region`` keeps the cache (the begin template reads
+the patch on every entry).
 
 The contract is strict observational equivalence with the reference:
 byte-identical :class:`ExecStats`, identical timing-model state (cycle
 counts, scoreboard, predictor, caches), identical heap/address
 allocation order, and identical exception/abort behaviour (enforced by
 ``tests/test_differential.py`` and the generative battery in
-``tests/test_templatejit.py``).  Four mechanisms make that hold:
+``tests/test_templatejit.py``).  Three mechanisms make that hold:
 
 **Slow paths are the reference.**  Any case a template does not handle
 inline — a non-integer ALU operand, a zero divisor, a null or junk base,
@@ -65,37 +54,33 @@ under an ordered condition, a negative array length, a taken trap, a
 lock word another thread owns, a failed fallback-lock check at
 ``AREGION_END``, an ``AREGION_BEGIN`` that re-lands (setjmp delivery),
 releases the fallback lock or is suppressed — *bails* before the uop
-has any observable effect.
-Fused code flushes the counters of the uops already completed and
-tail-calls the current uop's handler; a handler returns
-``Machine._step``, which retires that one uop on the reference loop (the
-deoptimization-to-reference discipline).  So every slow path — counters,
-traps, aborts, errors — is exact by construction.
+has any observable effect: fused code flushes the counters of the uops
+already completed and returns ``Machine._step``, which retires that one
+uop on the reference loop (the deoptimization-to-reference discipline).
+So every slow path — counters, traps, aborts, errors — is exact by
+construction.
 
-**Retirement checks only where they can fire.**  Under the JIT's
-admission profile (no scheduler, no fault injector) the probe's verdict
-can only change when a uop grows the region's read/write line sets or
-store buffer.  Fused code therefore emits the (profile-specialised)
-check only after the memory-tracking uops —
-CLASSOF/LOADF/STOREF/LOADA/STOREA/LOADLEN/LOADLOCK — in the region body,
-and the checks it emits mirror ``_hw_condition``'s order and
-detail-register writes exactly.  A tracer may be attached: every
-emission sits in the ``Machine`` region-lifecycle methods, which fused
-code calls with its counters flushed, so the event stream is the
-reference loop's.
-
-**Unfusable uops split runs.**  Lock-word stores, region begin/end and
-the stepped uops never enter fused code; they retire on their handlers
-between runs.  The fusable uops between two of them — often a single
-phi-copy ``MOV``, loop-latch ``BR`` or ``JMP`` — form a run however
-short, so a timed one retires inline instead of calling the model.
-``LOADLOCK`` — the SLE'd monitor-enter's single probing load — *is*
-fused: it is a pure read (read-set add + lock-owner probe) and sits on
-the hottest elided-monitor paths.
+**Retirement checks only where they can fire.**  With no fault injector
+the probe's verdict can only change when a uop grows the region's
+read/write line sets or store buffer.  Fused code therefore emits the
+(profile-specialised) check only after the memory-tracking uops —
+CLASSOF/LOADF/STOREF/LOADA/STOREA/LOADLEN/LOADLOCK/STORELOCK — in the
+region body, and the checks it emits mirror ``_hw_condition``'s order and
+detail-register writes exactly; the region a begin opens gets the full
+probe.  A fault-injected machine (:attr:`JitProfile.faulted`) runs the
+same runs, but its region functions flush the counters and call the full
+``Machine._hw_condition`` after every uop, at exactly the reference
+loop's points (none after ``JMP`` or a fired ``BR_ABORT``; a taken
+``BR`` probes at its target), so injected offsets and interrupts, which
+read those counters, fire where they do on the reference.  A tracer may
+be attached: every emission sits in the ``Machine`` region-lifecycle
+methods, which fused code calls with its counters flushed, so the event
+stream is the reference loop's.
 
 **The timing model is folded in.**  Every fused run has two timing
 variants, each with its plain and region function.  The untimed one
-touches no timing state.  The timed one inlines the
+touches no timing state.  The timed one of an unfaulted profile inlines
+the
 :class:`~repro.hw.timing.TimingModel` scoreboard: each uop's static
 facts (:func:`~repro.hw.timing.uop_timing` — sources, execution class,
 latency, destination) and the machine's widths, window, mispredict
@@ -107,20 +92,23 @@ predictor runs inline, a mispredict's bubble is applied in the same
 uop's tick, and an L1 access that hits the most-recently-used way (no
 LRU reorder needed) is resolved inline; every other access calls the
 cache model.  The locals are written back to the model before *every*
-exit — fall-through, branch returns, bails and ``_fast_abort`` — so
-whatever runs next (a handler, the abort machinery, the next run) sees
-exactly the per-uop model's state.  A taken trap bails before its
-prediction, so the reference step predicts it and leaves its mispredict
-pending; and a run entered while the model carries a pending mispredict
-or commit record bails to its first uop's handler, so fused code never
-has to apply them.
+exit and every call that reads the model — fall-through, branch
+returns, bails, probes, ``_fast_abort`` and a run end's dynamic
+``T.uop`` — so whatever runs next sees exactly the per-uop model's
+state.  A taken trap bails before its prediction, so the reference step
+predicts it and leaves its mispredict pending; and a run entered while
+the model carries a pending mispredict or commit record steps its first
+uop on the reference loop, so fused code never has to apply them.  A
+fault-injected machine's timed code calls the model per uop instead
+(``T.branch``/``T.uop``, as the reference loop does): its cells run
+cold, and the inline scoreboard would triple the source they compile.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
+from functools import cache
 from types import CodeType
 
 from ..runtime.heap import GuestArray, GuestObject
@@ -137,15 +125,12 @@ __all__ = [
     "clear_code_cache",
     "fused_runs",
     "get_jitted",
-    "handler_source",
     "jit_compile",
     "jit_profile",
     "jit_source",
 ]
 
-#: uops the emitter knows how to fuse.  Everything else (lock-word
-#: stores, region begin/end, and the stepped uops) runs only on its
-#: handler and splits the surrounding run.
+#: uops with a template: everything but the stepped uops.
 FUSABLE_MOPS = frozenset({
     MOp.CONST, MOp.CONST_NULL, MOp.CONST_CLASS, MOp.MOV,
     MOp.ADD, MOp.SUB, MOp.MUL, MOp.DIV, MOp.MOD,
@@ -154,7 +139,14 @@ FUSABLE_MOPS = frozenset({
     MOp.LOADLEN, MOp.LOADLOCK, MOp.LOADSPILL, MOp.STORESPILL, MOp.LOADG,
     MOp.NEWOBJ, MOp.NEWARR,
     MOp.BR, MOp.JMP, MOp.BR_TRAP, MOp.BR_ABORT,
+    MOp.STORELOCK, MOp.AREGION_BEGIN, MOp.AREGION_END,
 })
+
+#: fusable uops that end their run: they call the timing model
+#: dynamically, after the run's write-back (a lock-word store's RMW
+#: tick; a region boundary's begin/end event), and a region boundary
+#: switches the mode of the code after it.
+_RUN_ENDS = frozenset({MOp.STORELOCK, MOp.AREGION_BEGIN, MOp.AREGION_END})
 
 #: longer fusable spans are cut into runs of at most this many uops, so
 #: one host-compile unit (and the code object it leaves behind) stays
@@ -163,16 +155,16 @@ MAX_RUN = 48
 
 #: uops that grow the region's read/write line sets or store buffer —
 #: the only points where the retirement-time hardware condition can
-#: newly fire under the JIT admission profile.
+#: newly fire with no fault injector attached.
 _MEM_TRACK = frozenset({
     MOp.CLASSOF, MOp.LOADF, MOp.STOREF, MOp.LOADA, MOp.STOREA, MOp.LOADLEN,
-    MOp.LOADLOCK,
+    MOp.LOADLOCK, MOp.STORELOCK,
 })
 
 _BRANCHY = frozenset({MOp.BR, MOp.BR_TRAP, MOp.BR_ABORT})
 _SPILLY = frozenset({MOp.LOADSPILL, MOp.STORESPILL})
 #: uops with no template: production traffic barely retires them, so
-#: their handler at every pc steps the reference loop.
+#: the stepped closure at their pc retires them on the reference loop.
 _STEPPED = frozenset({
     MOp.FAA, MOp.CAS, MOp.LL, MOp.SC, MOp.CALLVM, MOp.VCALLVM, MOp.RET,
     MOp.AREGION_ABORT,
@@ -193,7 +185,8 @@ class JitProfile:
     Only knobs that appear as *constants* in the emitted code belong
     here; anything read dynamically through ``fr.machine`` (L1 geometry
     for the cache-shaped probe, the fallback lock object) does not force
-    a recompile.
+    a recompile.  Every field is derived from the machine by
+    :func:`jit_profile`.
     """
 
     line_shift: int
@@ -201,6 +194,10 @@ class JitProfile:
     store_bound: int | None
     cache_shaped: bool
     fallback_begin: bool
+    #: a fault injector is attached: region functions probe in full
+    #: after every uop, and timed code calls the timing model per uop
+    #: (see the module docstring).
+    faulted: bool
     # -- the timing model's scoreboard (timed variant only) ----------------
     fetch_width: int
     retire_width: int
@@ -222,6 +219,7 @@ def jit_profile(machine) -> JitProfile:
         store_bound=machine._store_bound,
         cache_shaped=machine._cache_shaped,
         fallback_begin=machine._fallback_mode == "begin",
+        faulted=machine.fault_injector is not None,
         fetch_width=config.fetch_width,
         retire_width=config.retire_width,
         window=config.instruction_window,
@@ -235,26 +233,21 @@ def jit_profile(machine) -> JitProfile:
 
 @dataclass
 class JittedMethod:
-    """The dispatch form of one :class:`CompiledMethod`: its handler
-    table and the two fused-run tables built over it.
+    """The dispatch form of one :class:`CompiledMethod`: its fused runs
+    and the two dispatch tables built over them.
 
-    :attr:`handlers` holds the handler-mode instantiation of each uop's
-    template at its pc (a stepped uop's reference step).  :meth:`table`
-    returns a pc-indexed list of callables: at each run-start pc a fused
-    function of the run (the one compiled most recently, or, until the
-    run's first execution, the stub that compiles it), the handler
-    everywhere else.  The machine's loop is the same over either —
-    ``pc = table[pc](fr)`` — so entering and leaving fused code costs
-    nothing beyond the table load.
+    :meth:`table` returns a pc-indexed list of callables: at each
+    run-start pc a fused function of the run (the one compiled most
+    recently, or, until the run's first execution, the stub that
+    compiles it), the stepped closure everywhere else.  The machine's
+    loop is ``pc = table[pc](fr)``, so entering and leaving fused code
+    costs nothing beyond the table load.
     """
 
     #: machine constants the fused source was specialised for.
     profile: JitProfile
     #: fused spans ``(start, end)`` over the instruction array.
     runs: list = field(default_factory=list)
-    #: pc-indexed handlers (the table a fault-injected machine runs, and
-    #: the fused runs' bail target).
-    handlers: list = field(default_factory=list, repr=False, compare=False)
     #: the code object the runs were cut from.
     _compiled: CompiledMethod | None = field(
         default=None, repr=False, compare=False)
@@ -273,12 +266,14 @@ class JittedMethod:
 
 def fused_runs(compiled: CompiledMethod) -> list[tuple[int, int]]:
     """Fusable straight-line spans, one per ``(start, end)``: every
-    maximal span of fusable uops in a basic block, one uop long or more,
-    so each fusable pc is in exactly one run.
+    maximal span of fusable uops in a basic block that no lock-word
+    store or region begin/end cuts short, one uop long or more, so each
+    fusable pc is in exactly one run.
 
     Runs never cross basic-block boundaries (every branch target is a
     block leader, so control can only *enter* a fused function at its
-    first uop) and never include an unfusable uop.  A maximal span
+    first uop), never include a stepped uop, and hold a ``STORELOCK``,
+    ``AREGION_BEGIN`` or ``AREGION_END`` only as their last uop.  A span
     longer than :data:`MAX_RUN` is cut into consecutive runs (the last
     may be one uop); control falls from one into the next through the
     dispatch loop.
@@ -289,15 +284,13 @@ def fused_runs(compiled: CompiledMethod) -> list[tuple[int, int]]:
     for start, end, _succs in blocks:
         i = start
         while i < end:
-            if instrs[i].op in FUSABLE_MOPS:
-                j = i
-                while j < end and instrs[j].op in FUSABLE_MOPS:
-                    j += 1
-                runs += [(k, min(j, k + MAX_RUN))
-                         for k in range(i, j, MAX_RUN)]
-                i = j
-            else:
-                i += 1
+            j = i
+            while j < end and instrs[j].op in FUSABLE_MOPS:
+                j += 1
+                if instrs[j - 1].op in _RUN_ENDS:
+                    break
+            runs += [(k, min(j, k + MAX_RUN)) for k in range(i, j, MAX_RUN)]
+            i = max(j, i + 1)
     return runs
 
 
@@ -306,31 +299,30 @@ def fused_runs(compiled: CompiledMethod) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 class _Body:
-    """Emits one body (plain or region) of one fused run or one handler.
+    """Emits one body (plain or region) of one fused run.
 
-    Fused mode tracks the statically-known counter increments of the uops
+    It tracks the statically-known counter increments of the uops
     completed so far; every exit point flushes them in one batch, so the
     per-uop ``uops_retired``/``loads``/``stores``/``branches`` stores
     collapse into a handful of ``+= K`` statements.  The timed variant
     also tracks which timing-model state the uops emitted so far have
-    changed, so each exit writes back exactly that state.
-
-    Handler mode (``handler=True``) emits the same templates for a single
-    uop whose operands are closure names bound by the handler's factory
-    (``dst``, ``a``, ``target``, ``mypc``, ``nxt``, ``instr`` ...): its
-    counters are flushed once, before the full retirement probe
-    ``mach._hw_condition(region)``; timing is the dynamic
-    ``T.branch``/``T.uop`` calls; and a bail steps the reference loop.
+    changed, so each exit writes back exactly that state.  The region
+    body of a faulted profile (:attr:`probing`) flushes and probes after
+    every uop instead.
     """
 
-    def __init__(self, regioned: bool, timed: bool,
-                 profile: JitProfile | None, base_depth: int,
-                 handler: bool = False) -> None:
+    def __init__(self, regioned: bool, timed: bool, profile: JitProfile,
+                 base_depth: int) -> None:
         self.regioned = regioned
         self.timed = timed
         self.profile = profile
         self.base = base_depth
-        self.handler = handler
+        #: a fault injector reads the counters at every retirement probe.
+        self.probing = regioned and profile.faulted
+        #: the timed variant inlines the timing model, except a faulted
+        #: machine's, which calls it per uop: fault-injected cells run
+        #: cold, so the smaller compile wins.
+        self.inline = timed and not profile.faulted
         self.lines: list[str] = []
         # completed-uop counter batch: uops, loads, stores, branches,
         # monitor ops
@@ -338,22 +330,20 @@ class _Body:
         # timed: scoreboard ticked / predictor trained / L1 hit inline
         self.ticked = self.predicted = self.cached = False
         #: the last template emitted ends in an unconditional return (a
-        #: jump or branch ends its run; some handlers return themselves).
+        #: jump, a branch or a region boundary ends its run).
         self.closed = False
 
     # -- plumbing ---------------------------------------------------------
     def w(self, text: str, depth: int = 0) -> None:
         self.lines.append("    " * (self.base + depth) + text)
 
-    def probe(self, resume: str, depth: int, opened: bool = False) -> None:
-        """Handler mode, in a region (or one the uop ``opened``): the
-        full retirement-time probe, after the uop's counters are flushed
+    def probe(self, resume: int, depth: int = 0) -> None:
+        """The full retirement-time probe, with the counters flushed
         (fault offsets and interrupts read them); an abort resumes at
         ``resume``."""
-        if self.handler and (self.regioned or opened):
-            self.w("reason = mach._hw_condition(region)", depth)
-            self.w("if reason is not None:", depth)
-            self.w(f"return mach._fast_abort(fr, reason, {resume})", depth + 1)
+        self.w("reason = mach._hw_condition(region)", depth)
+        self.w("if reason is not None:", depth)
+        self.w(f"return mach._fast_abort(fr, reason, {resume})", depth + 1)
 
     def _flush_stmts(self, u: int, l: int, s: int, b: int,
                      m: int) -> list[str]:
@@ -371,7 +361,7 @@ class _Body:
             out.append(f"st.branches += {b}")
         if m:
             out.append(f"st.monitor_ops += {m}")
-        if self.timed:
+        if self.inline:
             if b:
                 out.append(f"P.predictions += {b}")
             if self.ticked:
@@ -393,24 +383,30 @@ class _Body:
                                       self.m + inc[4]):
             self.w(stmt, depth)
 
-    def bail(self, i: int | None, depth: int) -> None:
-        """Deoptimise: replay uop ``i`` on its handler (fused mode), or
-        step the reference loop for this one uop (handler mode).
+    def sync(self, inc=(0, 0, 0, 0, 0)) -> None:
+        """Flush mid-run, with ``inc`` for the current uop, and carry on
+        with an empty batch: the counters and the model now hold
+        everything retired so far.  With the scoreboard inlined only a
+        run's last uop syncs, so the L1-hit count ``mh`` needs no
+        reset."""
+        self.flush(0, inc)
+        self.u = self.l = self.s = self.b = self.m = 0
+        self.ticked = self.predicted = self.cached = False
+
+    def bail(self, i: int, depth: int) -> None:
+        """Deoptimise: step uop ``i`` on the reference loop.
 
         Must be emitted before the current uop has any observable
         effect; the flush covers only the uops already completed.
         """
         self.flush(depth)
-        if self.handler:
-            self.w("return mach._step(fr, mypc)", depth)
-        else:
-            self.w(f"return H[{i}](fr)", depth)
+        self.w(f"return mach._step(fr, {i})", depth)
 
     def addr(self, expr: str, reused: bool = False) -> str:
         """The current uop's simulated address as an expression: the
-        local ``m`` when the template (``reused``) or the timed tick
+        local ``m`` when the template (``reused``) or the inline tick
         needs it more than once."""
-        if reused or self.timed:
+        if reused or self.inline:
             self.w(f"m = {expr}")
             return "m"
         return expr
@@ -429,16 +425,14 @@ class _Body:
         self.w(miss, 1)
         self.cached = True
 
-    def tick(self, instr, mem: str, mispredict: bool = False) -> None:
-        """The timing model's ``uop(instr, mem)``, inlined with
-        ``instr``'s static facts baked in (``mispredict``: apply the
-        bubble of this branch's prediction ``mp``); a handler calls the
-        model."""
-        if self.handler:
-            self.w("if T is not None:")
-            self.w(f"T.uop(instr, {mem})", 1)
-            return
+    def tick(self, i: int, instr, mem: str, mispredict: bool = False) -> None:
+        """The timing model's ``uop(instr, mem)`` for uop ``i``, inlined
+        with ``instr``'s static facts baked in (``mispredict``: apply the
+        bubble of this branch's prediction ``mp``), or called."""
         if not self.timed:
+            return
+        if not self.inline:
+            self.w(f"T.uop(I[{i}], {mem})")
             return
         p = self.profile
         srcs, kind, latency, dst = uop_timing(instr)
@@ -460,7 +454,7 @@ class _Body:
             w("if tx > tr:")
             w("tr = tx", 1)
         # Execute.
-        assert kind != RMW, "lock-word stores and atomics are never fused"
+        assert kind != RMW, "lock-word stores tick dynamically"
         if kind == LOAD and mem != "None":
             w(f"tx = sr.get({mem})")
             w("if tx is not None and tx > tr:")
@@ -496,11 +490,11 @@ class _Body:
     def predict(self, i: int) -> None:
         """The combining predictor's ``predict_and_update`` for the
         branch at uop ``i`` with outcome ``t``, inlined; leaves
-        ``mp`` (mispredicted) set and counts a mispredict.  A handler
-        calls the model's predictor."""
-        if self.handler:
-            self.w("if T is not None and "
-                   "not T.branch(fr.code_base + mypc, t):")
+        ``mp`` (mispredicted) set and counts a mispredict; or the
+        model's own predictor, which leaves a mispredict pending for the
+        uop's tick."""
+        if not self.inline:
+            self.w(f"if not T.branch(cbase + {i}, t):")
             self.w("st.mispredicts += 1", 1)
             return
         p = self.profile
@@ -542,9 +536,9 @@ class _Body:
     def hw_check(self, i: int, inc) -> None:
         """The retirement-time hardware condition, specialised and
         emitted only after set-growing uops (mirrors
-        ``Machine._hw_condition``'s order and detail writes).  A
-        handler probes in full at its exit instead (:meth:`probe`)."""
-        if not self.regioned or self.handler:
+        ``Machine._hw_condition``'s order and detail writes).  A probing
+        body probes in full after every uop instead."""
+        if not self.regioned or self.probing:
             return
         p = self.profile
         nxt = i + 1
@@ -579,7 +573,7 @@ class _Body:
 
         Integer operands run inline; reference equality falls back to
         ``machine_compare`` (which cannot raise for eq/ne); ordered
-        conditions on non-integers bail so the handler raises the slow
+        conditions on non-integers bail so the reference raises the slow
         path's ``VMError`` with exact counter state.
         """
         self.w(f"x = regs[{a}]")
@@ -624,47 +618,32 @@ class _Body:
 
     def _mem_ref(self, i: int, a: int, kind) -> None:
         """Load ``regs[a]`` into ``o`` and bail unless it is a ``kind``
-        guest reference (null and junk replay on the handler, which
+        guest reference (null and junk step the reference loop, which
         raises/aborts exactly like the slow path)."""
         self.w(f"o = regs[{a}]")
         self.w(f"if not isinstance(o, {kind}):")
         self.bail(i, 1)
 
     # -- per-uop templates ------------------------------------------------
-    def emit_uop(self, i: int | None, instr) -> None:
+    def emit_uop(self, i: int, instr) -> None:
         op = instr.op
         regioned = self.regioned
-        handler = self.handler
         inc = (1, 0, 0, 0, 0)
-        # Operands: literals baked into fused code, closure names in a
-        # handler (bound per pc by its factory).
-        if handler:
-            shift = "shift"
-            dst, a, b, c, target = "dst", "a", "b", "c", "target"
-            imm, fieldname, cls = "imm", "fieldname", "cls"
-            after = "nxt"
-            spilled = "fr.spill_base + imm * 8"
-        else:
-            shift = self.profile.line_shift
-            dst, a, b, c, target = (instr.dst, instr.a, instr.b, instr.c,
-                                    instr.target)
-            imm, fieldname, cls = (repr(instr.imm), repr(instr.fieldname),
-                                   repr(instr.cls))
-            after = i + 1
-            if op in _SPILLY:
-                spilled = f"sbase + {instr.imm * 8}"
-        if instr.b is None:
-            b = None
+        shift = self.profile.line_shift
+        dst, a, b, c, target = (instr.dst, instr.a, instr.b, instr.c,
+                                instr.target)
+        imm, cls = repr(instr.imm), repr(instr.cls)
+        after = i + 1
 
         if op is MOp.CONST or op is MOp.CONST_NULL or op is MOp.CONST_CLASS:
             value = (imm if op is MOp.CONST
                      else "None" if op is MOp.CONST_NULL else cls)
             self.w(f"regs[{dst}] = {value}")
-            self.tick(instr, "None")
+            self.tick(i, instr, "None")
 
         elif op is MOp.MOV:
             self.w(f"regs[{dst}] = regs[{a}]")
-            self.tick(instr, "None")
+            self.tick(i, instr, "None")
 
         elif op in (MOp.ADD, MOp.SUB, MOp.MUL, MOp.AND, MOp.OR, MOp.XOR,
                     MOp.SHL, MOp.SHR, MOp.DIV, MOp.MOD):
@@ -694,7 +673,7 @@ class _Body:
                 self.w(f"regs[{dst}] = _gdiv(x, y)")
             else:
                 self.w(f"regs[{dst}] = _gmod(x, y)")
-            self.tick(instr, "None")
+            self.tick(i, instr, "None")
 
         elif op is MOp.CLASSOF:
             self.w(f"o = regs[{a}]")
@@ -708,12 +687,12 @@ class _Body:
             mem = self.addr("o.base")
             if regioned:
                 self.w(f"rl.add({mem} >> {shift})")
-            self.tick(instr, mem)
+            self.tick(i, instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADF or op is MOp.STOREF:
             self._mem_ref(i, a, "GuestObject")
-            self.w(f"n = o.field_index.get({fieldname})")
+            self.w(f"n = o.field_index.get({instr.fieldname!r})")
             self.w("if n is None:")
             self.bail(i, 1)
             mem = self.addr("o.base + 16 + n * 8", regioned)
@@ -733,7 +712,7 @@ class _Body:
                     self.w(f"wl.add(m >> {shift})")
                 else:
                     self.w(f"o.slots[n] = regs[{b}]")
-            self.tick(instr, mem)
+            self.tick(i, instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADA or op is MOp.STOREA:
@@ -759,7 +738,7 @@ class _Body:
                     self.w(f"wl.add(m >> {shift})")
                 else:
                     self.w(f"vs[x] = regs[{c}]")
-            self.tick(instr, mem)
+            self.tick(i, instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADLEN:
@@ -769,7 +748,7 @@ class _Body:
             if regioned:
                 self.w(f"rl.add(({mem}) >> {shift})")
             self.w(f"regs[{dst}] = o.length")
-            self.tick(instr, mem)
+            self.tick(i, instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADLOCK:
@@ -783,24 +762,24 @@ class _Body:
             self.w("lo = o.lock.owner")
             self.w(f"regs[{dst}] = "
                    "0 if lo is None or lo == fr.tid else 1")
-            self.tick(instr, mem)
+            self.tick(i, instr, mem)
             self.hw_check(i, inc)
 
         elif op is MOp.LOADSPILL:
             inc = (1, 1, 0, 0, 0)
             self.w(f"regs[{dst}] = spill[{imm}]")
-            self.tick(instr, self.addr(spilled))
+            self.tick(i, instr, self.addr(f"sbase + {instr.imm * 8}"))
 
         elif op is MOp.STORESPILL:
             inc = (1, 0, 1, 0, 0)
             self.w(f"spill[{imm}] = regs[{a}]")
-            self.tick(instr, self.addr(spilled))
+            self.tick(i, instr, self.addr(f"sbase + {instr.imm * 8}"))
 
         elif op is MOp.LOADG:
             self.w(f"regs[{dst}] = 0")
             if instr.imm is not None:
                 inc = (1, 1, 0, 0, 0)
-            self.tick(instr, imm)
+            self.tick(i, instr, imm)
 
         elif op is MOp.NEWOBJ:
             self.w(f"o = mach.heap.new_object({cls}, "
@@ -808,7 +787,7 @@ class _Body:
             self.w(f"regs[{dst}] = o")
             if regioned:
                 self.w("region.allocs.append(o)")
-            self.tick(instr, "None")
+            self.tick(i, instr, "None")
 
         elif op is MOp.NEWARR:
             self.w(f"x = regs[{a}]")
@@ -818,11 +797,11 @@ class _Body:
             self.w(f"regs[{dst}] = o")
             if regioned:
                 self.w("region.allocs.append(o)")
-            self.tick(instr, "None")
+            self.tick(i, instr, "None")
 
         elif op is MOp.JMP:
             # No retirement probe after a jump, like the reference.
-            self.tick(instr, "None")
+            self.tick(i, instr, "None")
             self.flush(0, inc)
             self.w(f"return {target}")
             self.closed = True
@@ -830,18 +809,19 @@ class _Body:
         elif op is MOp.BR or op is MOp.BR_ABORT:
             inc = (1, 0, 0, 1, 0)
             self._cond(i, instr.cond, a, b)
-            if self.timed or handler:
+            if self.timed:
                 self.predict(i)
-                self.tick(instr, "None", mispredict=True)
+                self.tick(i, instr, "None", mispredict=True)
             self.w("if t:")
             self.flush(1, inc)
-            if op is MOp.BR:
+            if op is MOp.BR and self.probing:
                 # A taken branch probes at its target; a fired
                 # BR_ABORT lands on its abort stub unprobed.
                 self.probe(target, 1)
             self.w(f"return {target}", 1)
             self.flush(0, inc)
-            self.probe(after, 0)
+            if self.probing:
+                self.probe(after)
             self.w(f"return {after}")
             self.closed = True
 
@@ -852,14 +832,11 @@ class _Body:
             # region, aborts) and leaves its mispredict pending.
             self.w("if t:")
             self.bail(i, 1)
-            if self.timed or handler:
+            if self.timed:
                 self.predict(i)
-            self.tick(instr, "None", mispredict=True)
+            self.tick(i, instr, "None", mispredict=True)
 
-        elif not handler:  # pragma: no cover - guarded by FUSABLE_MOPS
-            raise AssertionError(f"cannot fuse {op}")
-
-        # -- unfusable uops: handler mode only ------------------------------
+        # -- run ends: the timing model is called after the write-back ------
         elif op is MOp.STORELOCK:
             enter = instr.imm == 1
             self._mem_ref(i, a, "GuestObject")
@@ -872,7 +849,6 @@ class _Body:
             else:
                 self.w("if lk.owner != fr.tid:")
             self.bail(i, 1)
-            inc = (1, 0, 1, 0, 0)
             if regioned:
                 self.w("pre = (lk.owner, lk.depth, lk.reserver)")
                 self.w(f"wl.add((o.base + 8) >> {shift})")
@@ -880,7 +856,11 @@ class _Body:
             if regioned:
                 self.w("region.lock_log.append("
                        "(lk, pre, (lk.owner, lk.depth, lk.reserver)))")
-            self.tick(instr, "o.base + 8")
+            self.sync((1, 0, 1, 0, 0))
+            inc = (0, 0, 0, 0, 0)
+            if self.timed:
+                self.w(f"T.uop(fr.compiled.instrs[{i}], o.base + 8)")
+            self.hw_check(i, inc)
 
         elif op is MOp.AREGION_BEGIN:
             if regioned:
@@ -892,13 +872,15 @@ class _Body:
                        f"{imm} in fr.compiled.disabled_regions:")
                 self.bail(i, 1)
                 self.flush(0, inc)
+                self.w(f"instr = fr.compiled.instrs[{i}]")
                 self.w("mach.condition_code_register = 0")
                 self.w("region = fr.region = mach._begin_region("
-                       "fr.compiled, instr, regs, fr.spill, mypc, fr.tid)")
-                self.w("if T is not None:")
-                self.w("T.region_begin()", 1)
-                self.w("T.uop(instr, None)", 1)
-                self.probe(after, 0, opened=True)
+                       f"fr.compiled, instr, regs, fr.spill, {i}, fr.tid)")
+                if self.timed:
+                    self.w("T.region_begin()")
+                    self.w("T.uop(instr, None)")
+                # The region just opened gets the full probe.
+                self.probe(after)
                 self.w(f"return {after}")
             self.closed = True
 
@@ -913,42 +895,48 @@ class _Body:
                 self.bail(i, 1)
                 self.flush(0, inc)
                 self.w("mach._commit(region)")
-                self.w("if T is not None:")
-                self.w("T.region_end()", 1)
-                self.w("T.uop(instr, None)", 1)
+                if self.timed:
+                    self.w("T.region_end()")
+                    self.w(f"T.uop(fr.compiled.instrs[{i}], None)")
                 self.w("fr.region = None")
                 self.w(f"return {after}")
             self.closed = True
 
-        else:  # pragma: no cover - only stepped uops have no template
-            raise AssertionError(f"no template for {op}")
+        else:  # pragma: no cover - guarded by FUSABLE_MOPS
+            raise AssertionError(f"cannot fuse {op}")
 
         self.u += inc[0]
         self.l += inc[1]
         self.s += inc[2]
         self.b += inc[3]
         self.m += inc[4]
+        if self.probing and not self.closed:
+            self.sync()
+            self.probe(after)
 
-    def finish(self, end: int | None) -> None:
+    def finish(self, end: int) -> None:
         """Fall-through exit: flush everything and hand the next pc
-        (an unfusable uop's handler or the next run) back to the loop.
-        A handler probes between its flush and the return."""
+        (a stepped uop or the next run) back to the loop."""
         self.flush(0)
-        if self.handler:
-            self.probe("nxt", 0)
-            self.w("return nxt")
-        else:
-            self.w(f"return {end}")
+        self.w(f"return {end}")
 
 
-def _timed_prologue(instrs: list, start: int, end: int,
-                    branchy: bool) -> list[str]:
+def _timed_prologue(instrs: list, start: int, end: int, branchy: bool,
+                    inline: bool) -> list[str]:
     """Function-entry statements of a timed run: the entry guard and the
-    timing model's dynamic state, loaded into locals."""
+    timing model's dynamic state, loaded into locals.  Code that ticks
+    only through the model — a lone run end, or a faulted machine's
+    run, which is not ``inline`` — needs neither: the model applies a
+    pending event itself."""
+    if end - start == 1 and instrs[start].op in _RUN_ENDS:
+        return ["T = fr.timing"]
+    if not inline:
+        return ["T = fr.timing", "I = fr.compiled.instrs"] + (
+            ["cbase = fr.code_base"] if branchy else [])
     out = [
         "T = fr.timing",
         "if T._pending_mispredict or T._record_commit_next:",
-        f"    return H[{start}](fr)",
+        f"    return fr.machine._step(fr, {start})",
         "fc = T._fetch_cycle",
         "fn = T._fetched_this_cycle",
         "rc = T._retire_cycle",
@@ -997,7 +985,8 @@ def _emit_fn(compiled: CompiledMethod, start: int, end: int,
         pre = ["if fr.region is not None:"]
     pre.append(f"    return {other}(fr)")
     if timed:
-        pre += _timed_prologue(instrs, start, end, bool(ops & _BRANCHY))
+        pre += _timed_prologue(instrs, start, end, bool(ops & _BRANCHY),
+                               not profile.faulted)
     pre += ["mach = fr.machine", "st = fr.stats", "regs = fr.regs"]
     if ops & _SPILLY:
         pre.append("spill = fr.spill")
@@ -1006,7 +995,7 @@ def _emit_fn(compiled: CompiledMethod, start: int, end: int,
     if regioned and ops & _MEM_TRACK:
         pre += ["rl = region.read_lines", "wl = region.write_lines",
                 "sb = region.store_buffer"]
-        if profile.fallback_begin:
+        if profile.fallback_begin and not profile.faulted:
             pre.append("fbl = mach.fallback_lock")
     out += ["    " + stmt for stmt in pre]
     body = _Body(regioned, timed, profile, 1)
@@ -1045,7 +1034,7 @@ def jit_source(compiled: CompiledMethod, profile: JitProfile) -> str:
 
 #: compiled run functions, shared by every method and machine of the
 #: process: equal source is equal code, and each table ``exec``s it into
-#: its own namespace (its own ``H``).  Keyed by :func:`_code_key`, the
+#: its own namespace.  Keyed by :func:`_code_key`, the
 #: emitter's whole input, so a hit installs without emitting and the
 #: source itself is not kept alive.  Dropped by :func:`clear_code_cache`;
 #: two threads racing on one run at worst both compile it.
@@ -1071,18 +1060,33 @@ def clear_code_cache() -> None:
     _CODE.clear()
 
 
+#: the globals every run function runs against (each table's namespace
+#: adds the run functions themselves).
+_GLOBALS = {
+    "GuestObject": GuestObject,
+    "GuestArray": GuestArray,
+    "_wi": wrap_int,
+    "_gdiv": guest_div,
+    "_gmod": guest_mod,
+}
+
+
+@cache
+def _stepped(pc: int):
+    """The table entry of a pc that starts no run, shared by every
+    table: it retires the uop at ``pc`` on the reference loop."""
+
+    def step(fr):
+        return fr.machine._step(fr, pc)
+
+    return step
+
+
 def _build_table(jm: JittedMethod, timed: bool) -> list:
-    """One variant's pc-indexed dispatch table: the handlers, with a
-    compile-on-first-entry stub at each run start."""
-    namespace = {
-        "H": jm.handlers,
-        "GuestObject": GuestObject,
-        "GuestArray": GuestArray,
-        "_wi": wrap_int,
-        "_gdiv": guest_div,
-        "_gmod": guest_mod,
-    }
-    table = list(jm.handlers)
+    """One variant's pc-indexed dispatch table: the stepped closures,
+    with a compile-on-first-entry stub at each run start."""
+    namespace = dict(_GLOBALS)
+    table = [_stepped(pc) for pc in range(len(jm._compiled.instrs))]
     for start, end in jm.runs:
         for regioned in (False, True):
             namespace[_fn_name(start, timed, regioned)] = _stub(
@@ -1124,143 +1128,13 @@ def _stub(jm: JittedMethod, timed: bool, namespace: dict, table: list,
     return compile_and_run
 
 
-# ---------------------------------------------------------------------------
-# Handlers: one factory per template shape
-# ---------------------------------------------------------------------------
-
-#: names a handler template may use for its uop's fields, bound once per
-#: pc by the factory (which also binds ``instr``, ``mypc``, ``nxt`` and
-#: the cache-line ``shift``).
-_OPERANDS = ("dst", "a", "b", "c", "imm", "target", "fieldname", "cls")
-
-#: per-call locals a handler loads from its frame, when its body uses them.
-_FRAME_LOCALS = (("T", "fr.timing"), ("mach", "fr.machine"),
-                 ("st", "fr.stats"), ("regs", "fr.regs"),
-                 ("spill", "fr.spill"))
-_REGION_LOCALS = (("rl", "region.read_lines"), ("wl", "region.write_lines"),
-                  ("sb", "region.store_buffer"))
-
-#: a bare name (not an attribute) in generated source.
-_NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
-
-#: the globals every handler factory runs against.
-_HANDLER_NS = {
-    "GuestObject": GuestObject,
-    "GuestArray": GuestArray,
-    "_wi": wrap_int,
-    "_gdiv": guest_div,
-    "_gmod": guest_mod,
-}
-
-#: compiled factories, one per shape, shared by every method and machine
-#: of the process (a factory is a pure function of its shape's source).
-_FACTORIES: dict = {}
-
-
-def _shape(instr):
-    """The static facts a handler template branches on beyond its
-    operands: the factory cache key."""
-    op = instr.op
-    if op in _BRANCHY:
-        return op, instr.cond, instr.b is None
-    if op is MOp.LOADG:
-        return op, instr.imm is None
-    if op is MOp.STORELOCK:
-        return op, instr.imm == 1
-    return op
-
-
-def _shape_name(key) -> str:
-    if isinstance(key, tuple):
-        return " ".join([key[0].name] + [repr(fact) for fact in key[1:]])
-    return key.name
-
-
-def _factory_source(instr) -> str:
-    """The factory of ``instr``'s shape: ``_mk(instr, mypc, shift)``
-    binds the operands and returns the handler."""
-    plain = _Body(False, False, None, 3, handler=True)
-    plain.emit_uop(None, instr)
-    if not plain.closed:
-        plain.finish(None)
-    region = _Body(True, False, None, 2, handler=True)
-    region.emit_uop(None, instr)
-    if not region.closed:
-        region.finish(None)
-    used = set(_NAME.findall("\n".join(plain.lines + region.lines)))
-    name = f"h_{instr.op.name.lower()}"
-    out = ["def _mk(instr, mypc, shift):"]
-    out += [f"    {n} = instr.{n}" for n in _OPERANDS if n in used]
-    if "nxt" in used:
-        out.append("    nxt = mypc + 1")
-    out.append(f"    def {name}(fr):")
-    out += [f"        {n} = {expr}" for n, expr in _FRAME_LOCALS if n in used]
-    out.append("        region = fr.region")
-    out.append("        if region is None:")
-    out += plain.lines
-    out += [f"        {n} = {expr}" for n, expr in _REGION_LOCALS if n in used]
-    out += region.lines
-    out.append(f"    return {name}")
-    return "\n".join(out) + "\n"
-
-
-def _stepped(instr, mypc, shift):
-    """The factory of every stepped uop: its handler retires it on the
-    reference loop."""
-
-    def h_step(fr):
-        return fr.machine._step(fr, mypc)
-
-    return h_step
-
-
-def _factory(instr):
-    """The cached factory of ``instr``'s shape, compiled on first use
-    (:func:`_stepped` for a stepped uop, which has no template)."""
-    if instr.op in _STEPPED:
-        return _stepped
-    key = _shape(instr)
-    mk = _FACTORIES.get(key)
-    if mk is None:
-        scope: dict = {}
-        exec(compile(_factory_source(instr),
-                     f"<handler:{_shape_name(key)}>", "exec"),
-             _HANDLER_NS, scope)
-        mk = _FACTORIES[key] = scope["_mk"]
-    return mk
-
-
-def handler_source(compiled: CompiledMethod) -> str:
-    """The factory source of every templated handler shape ``compiled``
-    uses, in order of first appearance (deterministic; pinned by the
-    golden-source test).  Stepped uops have none."""
-    seen, parts = set(), [f"# handlers: {compiled.name}"]
-    for instr in compiled.instrs:
-        if instr.op in _STEPPED:
-            continue
-        key = _shape(instr)
-        if key not in seen:
-            seen.add(key)
-            parts += ["", f"# shape: {_shape_name(key)}",
-                      _factory_source(instr)]
-    return "\n".join(parts)
-
-
 def jit_compile(compiled: CompiledMethod, machine) -> JittedMethod:
     """Build the dispatch form of ``compiled`` for ``machine``'s profile
-    and install it on the code object (its one cache slot; a
-    recompile makes a new code object).  Handlers are instantiated now —
-    a key, a lookup and a factory call per pc; variant tables are built
-    on first :meth:`JittedMethod.table` call; runs compile on first
-    execution."""
-    profile = jit_profile(machine)
-    shift = profile.line_shift
-    jm = JittedMethod(
-        profile=profile, runs=fused_runs(compiled),
-        handlers=[_factory(instr)(instr, pc, shift)
-                  for pc, instr in enumerate(compiled.instrs)],
-        _compiled=compiled,
-    )
+    and install it on the code object (its one cache slot; a recompile
+    makes a new code object).  Variant tables are built on first
+    :meth:`JittedMethod.table` call; runs compile on first execution."""
+    jm = JittedMethod(profile=machine._jit_profile,
+                      runs=fused_runs(compiled), _compiled=compiled)
     compiled._jitted = jm
     return jm
 

@@ -11,11 +11,13 @@ under any dispatch tier:
   probes, hardware traps), optionally wrapped in an atomic region with a
   recovery path;
 - :func:`branchy_case` — segments of those uops plus lock-word stores
-  and atomic RMW (which only ever run on handlers), joined by forward
-  ``BR``/``BR_ABORT``/``JMP`` edges, with one bounded loop;
+  (which end their fused run) and atomic RMW (which always step the
+  reference loop), joined by forward ``BR``/``BR_ABORT``/``JMP`` edges,
+  with one bounded loop;
 - :func:`fault_plan` — a dense seeded fault schedule to run either
   under, so injected assert, exception, conflict, interrupt and
-  capacity-shrink probes fire at handler retirement points.
+  capacity-shrink probes fire at the retirement points fault-injected
+  fused code probes.
 
 The point is adversarial coverage of the templates' *bail* edges and
 probe points: registers deliberately hold a soup of ints, nulls,
@@ -30,12 +32,12 @@ heap fingerprint and, for timed runs, the timing model's full state
 (:func:`run_uop_case` returns all four; the battery in
 ``tests/test_templatejit.py`` compares them across tiers).
 
-:func:`step_snapshots` checks the same contract at every point where a
-fast tier hands a uop to the reference loop (``Machine._step``, on a
-bail or for a uop with no template): the frame, the region, the counters
-and the timing state there must equal the reference loop's when it
-fetches the uop at the same retired-uop count — the deoptimization
-invariant.
+:func:`step_snapshots` checks the same contract at every point where
+fused code hands a uop to the reference loop (``Machine._step``, on a
+bail, for a uop with no template, or at a pc that starts no fused run):
+the frame, the region, the counters and the timing state there must
+equal the reference loop's when it fetches the uop at the same
+retired-uop count — the deoptimization invariant.
 """
 
 from __future__ import annotations
@@ -325,7 +327,7 @@ class _Gen:
                                a=a, b=None if rng.random() < 0.4 else b))
         elif pick < 104:
             # Monitor enter/exit: unmatched exits and foreign owners
-            # exercise the handlers' bails to the reference.
+            # exercise the lock-store template's bails to the reference.
             body.append(MInstr(MOp.STORELOCK, a=pick_from(obj_regs),
                                imm=rng.choice((1, 1, -1))))
         else:
@@ -634,8 +636,8 @@ def run_uop_case(case: UopCase, dispatch: str, timing: bool = False,
     agree on those too — ``stats`` is the :func:`stats_fingerprint`, and
     ``timing`` is the model's :func:`timing_snapshot` after the run (None
     when untimed).  ``faults`` attaches a fresh injector for that plan
-    (which keeps ``auto`` on the handler table; ``FaultPlan.none()``
-    selects that table with no fault armed).  ``tracer`` (a
+    (which selects the faulted profile's fused code under ``auto``;
+    ``FaultPlan.none()`` selects it with no fault armed).  ``tracer`` (a
     :class:`~repro.obs.Tracer`) records the run's events for the caller.
     """
     machine, heap = _machine(case, dispatch, timing, hw, faults, tracer)

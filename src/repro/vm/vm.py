@@ -42,10 +42,10 @@ from .compiler import CompilationRecord, CompilerConfig, NO_ATOMIC, compile_meth
 class VMOptions:
     compile_threshold: int = 10
     enable_timing: bool = True
-    #: machine dispatch: "auto" (template-jit, the handlers when a fault
-    #: injector is attached, the reference loop under a scheduler) or
-    #: "interpretive" (always the reference loop, the tests' oracle).  A
-    #: host-speed knob only; see :class:`repro.hw.machine.Machine`.
+    #: machine dispatch: "auto" (template-jit fused code, the reference
+    #: loop under a scheduler) or "interpretive" (always the reference
+    #: loop, the tests' oracle).  A host-speed knob only; see
+    #: :class:`repro.hw.machine.Machine`.
     dispatch: str = "auto"
 
 

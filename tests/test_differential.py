@@ -156,11 +156,12 @@ class TestTracingChangesNothing:
         assert "tier_compile" in kinds
 
 
-#: the host fast tiers under differential test, by the fault plan that
-#: selects each under ``dispatch="auto"``: an attached injector with
-#: ``FaultPlan.none()`` runs the pre-decoded handler table (the test id
-#: the sweep has always used for that cell), no injector the
-#: template-jit fused functions, traced or not.
+#: the host fast tier under differential test, by the fault plan that
+#: selects each profile under ``dispatch="auto"``: an attached injector
+#: with ``FaultPlan.none()`` runs the faulted profile's fused code, whose
+#: region functions probe after every uop (the test id is the one the
+#: sweep has always used for that cell), no injector the unfaulted
+#: profile's, traced or not.
 FAST_TIERS = [pytest.param(FaultPlan.none(), id="predecoded"),
               pytest.param(None, id="jit")]
 
@@ -503,10 +504,10 @@ class TestWorkloadFiguresUnchanged:
                              ids=["seeded-1", "no-plan"])
     @pytest.mark.parametrize("hw", ["4wide", "4wide-htm-lock-begin"])
     def test_traced_cell_matches_interpretive(self, hw, plan, monkeypatch):
-        """A traced cell runs the fast tables (the handler table under a
-        fault plan, fused code without one) and still reproduces the
-        reference loop's results, stats and full event stream — fault
-        arming, interrupts, retries and the fallback lock included."""
+        """A traced cell runs fused code (the faulted profile's under a
+        fault plan) and still reproduces the reference loop's results,
+        stats and full event stream — fault arming, interrupts, retries
+        and the fallback lock included."""
         workload = get_workload("hsqldb")
         workload = replace(workload, samples=workload.samples[:1])
         hw_config = HARDWARE_CONFIGS[hw]

@@ -258,7 +258,7 @@ class TestProgressStateIsolation:
 
 
 class TestPredecodeInvalidation:
-    """The dispatch cache (handlers and fused code) honours a
+    """The dispatch cache (the fused-run tables) honours a
     forward-progress patch without being rebuilt: ``disable_region``
     keeps it, and the fast path suppresses the patched region."""
 
@@ -324,7 +324,7 @@ class TestPredecodeInvalidation:
         vm = TieredVM(
             program, compiler_config=ATOMIC, hw_config=hw,
             options=VMOptions(enable_timing=False, compile_threshold=3),
-            # an injector with no fault armed: the handler table
+            # an injector with no fault armed: the faulted profile
             fault_plan=FaultPlan.none(),
         )
         vm.warm_up("work", [[100, 0]] * 3)

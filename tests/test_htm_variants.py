@@ -261,7 +261,7 @@ class TestAbortDelivery:
         assert handler_stats.setjmp_deliveries == 0
 
     def test_setjmp_dispatch_equivalence(self):
-        """The handler table (which a fault plan selects) mirrors setjmp
+        """Faulted fused code (which a fault plan selects) mirrors setjmp
         delivery exactly."""
         program = stride_store_program()
         hw = BASELINE_4WIDE.scaled(

@@ -226,20 +226,20 @@ class TestAtomicUopProperties:
 
     @settings(max_examples=15, deadline=None)
     @given(_atomic_ops, _atomic_val,
-           st.sampled_from([("interpretive", None), ("auto", "handlers"),
+           st.sampled_from([("interpretive", None), ("auto", "faulted"),
                             ("auto", None)]))
     def test_machine_tiers_match_reference(self, ops, initial, tier):
         from repro.faults import FaultPlan
         from repro.vm import ATOMIC_AGGRESSIVE, TieredVM, VMOptions
 
-        dispatch, handlers = tier
+        dispatch, faulted = tier
         program = _atomic_program(ops)
         vm = TieredVM(program, ATOMIC_AGGRESSIVE,
                       options=VMOptions(enable_timing=False,
                                         compile_threshold=1,
                                         dispatch=dispatch),
-                      # an injector with no fault armed: the handler table
-                      fault_plan=FaultPlan.none() if handlers else None)
+                      # an injector with no fault armed: the faulted profile
+                      fault_plan=FaultPlan.none() if faulted else None)
         vm.warm_up("work", [[1]] * 3)
         vm.compile_hot(min_invocations=1)
         assert vm.run("work", [initial]) == _atomic_reference(initial, ops)

@@ -1,23 +1,23 @@
 """Template-JIT suite: generative equivalence battery, golden source,
 cache-eviction and fallback regressions.
 
-The fast tiers' contract is *observational inertness*: for any installed
-code, any heap, and any hardware shape, running on handlers (an attached
-fault injector, ``FaultPlan.none()`` when no fault is wanted) or fused
-runs (no fault injector, traced or not) must be byte-identical —
-outcome, stats, heap fingerprint, trace events and, for timed runs, the
-timing model's full state — to the instrumented interpretive loop.  The
-battery here attacks that contract with randomly generated
-straight-line and branchy uop programs (:mod:`repro.testutil.uopgen`),
-with and without seeded fault plans, whose operands deliberately wander
-off the templates' happy paths, so every bail edge re-lands on a handler
-and steps the reference loop mid-program.
+The fast tier's contract is *observational inertness*: for any installed
+code, any heap, and any hardware shape, fused code must be
+byte-identical to the instrumented interpretive loop — outcome, stats,
+heap fingerprint, trace events and, for timed runs, the timing model's
+full state — with no fault injector attached (traced or not) and with
+one (``FaultPlan.none()`` when no fault is wanted), which selects the
+profile whose region functions probe after every uop.  The battery here
+attacks that contract with randomly generated straight-line and branchy
+uop programs (:mod:`repro.testutil.uopgen`), with and without seeded
+fault plans, whose operands deliberately wander off the templates' happy
+paths, so every bail edge steps the reference loop mid-program.
 
 The golden tests pin the *generated host source* — the fused runs of a
-hand-built region that exercises every fused template, and the handler
-factory of every shape: an emitter change that silently reorders
-counter flushes, moves a probe or drops a read-set insert fails here
-first.  Regenerate intentionally with::
+hand-built region that exercises every template, and the probing region
+functions of a fault-injected machine: an emitter change that silently
+reorders counter flushes, moves a probe or drops a read-set insert fails
+here first.  Regenerate intentionally with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_templatejit.py
 
@@ -46,14 +46,15 @@ from repro.hw.isa import CompiledMethod, MInstr, MOp, machine_compare
 from repro.hw.machine import DISPATCH_MODES, Machine
 from repro.hw.stats import ExecStats
 from repro.harness import experiment, figures
+from repro.harness.parallel import Cell
 from repro.hw import templatejit
 from repro.hw.templatejit import (
+    _RUN_ENDS,
     _STEPPED,
     MAX_RUN,
     clear_code_cache,
     fused_runs,
     get_jitted,
-    handler_source,
     jit_profile,
     jit_source,
 )
@@ -108,16 +109,16 @@ JIT_HTM_MATRIX = [
 JIT_HTM = {hw.name: hw for hw in JIT_HTM_MATRIX}
 
 
-#: the fast tiers by the fault plan that selects each under
-#: ``dispatch="auto"``: an injector with no fault armed runs the handler
-#: table, no injector the fused table.
-FAST_TIERS = {"handlers": FaultPlan.none(), "fused": None}
+#: the fused code of both profiles, by the fault plan that selects each
+#: under ``dispatch="auto"``: an injector with no fault armed runs the
+#: faulted profile's probing code, no injector the unfaulted profile's.
+FAST_TIERS = {"faulted": FaultPlan.none(), "fused": None}
 
 
 def _fast_tiers(plan) -> dict:
-    """The fast tiers a case runs on under ``plan``: both with no plan,
-    the handler table alone under a real one."""
-    return FAST_TIERS if plan is None else {"handlers": plan}
+    """The fast tiers a case runs on under ``plan``: both profiles with
+    no plan, the faulted profile alone under a real one."""
+    return FAST_TIERS if plan is None else {"faulted": plan}
 
 
 def _assert_tiers_agree(seed: int, timing: bool = False,
@@ -196,14 +197,14 @@ class TestGenerativeEquivalence:
 
 
 class TestHandlerBattery:
-    """The handler tier under the branchy programs and fault plans that
-    steer uops onto it: forward ``BR``/``BR_ABORT``/``JMP`` edges and a
-    bounded back edge, lock-word stores and atomic RMW (which only ever
-    run on handlers), and seeded fault schedules (which keep ``auto``
-    off fused code, as in fault-injected service cells).  Every probe
-    the schedules fire — assert, exception, conflict, interrupt, line
-    and store-buffer capacity shrinks — reads the counters a handler
-    flushes, so its abort point is compared across tiers."""
+    """Branchy programs and fault plans: forward ``BR``/``BR_ABORT``/
+    ``JMP`` edges and a bounded back edge, lock-word stores (which end
+    their run) and atomic RMW (which are stepped), and seeded fault
+    schedules (which select the faulted profile, as in fault-injected
+    service cells).  Every probe the schedules fire — assert, exception,
+    conflict, interrupt, line and store-buffer capacity shrinks — reads
+    the counters fused code flushes before it, so its abort point is
+    compared across tiers."""
 
     @pytest.mark.parametrize("seed", _seeds(60))
     def test_branchy_seeds_untimed(self, seed):
@@ -249,7 +250,7 @@ class TestHandlerBattery:
     def test_battery_reaches_handler_paths(self):
         """The generators must keep reaching what the battery claims to
         compare: taken back edges and forward branches, fired aborts,
-        every unfusable uop, and every kind of injected fault."""
+        lock-word stores and atomic RMW, and every kind of injected fault."""
         seen = Counter()
         for seed in _seeds(150):
             case = branchy_case(seed)
@@ -423,13 +424,13 @@ _STORMS = ("conflict", "assert", "exception", "overflow", "capacity")
 
 
 class TestTracedBattery:
-    """A tracer picks no dispatch path: traced fused code (no plan) and
-    the traced handler table (a storm plan) emit the reference loop's
-    event stream, byte for byte.  Each case runs twice on one code
-    object, and every other seed escalates on its first abort, so the
-    second activation enters a region patched to its fallback: the
-    battery reaches retry, fallback, suppressed-region, capacity and
-    fallback-lock events that the workloads do not."""
+    """A tracer picks no dispatch path: traced fused code, with no plan
+    or with a storm plan, emits the reference loop's event stream, byte
+    for byte.  Each case runs twice on one code object, and every other
+    seed escalates on its first abort, so the second activation enters a
+    region patched to its fallback: the battery reaches retry, fallback,
+    suppressed-region, capacity and fallback-lock events that the
+    workloads do not."""
 
     @pytest.mark.parametrize("timing", [False, True],
                              ids=["untimed", "timed"])
@@ -464,11 +465,14 @@ class TestTracedBattery:
 
 
 class TestDeoptInvariant:
-    """Wherever a fast tier hands a uop to the reference loop — a bail,
-    or a uop with no template — the frame, the region, the counters and
-    the timing state equal the reference loop's when it fetches that
-    uop at the same retired-uop count (the deoptimization invariant of
-    Flückiger et al.)."""
+    """Wherever fused code hands a uop to the reference loop — a bail,
+    a uop with no template, or a pc that starts no run — the frame, the
+    region, the counters and the timing state equal the reference
+    loop's when it fetches that uop at the same retired-uop count (the
+    deoptimization invariant of Flückiger et al.).  Checked on machines
+    with no fault injector and on fault-injected ones, under
+    ``FaultPlan.none()`` and under seeded plans, whose probing fused
+    code flushes before every probe."""
 
     @pytest.mark.parametrize("make,timing,faults,count", [
         (uop_case, False, False, 60),
@@ -492,6 +496,8 @@ class TestDeoptInvariant:
                                             faults=plan))
             for tier, tier_plan in _fast_tiers(plan).items():
                 log = step_snapshots(case, "auto", timing, faults=tier_plan)
+                assert case.compiled._jitted.profile.faulted == (
+                    tier_plan is not None)
                 keys = [key for key, _ in log]
                 assert len(set(keys)) == len(keys)
                 for key, snapshot in log:
@@ -505,9 +511,9 @@ class TestDeoptInvariant:
 # -- golden generated source -------------------------------------------------
 
 def _golden_method() -> CompiledMethod:
-    """A hand-built method exercising every fused template exactly once,
-    split across an unfused boundary (the AREGION uops) so the source
-    shows both a plain run and a regioned run, plus a one-uop run."""
+    """A hand-built method exercising every fused template exactly once:
+    a plain run that the region begin ends, a regioned run that the
+    region end ends, and a one-uop run."""
     instrs = [
         # run 1: plain straight-line code up to the region begin.
         MInstr(MOp.CONST, dst=0, imm=7),
@@ -556,10 +562,10 @@ def _golden_method() -> CompiledMethod:
     return compiled
 
 
-def _handler_extras() -> CompiledMethod:
-    """One uop of every handler shape the golden method lacks: the
-    other control-flow shapes and every unfusable uop (the stepped ones
-    emit no factory)."""
+def _golden_extras() -> CompiledMethod:
+    """One uop of every template shape the golden method lacks: the
+    other control-flow shapes and both lock-word stores, then the
+    stepped uops, which no run holds."""
     instrs = [
         MInstr(MOp.CONST_CLASS, dst=0, cls="Node"),
         MInstr(MOp.JMP, target=2),
@@ -579,67 +585,71 @@ def _handler_extras() -> CompiledMethod:
         MInstr(MOp.RET),
         MInstr(MOp.AREGION_ABORT, imm=1, cls="assert", abort_id=10_000),
     ]
-    compiled = CompiledMethod(name="golden_handlers", num_params=0,
+    compiled = CompiledMethod(name="golden_extras", num_params=0,
                               instrs=instrs, num_regs=4, num_spill_slots=1)
     compiled.param_locations = ()
     return compiled
 
 
+def _assert_golden(source: str, name: str) -> None:
+    path = GOLDEN_DIR / name
+    if os.environ.get("REGEN_GOLDEN"):
+        path.write_text(source)
+        pytest.skip(f"regenerated {path}")
+    assert path.exists(), (
+        f"missing golden file {path}; run with REGEN_GOLDEN=1 to create it"
+    )
+    assert source == path.read_text(), (
+        f"generated source in {name} changed; if the emitter change is "
+        "intentional, regenerate with REGEN_GOLDEN=1 and re-run the full "
+        "differential battery"
+    )
+
+
 class TestGoldenSource:
-    def _profile(self):
-        # The profile depends only on the hardware config, not the guest
-        # program, so any machine on BASELINE_4WIDE yields the golden key.
+    def _profile(self, faulted: bool = False):
+        # The profile depends only on the hardware config and whether a
+        # fault injector is attached, not on the guest program, so any
+        # machine on BASELINE_4WIDE yields the golden key.
         machine = Machine(uop_case(0).program, Heap(),
-                          config=BASELINE_4WIDE, stats=ExecStats())
+                          config=BASELINE_4WIDE, stats=ExecStats(),
+                          fault_injector=(FaultInjector(FaultPlan.none())
+                                          if faulted else None))
         return jit_profile(machine)
 
     def test_generated_source_matches_golden(self):
-        source = jit_source(_golden_method(), self._profile())
-        path = GOLDEN_DIR / "templatejit_source.txt"
-        if os.environ.get("REGEN_GOLDEN"):
-            path.write_text(source)
-            pytest.skip(f"regenerated {path}")
-        assert path.exists(), (
-            f"missing golden file {path}; run with REGEN_GOLDEN=1 to "
-            "create it"
-        )
-        assert source == path.read_text(), (
-            "generated template-jit source changed; if the emitter change "
-            "is intentional, regenerate with REGEN_GOLDEN=1 and re-run the "
-            "full differential battery"
-        )
+        _assert_golden(jit_source(_golden_method(), self._profile()),
+                       "templatejit_source.txt")
 
-    def test_handler_source_matches_golden(self):
-        """The handler-mode factories of every shape, pinned next to the
-        fused source: a change that moves a counter flush past a probe,
-        drops a probe, or applies an effect before a bail shows here."""
-        source = "\n".join(handler_source(compiled) for compiled in
-                           (_golden_method(), _handler_extras()))
-        for op in _STEPPED:
-            assert f"# shape: {op.name}" not in source
-        path = GOLDEN_DIR / "templatejit_handlers.txt"
-        if os.environ.get("REGEN_GOLDEN"):
-            path.write_text(source)
-            pytest.skip(f"regenerated {path}")
-        assert path.exists(), (
-            f"missing golden file {path}; run with REGEN_GOLDEN=1 to "
-            "create it"
-        )
-        assert source == path.read_text(), (
-            "generated handler source changed; if the emitter change is "
-            "intentional, regenerate with REGEN_GOLDEN=1 and re-run the "
-            "full differential battery"
-        )
+    def test_faulted_source_matches_golden(self):
+        """The region functions of a fault-injected machine, untimed and
+        timed, for every run of the golden method and its extras: they
+        flush and probe in full after every uop at the reference loop's
+        probe points, and call the timing model per uop, so a change that
+        moves a counter flush past a probe, drops a probe or a model
+        call, or applies an effect before a bail shows here."""
+        profile = self._profile(faulted=True)
+        assert profile.faulted and not self._profile().faulted
+        parts = []
+        for compiled in (_golden_method(), _golden_extras()):
+            runs = fused_runs(compiled)
+            parts += [f"# faulted region functions: {compiled.name}",
+                      f"# fused runs: {runs}"]
+            for (start, end), timed in product(runs, (False, True)):
+                parts += templatejit._emit_fn(compiled, start, end, profile,
+                                              timed, True)
+        source = "\n".join(parts) + "\n"
+        compile(source, "<golden-faulted>", "exec")
+        _assert_golden(source, "templatejit_faulted.txt")
 
     def test_golden_method_fully_fused(self):
-        """The golden method must stay wall-to-wall fusable apart from
-        the region uops and the RET — otherwise the golden file stops
-        pinning the templates it claims to pin."""
+        """The golden method must stay wall-to-wall fused apart from the
+        RET — otherwise the golden file stops pinning the templates it
+        claims to pin."""
         compiled = _golden_method()
         runs = fused_runs(compiled)
         fused = sum(end - start for start, end in runs)
-        # all but AREGION_BEGIN / AREGION_END / RET
-        assert fused == len(compiled.instrs) - 3
+        assert fused == len(compiled.instrs) - 1
 
     def test_golden_source_is_compilable_python(self):
         source = jit_source(_golden_method(), self._profile())
@@ -651,10 +661,10 @@ class TestGoldenSource:
 class TestCacheEviction:
     def test_disable_region_keeps_fused_code(self):
         """A forward-progress patch leaves the dispatch form in place:
-        no handler or fused run is built from ``disabled_regions`` (the
-        ``aregion_begin`` handler reads it on every entry), so the same
-        handlers and fused code take the permanent fallback path and
-        still agree with the interpretive loop on the patched code."""
+        no fused run is built from ``disabled_regions`` (the
+        ``aregion_begin`` template reads it on every entry), so the same
+        fused code takes the permanent fallback path and still agrees
+        with the interpretive loop on the patched code."""
         case = uop_case(COMMITTING_REGION_SEED)
         outcome = run_uop_case(case, "auto")[0]
         assert outcome == ("value", 1)
@@ -666,23 +676,31 @@ class TestCacheEviction:
             reference = run_uop_case(case, "interpretive", timing=timing)
             assert reference[0] == ("value", DISABLED_SENTINEL)
             assert run_uop_case(case, "auto", timing=timing) == reference
+        assert case.compiled._jitted is jm
+        for timing in (False, True):
+            reference = run_uop_case(case, "interpretive", timing=timing)
             assert run_uop_case(case, "auto", timing=timing,
                                 faults=FaultPlan.none()) == reference
-        assert case.compiled._jitted is jm
 
-    def test_handlers_and_fused_tables_share_one_slot(self):
-        """The handler table and the fused tables live on one cached
-        ``JittedMethod``, built once and kept through ``disable_region``."""
+    def test_fused_tables_share_one_slot(self):
+        """Both timing variants' tables live on one cached
+        ``JittedMethod``, built once per profile and kept through
+        ``disable_region``; a fault-injected machine's profile differs,
+        so it builds its own."""
         case = uop_case(COMMITTING_REGION_SEED)
-        run_uop_case(case, "auto", faults=FaultPlan.none())
-        jm = case.compiled._jitted
-        assert jm is not None and jm.handlers
-        assert jm._tables == [None, None]  # the handler table only
         run_uop_case(case, "auto")
+        jm = case.compiled._jitted
+        assert jm is not None and not jm.profile.faulted
+        assert jm._tables[0] is not None and jm._tables[1] is None
+        run_uop_case(case, "auto", timing=True)
         assert case.compiled._jitted is jm
-        assert jm._tables[0] is not None
+        assert jm._tables[1] is not None
         case.compiled.disable_region(1)
         assert case.compiled._jitted is jm
+        run_uop_case(case, "auto", faults=FaultPlan.none())
+        faulted = case.compiled._jitted
+        assert faulted is not jm and faulted.profile.faulted
+        assert faulted.runs == jm.runs
 
     def test_profile_change_rebuilds_fused_code(self):
         """A machine with a different specialisation key (HTM shape,
@@ -792,8 +810,8 @@ class TestTimedFusion:
                                       "_record_commit_next"])
     def test_pending_timing_event_bails_at_entry(self, flag):
         """A run entered while the model carries a pending mispredict
-        bubble or commit record replays its first uop on the handler
-        tier, which applies the event exactly like the slow path."""
+        bubble or commit record steps its first uop on the reference
+        loop, which applies the event exactly like the slow path."""
         compiled = _long_block()  # pc 0 starts a fused run
         base = _run_timed(compiled, "interpretive", flag)
         assert _run_timed(compiled, "auto", flag) == base
@@ -802,9 +820,9 @@ class TestTimedFusion:
 
     def test_branchy_loop_is_cycle_exact(self):
         """A loop whose fused body ends in a data-dependent branch (and
-        whose back edge runs on its handler) trains the predictor from
-        both tiers in turn, mispredicts, and walks an array: every tier
-        must leave the model in the same state."""
+        whose back edge is a one-uop run) trains the predictor from
+        several runs in turn, mispredicts, and walks an array: every
+        tier must leave the model in the same state."""
         B = MOp.BR
         instrs = [
             MInstr(MOp.CONST, dst=0, imm=0),
@@ -959,14 +977,22 @@ class TestRunModes:
         over: the run stays fused in both, and every observable equals
         the reference loop's."""
         compiled = _two_mode_block(region_first)
-        # The method's two leading constants are a run of their own, and
-        # the constant after the branch and the back-edge jump are
-        # one-uop runs: the constant in the first mode, the jump in the
-        # second.
-        start = 3 if region_first else 2
-        assert fused_runs(compiled) == [(0, 2), (start, start + 5),
-                                        (start + 5, start + 6),
-                                        (start + 7, start + 8)]
+        # Every uop but the returns is in a run: the region begin ends
+        # the run in front of it, the region end the one it closes, and
+        # the back-edge jump is a one-uop run.  Listed in the order they
+        # first run, with the mode of that first entry.
+        if region_first:
+            start = 3
+            assert fused_runs(compiled) == [(0, 3), (3, 8), (8, 10),
+                                            (10, 11)]
+            order = [(0, "plain"), (3, "region"), (8, "region"),
+                     (10, "plain"), (3, "plain")]
+        else:
+            start = 2
+            assert fused_runs(compiled) == [(0, 2), (2, 7), (7, 9),
+                                            (9, 10), (10, 11)]
+            order = [(0, "plain"), (2, "plain"), (7, "plain"),
+                     (9, "region"), (2, "region"), (10, "region")]
         compiles = _record_compiles(monkeypatch)
         got = _run_two_mode(compiled, "auto", timing)
         assert got == _run_two_mode(_two_mode_block(region_first),
@@ -975,12 +1001,10 @@ class TestRunModes:
         summary = got[1]
         assert summary["regions"] == 2 and summary["abort_rate"] == 0.0
         variant = "t" if timing else "u"
-        modes = ("region", "plain") if region_first else ("plain", "region")
-        names = [f"_f{start}_{variant}_{mode}" for mode in modes]
         assert [filename.split(":")[1] for filename, _ in compiles] == [
-            f"_f0_{variant}_plain", names[0],
-            f"_f{start + 5}_{variant}_{modes[0]}",
-            f"_f{start + 7}_{variant}_{modes[1]}", names[1]]
+            f"_f{pc}_{variant}_{mode}" for pc, mode in order]
+        names = [f"_f{start}_{variant}_{mode}" for mode in ("plain",
+                                                             "region")]
         namespace = compiled._jitted.table(timing)[start].__globals__
         assert [namespace[name].__name__ for name in names] == names
 
@@ -1095,18 +1119,19 @@ class TestRunModes:
 
 # -- one-uop runs -------------------------------------------------------------
 
-#: the pc of the unfusable uop in front of every one-uop run below.
+#: the pc of the run-ending uop in front of every one-uop run below.
 _LONE_HEAD = 3
 
 #: one-uop run shapes: the body after the head, the pc of the shape's
-#: one-uop run, and the pc of the uop whose retirement leaves a
+#: one-uop run, and the pc of the run end whose retirement leaves a
 #: mispredict pending in the armed runs (the uop in front of that run,
 #: or of the run it follows).
 _LONE_SHAPES = {
-    # a phi-copy MOV between the head and a monitor enter
+    # a monitor exit right after a phi copy and a monitor enter: the
+    # enter ends the copy's run, so the exit is a run of its own
     "mov": ([MInstr(MOp.MOV, dst=1, a=0),
              MInstr(MOp.STORELOCK, a=7, imm=1),
-             MInstr(MOp.STORELOCK, a=7, imm=-1)], 4, _LONE_HEAD),
+             MInstr(MOp.STORELOCK, a=7, imm=-1)], 6, 5),
     # a loop whose latch branch follows a monitor exit
     "latch": ([MInstr(MOp.ADD, dst=1, a=1, b=2),
                MInstr(MOp.STORELOCK, a=7, imm=1),
@@ -1115,9 +1140,10 @@ _LONE_SHAPES = {
     # a jump over a constant that never runs
     "jmp": ([MInstr(MOp.JMP, target=6),
              MInstr(MOp.CONST, dst=1, imm=99)], 4, _LONE_HEAD),
-    # a straight-line span one uop longer than MAX_RUN
+    # a straight-line span, tail included, one uop longer than MAX_RUN:
+    # the tail is the lone run
     "remainder": ([MInstr(MOp.ADD if k % 2 else MOp.MUL, dst=1, a=1, b=2)
-                   for k in range(MAX_RUN + 1)], 4 + MAX_RUN, _LONE_HEAD),
+                   for k in range(MAX_RUN)], 4 + MAX_RUN, _LONE_HEAD),
 }
 
 
@@ -1126,7 +1152,7 @@ def _lone_run_method(shape: str, regioned: bool) -> CompiledMethod:
     body of ``shape``, a tail and ``RET r1``.  The head and tail are
     ``AREGION_BEGIN``/``AREGION_END`` when ``regioned``, else a monitor
     enter and exit on the object in register 7 (the parameter), so the
-    body runs in the chosen mode between unfusable uops either way."""
+    body runs in the chosen mode between run ends either way."""
     M = MInstr
     body = _LONE_SHAPES[shape][0]
     tail = _LONE_HEAD + 1 + len(body)
@@ -1152,7 +1178,7 @@ def _lone_run_method(shape: str, regioned: bool) -> CompiledMethod:
 class _ArmedModel(TimingModel):
     """A timing model that leaves a mispredict pending when it retires
     ``arm``, so whatever runs next is entered with the bubble pending:
-    the same point on every tier, since an unfusable uop always retires
+    the same point on every tier, since a run end always retires
     through :meth:`TimingModel.uop`."""
 
     arm = None
@@ -1189,9 +1215,10 @@ def _run_lone(shape: str, regioned: bool, dispatch: str, timing: bool,
 class TestOneUopRuns:
     @pytest.mark.parametrize("shape", sorted(_LONE_SHAPES))
     def test_every_fusable_pc_is_in_one_run(self, shape):
-        """Every fusable uop starts or continues exactly one run, however
-        short its span: the handler table is entered only at unfusable
-        uops and at bails."""
+        """Every templated uop starts or continues exactly one run,
+        however short its span, and a lock-word store or region
+        begin/end only ends one: the stepped closures are entered only
+        at stepped uops, at bails and at retry re-lands."""
         lone = _LONE_SHAPES[shape][1]
         for regioned in (False, True):
             runs = fused_runs(_lone_run_method(shape, regioned))
@@ -1203,10 +1230,12 @@ class TestOneUopRuns:
             covered = Counter(pc for start, end in fused_runs(compiled)
                               for pc in range(start, end))
             fusable = {pc for pc, instr in enumerate(compiled.instrs)
-                       if instr.op in templatejit.FUSABLE_MOPS}
+                       if instr.op not in _STEPPED}
             assert set(covered) == fusable and set(covered.values()) <= {1}
-            assert all(end - start <= MAX_RUN
-                       for start, end in fused_runs(compiled))
+            for start, end in fused_runs(compiled):
+                assert end - start <= MAX_RUN
+                assert not any(compiled.instrs[pc].op in _RUN_ENDS
+                               for pc in range(start, end - 1))
 
     @pytest.mark.parametrize("timing,armed", [(False, False), (True, False),
                                               (True, True)],
@@ -1219,7 +1248,7 @@ class TestOneUopRuns:
         """A one-uop run, entered in either mode, timed or not, and with
         a mispredict pending at entry, compiles and leaves the value,
         stats, heap and timing model exactly as the reference loop does,
-        on the fused table and on the handler table."""
+        with and without a fault injector attached."""
         base = _run_lone(shape, regioned, "interpretive", timing, armed)
         compiles = _record_compiles(monkeypatch)
         for tier, plan in FAST_TIERS.items():
@@ -1235,29 +1264,43 @@ class TestOneUopRuns:
             # The armed bubble was applied: it is not left pending.
             assert not base[3][8]
 
-    def test_warmed_timed_pass_enters_no_fusable_handler(self, monkeypatch):
-        """Over one warmed timed pass of the steady workloads, handlers
-        run only at unfusable uops: no handler of a fusable uop is
-        entered, since every fusable uop is in a run and these workloads
-        take no bail.  Counted by wrapping each method's handler list as
-        it is built, before any dispatch table copies it."""
+    def test_non_run_pcs_enter_only_at_stepped_uops(self, monkeypatch):
+        """Pinned traffic: a pc that starts no run is entered only at a
+        stepped uop, or where a conflict retry re-lands on a begin that
+        ends a run — over a warmed timed pass of the steady workloads, a
+        cold hsqldb Figure 7 round, and a seeded hsqldb:atomic cell,
+        whose fault-injected machines run fused code and match the
+        reference loop byte for byte.  Counted by wrapping each dispatch
+        table's entries as the table is built."""
         entries: Counter = Counter()
-        build = templatejit.jit_compile
+        profiles: set = set()
+        build = templatejit._build_table
 
-        def counted(handler, fusable):
-            def h(fr):
-                entries[fusable] += 1
-                return handler(fr)
-            return h
+        def counted(entry, op):
+            def step(fr):
+                entries[op] += 1
+                return entry(fr)
+            return step
 
-        def counting(compiled, machine):
-            jm = build(compiled, machine)
-            jm.handlers[:] = [
-                counted(h, instr.op in templatejit.FUSABLE_MOPS)
-                for h, instr in zip(jm.handlers, compiled.instrs)]
-            return jm
+        def counting(jm, timed):
+            table = build(jm, timed)
+            profiles.add(jm.profile.faulted)
+            starts = {start for start, _ in jm.runs}
+            for pc, instr in enumerate(jm._compiled.instrs):
+                if pc not in starts:
+                    table[pc] = counted(table[pc], instr.op)
+            return table
 
-        monkeypatch.setattr(templatejit, "jit_compile", counting)
+        monkeypatch.setattr(templatejit, "_build_table", counting)
+
+        def stepped_only(retries: int = 0) -> int:
+            relands = entries.pop(MOp.AREGION_BEGIN, 0)
+            assert relands <= retries
+            assert set(entries) <= _STEPPED, entries
+            total = sum(entries.values())
+            entries.clear()
+            return total
+
         vms = []
         for bench in ("hsqldb", "xalan", "jython"):
             workload = get_workload(bench)
@@ -1279,8 +1322,248 @@ class TestOneUopRuns:
         run_pass()  # warming: compiles the runs the pass reaches
         entries.clear()
         run_pass()
-        assert entries[False] > 0  # region begin and end, at least
-        assert entries[True] == 0
+        assert stepped_only() == 42
+
+        experiment.clear_cache()
+        figures.figure7(["hsqldb"])
+        assert stepped_only() == 12
+        assert profiles == {False}
+
+        cell = Cell("hsqldb", ATOMIC.name, seed=3)
+        compiles = _record_compiles(monkeypatch)
+        fast = cell.run()
+        assert compiles and profiles == {False, True}
+        retries = sum(s.stats.conflict_retries for s in fast.samples)
+        assert retries > 0
+        assert stepped_only(retries) > 0
+        monkeypatch.setattr(experiment, "VMOptions",
+                            partial(VMOptions, dispatch="interpretive"))
+        slow = cell.run()
+        assert [(s.guest_results, stats_fingerprint(s.stats))
+                for s in fast.samples] == [
+            (s.guest_results, stats_fingerprint(s.stats))
+            for s in slow.samples]
+
+
+# -- run ends: lock-word stores, region begin and end -------------------------
+
+def _region_loop(lead: bool = True, stores: int = 1,
+                 locks: bool = False) -> CompiledMethod:
+    """A four-trip loop around a region: ``stores`` field stores to the
+    object in register 7, a load, and an abort branch that fires on the
+    third trip, so the recovery path (which adds 2 to the sum) runs once.
+    With ``lead``, two uops sit in front of the region begin in its run;
+    without, the begin is the loop head and a run of its own.  With
+    ``locks``, the region enters the monitor of the object in register
+    6 twice before the abort branch and exits it twice after, and the
+    loop latch nests a monitor enter and exit on the object in register
+    7 around the trip count."""
+    M = MInstr
+    instrs = [M(MOp.CONST, dst=0, imm=4), M(MOp.CONST, dst=1, imm=1),
+              M(MOp.CONST, dst=2, imm=0), M(MOp.CONST, dst=5, imm=2)]
+    loop = len(instrs)
+    if lead:
+        instrs += [M(MOp.MOV, dst=3, a=2), M(MOp.ADD, dst=3, a=3, b=1)]
+    begin = M(MOp.AREGION_BEGIN, imm=1)
+    abort = M(MOp.BR_ABORT, cond="eq", a=0, b=5, abort_id=7)
+    instrs.append(begin)
+    instrs += [M(MOp.STOREF, a=7, b=0, fieldname=f"f{k}")
+               for k in range(stores)]
+    if locks:
+        instrs += [M(MOp.STORELOCK, a=6, imm=1)] * 2
+    instrs += [M(MOp.LOADF, dst=4, a=7, fieldname="f0"),
+               M(MOp.ADD, dst=2, a=2, b=4), abort]
+    if locks:
+        instrs += [M(MOp.STORELOCK, a=6, imm=-1)] * 2
+    instrs.append(M(MOp.AREGION_END))
+    join = len(instrs)
+    if locks:
+        instrs += [M(MOp.STORELOCK, a=7, imm=1), M(MOp.STORELOCK, a=7, imm=1),
+                   M(MOp.SUB, dst=0, a=0, b=1), M(MOp.STORELOCK, a=7, imm=-1),
+                   M(MOp.STORELOCK, a=7, imm=-1)]
+    else:
+        instrs.append(M(MOp.SUB, dst=0, a=0, b=1))
+    instrs += [M(MOp.BR, cond="gt", a=0, target=loop), M(MOp.RET, a=2)]
+    begin.target = len(instrs)
+    instrs += [M(MOp.ADD, dst=2, a=2, b=5), M(MOp.JMP, target=join)]
+    abort.target = len(instrs)
+    instrs.append(M(MOp.AREGION_ABORT, imm=7, cls="assert", abort_id=7))
+    compiled = CompiledMethod(
+        name="region_loop", num_params=2, instrs=instrs, num_regs=8,
+        region_entries={1: instrs.index(begin)}, uses_regions=True)
+    compiled.param_locations = (("r", 7), ("r", 6))
+    return compiled
+
+
+def _run_region_loop(hw, dispatch: str, timing: bool, plan, foreign=None,
+                     **shape):
+    """Run a :func:`_region_loop` on a fresh ``hw`` machine, traced, with
+    a fault injector for ``plan`` if it is not None, and, when
+    ``foreign`` names it, the ``"data"`` object's monitor, the
+    ``"region"`` object's or the fallback lock held by another thread:
+    the outcome, stats fingerprint, heap fingerprint (lock words
+    included), the model's snapshot and the event stream."""
+    compiled = _region_loop(**shape)
+    program = uop_case(0).program
+    heap = Heap()
+    data = heap.new_object("Node", program.field_layout("Node"))
+    heap.new_array(8)  # keeps the two objects' lock words a line apart
+    locked = heap.new_object("Node", program.field_layout("Node"))
+    model = TimingModel(hw) if timing else None
+    stats, tracer = ExecStats(), Tracer()
+    mach = Machine(program, heap, config=hw, stats=stats, timing=model,
+                   dispatch=dispatch, tracer=tracer,
+                   fault_injector=(FaultInjector(plan)
+                                   if plan is not None else None))
+    held = {"data": data.lock, "region": locked.lock,
+            "fallback": mach.fallback_lock}
+    if foreign is not None:
+        held[foreign].force_owner(9)
+    try:
+        outcome = ("value", mach.execute(compiled, [data, locked]))
+    except Exception as exc:  # noqa: BLE001 - the comparison IS the test
+        outcome = ("raise", type(exc).__name__, str(exc))
+    return (outcome, stats_fingerprint(stats), heap.fingerprint(),
+            model and timing_snapshot(model), tracer.events)
+
+
+#: the fault plans every run-end case runs under: no injector, one with
+#: no fault armed, and two dense seeded schedules.
+_RUN_END_PLANS = {"none": None, "empty": FaultPlan.none(),
+                  "seeded-0": fault_plan(0), "seeded-1": fault_plan(1)}
+
+
+class TestRunEnds:
+    """Lock-word stores and region begin/end end their fused run: each
+    case runs timed and untimed, under every plan of
+    :data:`_RUN_END_PLANS`, and must match the reference loop on value,
+    ``ExecStats``, heap (lock words included), timing state and event
+    stream.  Each also checks that the bail it is about reached the
+    reference step from fused code."""
+
+    def _agree(self, monkeypatch, hw=BASELINE_4WIDE, **kw):
+        """Compare every (timing, plan) pair; returns the ``_step``
+        kinds fused code stepped and the names of the functions it
+        compiled."""
+        seen: Counter = Counter()
+        step = Machine._step
+
+        def recorded_step(machine, fr, pc):
+            seen[_step_kind(machine, fr, pc)] += 1
+            return step(machine, fr, pc)
+
+        compiles = _record_compiles(monkeypatch)
+        monkeypatch.setattr(Machine, "_step", recorded_step)
+        for timing in (False, True):
+            for name, plan in _RUN_END_PLANS.items():
+                want = _run_region_loop(hw, "interpretive", timing, plan,
+                                        **kw)
+                got = _run_region_loop(hw, "auto", timing, plan, **kw)
+                assert got == want, (f"{hw.name} {kw} timed={timing} "
+                                     f"plan={name}: auto diverged")
+        return seen, {filename.split(":")[1] for filename, _ in compiles}
+
+    @staticmethod
+    def _run_ending_at(op, **shape) -> int:
+        """The start of the (first) run that ``op`` ends."""
+        compiled = _region_loop(**shape)
+        [start] = [start for start, end in fused_runs(compiled)
+                   if compiled.instrs[end - 1].op is op][:1]
+        return start
+
+    @pytest.mark.parametrize("hw", [
+        BASELINE_4WIDE,
+        BASELINE_4WIDE.scaled(name="ends-one-line", region_line_limit=1),
+    ], ids=lambda hw: hw.name)
+    def test_lock_stores(self, monkeypatch, hw):
+        """Plain and speculative monitor enters, nested enters and
+        exits, each ending a run; the region's enters roll back when its
+        abort branch fires, or, with one line of room, when a lock word
+        overflows the region's line sets."""
+        seen, names = self._agree(monkeypatch, hw, locks=True)
+        compiled = _region_loop(locks=True)
+        ends = [start for start, end in fused_runs(compiled)
+                if compiled.instrs[end - 1].op is MOp.STORELOCK]
+        assert len(ends) == 8
+        for mode, timed in product(("plain", "region"), "ut"):
+            assert any(f"_f{start}_{timed}_{mode}" in names
+                       for start in ends), (mode, timed)
+        reference = _run_region_loop(hw, "interpretive", False, None,
+                                     locks=True)
+        reasons = dict(reference[1][8])
+        if hw.region_line_limit == 1:
+            # Every trip overflows; each recovery pass adds 2.
+            assert reference[0] == ("value", 4 * 2)
+            assert reasons == {"overflow": 4}
+        else:
+            assert reference[0] == ("value", 4 + 3 + 2 + 1)
+            assert reasons == {"assert": 1}
+
+    @pytest.mark.parametrize("where", ["data", "region"])
+    def test_lock_store_bails_on_foreign_owner(self, monkeypatch, where):
+        """A monitor another thread owns: a plain enter steps the
+        reference (a monitor error with no scheduler), a speculative one
+        aborts the region as a real conflict, whose retries re-land on
+        the begin in the middle of its run."""
+        seen, _ = self._agree(monkeypatch, locks=True, foreign=where)
+        assert seen[MOp.STORELOCK, where == "region", "foreign enter"] > 0
+        if where == "region":
+            assert seen[MOp.AREGION_BEGIN, False, None] > 0
+
+    @pytest.mark.parametrize("bail", ["pending cc", "fallback held",
+                                      "disabled"])
+    def test_begin_bails(self, monkeypatch, bail):
+        """A begin that ends a plain run hands each of its three cold
+        cases to the reference: a setjmp re-landing (the begin heads the
+        loop, so the re-landing enters its run), a recovery pass's
+        fallback-lock hold (a capacity abort escalates), and a region
+        disabled by its first abort."""
+        if bail == "pending cc":
+            hw = BASELINE_4WIDE.scaled(name="ends-setjmp",
+                                       abort_delivery="setjmp")
+            shape = {"lead": False}
+        elif bail == "fallback held":
+            hw = BASELINE_4WIDE.scaled(name="ends-hold",
+                                       htm_mode="store_buffer",
+                                       spec_store_buffer_entries=1,
+                                       fallback_lock_mode="end")
+            shape = {"stores": 2}
+        else:
+            hw = BASELINE_4WIDE.scaled(name="ends-disable",
+                                       region_fallback_threshold=1)
+            shape = {}
+        seen, names = self._agree(monkeypatch, hw, **shape)
+        assert seen[MOp.AREGION_BEGIN, False, bail] > 0
+        start = self._run_ending_at(MOp.AREGION_BEGIN, **shape)
+        assert {f"_f{start}_u_plain", f"_f{start}_t_plain"} <= names
+
+    @pytest.mark.parametrize("held", [False, True],
+                             ids=["commit", "fallback-held"])
+    def test_end_bails(self, monkeypatch, held):
+        """An end that ends a region run commits inline, or, with the
+        fallback lock another thread's at the commit instant under
+        ``fallback_lock_mode="end"``, hands the failed validation to the
+        reference (a real conflict that escalates and fails fast)."""
+        hw = BASELINE_4WIDE.scaled(name="ends-end", fallback_lock_mode="end")
+        seen, names = self._agree(monkeypatch, hw,
+                                  foreign="fallback" if held else None)
+        assert (seen[MOp.AREGION_END, True, "fallback held"] > 0) == held
+        start = self._run_ending_at(MOp.AREGION_END)
+        assert {f"_f{start}_u_region", f"_f{start}_t_region"} <= names
+
+    def test_retry_relands_mid_run(self, monkeypatch):
+        """A conflict retry resumes at the begin, in the middle of the
+        run the begin ends: the stepped closure there retires it on the
+        reference, and the body runs fused again."""
+        shape = {"locks": True, "foreign": "region"}
+        compiled = _region_loop(locks=True)
+        begin = compiled.region_entries[1]
+        assert begin not in {start for start, _ in fused_runs(compiled)}
+        seen, _ = self._agree(monkeypatch, **shape)
+        assert seen[MOp.AREGION_BEGIN, False, None] > 0
+        reference = _run_region_loop(BASELINE_4WIDE, "interpretive", False,
+                                     None, **shape)
+        assert dict(reference[1][0])["conflict_retries"] > 0
 
 
 # -- fallback gating ----------------------------------------------------------
@@ -1291,27 +1574,44 @@ class TestJitGating:
         return Machine(case.program, Heap(), config=BASELINE_4WIDE,
                        stats=ExecStats(), **kw)
 
-    def test_auto_dispatch_takes_the_fused_tier(self):
-        """One rule picks the path: a fault injector selects the handler
-        table, anything else — a tracer included — the fused one."""
+    def test_auto_dispatch_takes_the_fused_tier(self, monkeypatch):
+        """One rule picks the path: every auto-dispatch machine with no
+        scheduler — traced, fault-injected or neither — runs fused
+        code; a fault injector only selects the probing profile."""
         assert DISPATCH_MODES == ("auto", "interpretive")
-        assert self._machine(dispatch="auto")._jit_tier
-        assert self._machine(dispatch="auto", tracer=Tracer())._jit_tier
-        assert not self._machine(
-            dispatch="auto",
-            fault_injector=FaultInjector(FaultPlan.none()))._jit_tier
+        for kw, faulted in (({}, False), ({"tracer": Tracer()}, False),
+                            ({"fault_injector":
+                              FaultInjector(FaultPlan.none())}, True)):
+            case = uop_case(COMMITTING_REGION_SEED)
+            compiles = _record_compiles(monkeypatch)
+            mach = self._machine(dispatch="auto", **kw)
+            assert mach._jit_profile.faulted == faulted
+            mach.execute(case.compiled, case.make_args(mach.heap))
+            assert compiles
+            assert case.compiled._jitted.profile.faulted == faulted
 
     @pytest.mark.parametrize("mode", ["jit", "fast"])
     def test_retired_dispatch_spellings_are_rejected(self, mode):
         with pytest.raises(VMError, match="unknown dispatch mode"):
             self._machine(dispatch=mode)
 
-    def test_fault_injector_disables_fused_tier(self):
-        """Per-uop fault probes must stay live: an auto-dispatch machine
-        carrying a fault injector takes the handler table."""
-        mach = self._machine(dispatch="auto",
-                             fault_injector=FaultInjector(FaultPlan()))
-        assert not mach._jit_tier
+    def test_fault_injector_runs_fused_tier(self, monkeypatch):
+        """A fault-injected machine runs the fused table of its own
+        profile, whose region functions probe in full after every uop,
+        and its fault schedule fires exactly where the reference's
+        does."""
+        plan = FaultPlan.storm("assert", offset=2)
+        case = uop_case(COMMITTING_REGION_SEED)
+        compiles = _record_compiles(monkeypatch)
+        got = run_uop_case(case, "auto", faults=plan)
+        assert got == run_uop_case(case, "interpretive", faults=plan)
+        assert case.compiled._jitted.profile.faulted
+        region_sources = [source for filename, source in compiles
+                          if filename.split(":")[1].endswith("_region")]
+        assert region_sources
+        assert all("mach._hw_condition(region)" in source
+                   for source in region_sources)
+        assert dict(got[1][0])["abort_rate"] > 0
 
     @pytest.mark.parametrize("timing", [False, True],
                              ids=["untimed", "timed"])
