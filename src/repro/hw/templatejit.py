@@ -53,7 +53,10 @@ a missing field, an out-of-bounds or non-integer index, a reference
 under an ordered condition, a negative array length, a taken trap, a
 lock word another thread owns, a failed fallback-lock check at
 ``AREGION_END``, an ``AREGION_BEGIN`` that re-lands (setjmp delivery),
-releases the fallback lock or is suppressed — *bails* before the uop
+releases the fallback lock or is suppressed, and a plain run that holds
+a data store entered while an LL/SC reservation is live (the reference
+kills other threads' reservations on the stored line; ``LL`` is
+stepped, so none appears inside a run) — *bails* before the uop
 has any observable effect: fused code flushes the counters of the uops
 already completed and returns ``Machine._step``, which retires that one
 uop on the reference loop (the deoptimization-to-reference discipline).
@@ -160,6 +163,10 @@ _MEM_TRACK = frozenset({
     MOp.CLASSOF, MOp.LOADF, MOp.STOREF, MOp.LOADA, MOp.STOREA, MOp.LOADLEN,
     MOp.LOADLOCK, MOp.STORELOCK,
 })
+
+#: committed data stores: outside a region each kills every other
+#: thread's LL/SC reservation on its line (``Machine._write``).
+_DATA_STORES = frozenset({MOp.STOREF, MOp.STOREA})
 
 _BRANCHY = frozenset({MOp.BR, MOp.BR_TRAP, MOp.BR_ABORT})
 _SPILLY = frozenset({MOp.LOADSPILL, MOp.STORESPILL})
@@ -987,7 +994,13 @@ def _emit_fn(compiled: CompiledMethod, start: int, end: int,
     if timed:
         pre += _timed_prologue(instrs, start, end, bool(ops & _BRANCHY),
                                not profile.faulted)
-    pre += ["mach = fr.machine", "st = fr.stats", "regs = fr.regs"]
+    pre.append("mach = fr.machine")
+    if not regioned and ops & _DATA_STORES:
+        # LL is stepped, so no reservation appears inside a run: while
+        # one is live, the reference retires the run's stores.
+        pre += ["if mach.heap.reservations:",
+                f"    return mach._step(fr, {start})"]
+    pre += ["st = fr.stats", "regs = fr.regs"]
     if ops & _SPILLY:
         pre.append("spill = fr.spill")
         if timed:

@@ -182,10 +182,10 @@ class TieredVM:
                 if region_id in record.compiled.region_entries:
                     record.compiled.disable_region(region_id)
         self.compiled[qualified] = record
-        # Build the machine's dispatch caches (pre-decode / template-jit
-        # host compile) now, while we are still at compile time: the
-        # first post-install activation is typically the first *measured*
-        # call, and host-compilation cost must not land in the sample.
+        # Build the machine's dispatch table (a compile-on-first-entry
+        # stub per fused run) at install time.  Each run's host compile
+        # happens on its first entry, so the first sweep that reaches a
+        # run pays for it.
         self.machine.prepare(record.compiled)
         self.compilations += 1
         if self.tracer.enabled:

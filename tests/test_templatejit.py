@@ -23,7 +23,8 @@ here first.  Regenerate intentionally with::
 
 The battery's seed windows start at ``DIFF_SEED_BASE`` (default 0), so a
 sweep can move them off the fixed seeds, as ``tests/test_differential.py``
-does with its own window.
+does with its own window.  The two checks that every handler path and
+stepped case is reached keep a fixed window of their own.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.lang import ProgramBuilder
 from repro.obs.tracer import Tracer
 from repro.runtime.errors import MonitorStateError, VMError
 from repro.runtime.heap import GuestObject, Heap
+from repro.runtime.locks import MAIN_THREAD
 from repro.testutil.uopgen import (
     branchy_case,
     fault_plan,
@@ -83,6 +85,13 @@ _SEED_BASE = int(os.environ.get("DIFF_SEED_BASE", "0"))
 def _seeds(count: int) -> range:
     """The battery's window of ``count`` seeds, from ``DIFF_SEED_BASE``."""
     return range(_SEED_BASE, _SEED_BASE + count)
+
+
+def _reach_seeds(count: int) -> range:
+    """A fixed window of ``count`` seeds for the checks that one window
+    reaches every path: which paths a window reaches depends on the
+    window, so these do not move with ``DIFF_SEED_BASE``."""
+    return range(count)
 
 
 #: a regioned seed whose region commits under speculation (returns 1)
@@ -252,7 +261,7 @@ class TestHandlerBattery:
         compare: taken back edges and forward branches, fired aborts,
         lock-word stores and atomic RMW, and every kind of injected fault."""
         seen = Counter()
-        for seed in _seeds(150):
+        for seed in _reach_seeds(150):
             case = branchy_case(seed)
             for plan in (None, fault_plan(seed)):
                 outcome, stats, _, _ = run_uop_case(case, "interpretive",
@@ -297,10 +306,10 @@ class TestHandlerBattery:
             return step(machine, fr, pc)
 
         monkeypatch.setattr(Machine, "_step", recorded_step)
-        for seed in _seeds(60):
+        for seed in _reach_seeds(60):
             _assert_tiers_agree(seed, make=branchy_case)
         for hw in (JIT_HTM["jit-lock-begin"], JIT_HTM["jit-setjmp"]):
-            for seed in _seeds(20):
+            for seed in _reach_seeds(20):
                 for make in (uop_case, branchy_case):
                     _assert_tiers_agree(seed, hw=hw, make=make, faults=True)
             runs = [run_program(stride_store_program(), hw,
@@ -1564,6 +1573,77 @@ class TestRunEnds:
         reference = _run_region_loop(BASELINE_4WIDE, "interpretive", False,
                                      None, **shape)
         assert dict(reference[1][0])["conflict_retries"] > 0
+
+
+# -- LL/SC reservations under plain stores ------------------------------------
+
+def _plain_stores() -> CompiledMethod:
+    """A field store to the object in register 7 and an element store to
+    the array in register 6, outside any region, in one fused run."""
+    M = MInstr
+    instrs = [M(MOp.CONST, dst=0, imm=5),
+              M(MOp.STOREF, a=7, b=0, fieldname="f0"),
+              M(MOp.CONST, dst=1, imm=1),
+              M(MOp.STOREA, a=6, b=1, c=0),
+              M(MOp.LOADF, dst=2, a=7, fieldname="f0"),
+              M(MOp.RET, a=2)]
+    compiled = CompiledMethod(name="plain_stores", num_params=2,
+                              instrs=instrs, num_regs=8)
+    compiled.param_locations = (("r", 7), ("r", 6))
+    return compiled
+
+
+#: reservations held when the stores run, by case: foreign ones on the
+#: stored field's and element's lines, a foreign one on another line,
+#: and the storing thread's own on the stored line.
+_RESERVATIONS = {
+    "stored-lines": lambda obj, arr, far: {
+        7: obj.base + 16 + obj.field_index["f0"] * 8,
+        8: arr.element_address(1)},
+    "other-line": lambda obj, arr, far: {7: far.base + 16},
+    "own": lambda obj, arr, far: {
+        MAIN_THREAD: obj.base + 16 + obj.field_index["f0"] * 8},
+}
+
+
+def _run_plain_stores(dispatch: str, timing: bool, plan, case: str):
+    """Run :func:`_plain_stores` with the reservations of ``case`` held:
+    the outcome, the reservations left, stats, heap and timing state."""
+    program = uop_case(0).program
+    heap = Heap()
+    layout = program.field_layout("Node")
+    obj = heap.new_object("Node", layout)
+    arr = heap.new_array(4)
+    heap.new_array(8)  # puts ``far`` a line away from the stores
+    far = heap.new_object("Node", layout)
+    for tid, address in _RESERVATIONS[case](obj, arr, far).items():
+        heap.set_reservation(tid, address)
+    model = TimingModel(BASELINE_4WIDE) if timing else None
+    stats = ExecStats()
+    mach = Machine(program, heap, config=BASELINE_4WIDE, stats=stats,
+                   timing=model, dispatch=dispatch,
+                   fault_injector=(FaultInjector(plan)
+                                   if plan is not None else None))
+    value = mach.execute(_plain_stores(), [obj, arr])
+    return (value, dict(heap.reservations), stats_fingerprint(stats),
+            heap.fingerprint(), model and timing_snapshot(model))
+
+
+class TestReservations:
+    """A committed plain store kills every other thread's LL/SC
+    reservation on its line, in fused code as on the reference loop.
+    ``heap.fingerprint()`` leaves reservations out, so they are compared
+    on their own."""
+
+    @pytest.mark.parametrize("timing", [False, True])
+    @pytest.mark.parametrize("case", sorted(_RESERVATIONS))
+    def test_plain_stores_match_reference(self, case, timing):
+        want = _run_plain_stores("interpretive", timing, None, case)
+        for tier, plan in FAST_TIERS.items():
+            got = _run_plain_stores("auto", timing, plan, case)
+            assert got == want, f"{tier} timed={timing}: diverged"
+        # only foreign reservations on a stored line die
+        assert bool(want[1]) == (case != "stored-lines")
 
 
 # -- fallback gating ----------------------------------------------------------
